@@ -28,10 +28,8 @@ from .factorization import (  # noqa: F401
     normalize_rows,
 )
 from .grouping import (  # noqa: F401
-    EmpiricalMeasure,
     GroupAssignment,
     anchor_groups,
-    empirical_measure,
     kmeans,
 )
 from .surrogate import (  # noqa: F401
@@ -55,9 +53,11 @@ from .transport import (  # noqa: F401
 from .optimizer import (  # noqa: F401
     InterventionProblem,
     InterventionResult,
-    coupling_grad_delta,
-    coupling_grad_u,
+    coupling_grad_codes,
+    coupling_grad_levers,
     coupling_residual,
+    coupling_value,
+    lever_penalty,
     optimize,
     ot_grad_wrt_U,
     project_feasible,
@@ -66,7 +66,6 @@ from .optimizer import (  # noqa: F401
 )
 from .evaluation import (  # noqa: F401
     MetricsReport,
-    alignment_metrics,
     conversion_metrics,
     effort_and_levers,
     evaluate_intervention,

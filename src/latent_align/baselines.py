@@ -19,12 +19,13 @@ from .optimizer import (
     ALIGNMENT_MEAN_MARGIN,
     InterventionProblem,
     InterventionResult,
-    LeverActivation,
     TrajectoryRecord,
-    _assert_feasible,
+    _assemble_result,
+    coupling_residual,
+    coupling_value,
+    lever_penalty,
     optimize,
     project_feasible,
-    round_report,
 )
 from .surrogate import PriorityWeights
 from . import transport
@@ -65,13 +66,14 @@ def _rank_by(scores: np.ndarray) -> np.ndarray:
 
 def _uniform_result(problem: InterventionProblem, chosen: np.ndarray, step: float) -> InterventionResult:
     dataset, latent, groups = problem.dataset, problem.latent, problem.groups
-    schema = dataset.schema
+    X, schema = dataset.X, dataset.schema
     i_b = groups.i_target
-    X = dataset.X
+    levers = schema.policy_levers
 
     delta = np.zeros_like(X)
     delta[np.ix_(i_b, chosen)] = step
     delta = project_feasible(delta, X, schema, i_b)
+    D = delta[np.ix_(i_b, levers)]
 
     X_B = X[i_b]
     U = nnls_project_rows(X_B + delta[i_b], latent.H)
@@ -84,39 +86,13 @@ def _uniform_result(problem: InterventionProblem, chosen: np.ndarray, step: floa
         tol=problem.sinkhorn_tol,
     )
 
-    levers = schema.policy_levers
-    rho = problem.priorities.rho_for(levers)
-    omega = problem.priorities.omega_for(levers)
-    norms = np.linalg.norm(delta[np.ix_(i_b, levers)], axis=0)
-    coupling = float(np.sum((X_B + delta[i_b] - U @ latent.H) ** 2))
-    sparsity = float(np.sum(rho * norms))
+    coupling = coupling_value(coupling_residual(U, D, X_B, latent.H, levers))
+    sparsity = lever_penalty(D, problem.priorities.rho_for(levers))
     mean_pre = float(np.mean(problem.surrogate.predict_proba(codes_all[i_b])))
     mean_post = float(np.mean(problem.surrogate.predict_proba(u_tilde)))
     objective = plan.transport_cost + problem.sparsity_weight * sparsity
-
-    rounded = round_report(delta, X, schema, i_b)
-    _assert_feasible(delta, rounded, X, schema, i_b)
-    active = [
-        LeverActivation(int(levers[c]), schema.features[levers[c]].name, float(norms[c]), float(omega[c]))
-        for c in range(levers.size)
-        if norms[c] > problem.tau_delta
-    ]
-    active.sort(key=lambda a: (-a.magnitude, a.feature))
-
-    return InterventionResult(
-        delta=delta,
-        u_star=U,
-        gamma=plan.gamma,
-        trajectory=(
-            TrajectoryRecord(0, objective, plan.transport_cost, coupling, sparsity, mean_post - mean_pre),
-        ),
-        active_levers=tuple(active),
-        rounded_delta=rounded,
-        status=STATUS_CONSTRUCTED,
-        n_sinkhorn_calls=1,
-        beta_used=0.0,
-        objective=objective,
-    )
+    record = TrajectoryRecord(0, objective, plan.transport_cost, coupling, sparsity, mean_post - mean_pre)
+    return _assemble_result(problem, U, D, [record], STATUS_CONSTRUCTED, 1, 0.0)
 
 
 def run_baseline(spec: BaselineSpec, problem: InterventionProblem) -> InterventionResult:

@@ -10,13 +10,13 @@ mean-probability gaps above CROSS_CHECK_TOL.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .factorization import LatentModel, nnls_project_rows, normalize_rows
-from .grouping import EmpiricalMeasure, GroupAssignment, empirical_measure
+from .grouping import GroupAssignment
 from .optimizer import InterventionResult
 from .schema import SurveyDataset
 from .surrogate import SurrogateModel
@@ -31,15 +31,6 @@ class ConversionMetrics:
     n_conv: int
     r_conv: float
     mean_dp: float
-
-
-@dataclass(frozen=True)
-class AlignmentMetrics:
-    w_before: float
-    w_after: float
-    dw: float
-    rho_reduction: float
-    degenerate: bool = False
 
 
 @dataclass(frozen=True)
@@ -74,8 +65,8 @@ class MetricsReport:
     rho_reduction: float
     degenerate_alignment: bool
     group_movement: tuple[GroupMovementRow, ...]
-    cross_check: dict = field(default_factory=dict)
-    n_target: int = 0
+    cross_check: dict
+    n_target: int
 
     def to_dict(self) -> dict:
         return {
@@ -160,31 +151,6 @@ def effort_and_levers(
     return effort, n_lever, table
 
 
-def alignment_metrics(
-    mu_pre: EmpiricalMeasure,
-    mu_post: EmpiricalMeasure,
-    mu_ref: EmpiricalMeasure,
-    eta: float,
-    max_iters: int = transport.DEFAULT_MAX_ITERS,
-    tol: float = transport.DEFAULT_TOL,
-) -> AlignmentMetrics:
-    """Transport discrepancy to the reference before and after intervention.
-
-    Uses the transport-cost convention. A zero before-value marks the
-    reduction ratio degenerate and reports it as 0.
-    """
-    before = transport.sinkhorn(
-        transport.TransportProblem.from_measures(mu_pre, mu_ref, eta), max_iters, tol
-    ).transport_cost
-    after = transport.sinkhorn(
-        transport.TransportProblem.from_measures(mu_post, mu_ref, eta), max_iters, tol
-    ).transport_cost
-    dw = before - after
-    if before > 0:
-        return AlignmentMetrics(before, after, dw, dw / before)
-    return AlignmentMetrics(before, after, dw, 0.0, degenerate=True)
-
-
 def group_movement_report(
     groups: GroupAssignment,
     model: SurrogateModel,
@@ -241,12 +207,16 @@ def evaluate_intervention(
     eta: float,
     tau_y: float = 0.5,
     tau_delta: float = 1e-6,
-    cross_check: bool = True,
     sinkhorn_max_iters: int = transport.DEFAULT_MAX_ITERS,
     sinkhorn_tol: float = transport.DEFAULT_TOL,
 ) -> MetricsReport:
     """Standard metrics harness shared by the full method, baselines and
-    ablations."""
+    ablations.
+
+    The discrepancies before and after are the target rows of the movement
+    table, so one pass solves each transport problem once. A zero
+    before-value marks the reduction ratio degenerate and reports it as 0.
+    """
     i_b = groups.i_target
     codes_all = normalize_rows(latent.W).codes
     codes_pre_b = codes_all[i_b]
@@ -256,30 +226,25 @@ def evaluate_intervention(
     effort, n_lever, _ = effort_and_levers(result.delta, dataset.schema.s_ctrl, tau_delta)
     eff_conv = conv.n_conv / max(effort, EFFORT_FLOOR)
 
-    pre_codes = normalize_rows(latent.W)
-    mu_pre = empirical_measure(pre_codes, i_b)
-    mu_ref = empirical_measure(pre_codes, groups.i_reference)
-    mu_post = EmpiricalMeasure(support=codes_post_b.copy(), weights=np.full(i_b.size, 1.0 / i_b.size))
-    align = alignment_metrics(mu_pre, mu_post, mu_ref, eta, sinkhorn_max_iters, sinkhorn_tol)
-
     movement = group_movement_report(
         groups, model, codes_all, codes_post_b, eta, sinkhorn_max_iters, sinkhorn_tol
     )
+    w_before, w_after = movement[1].ot_discrepancy, movement[2].ot_discrepancy
+    dw = w_before - w_after
+    degenerate = not w_before > 0
 
-    check: dict = {}
-    if cross_check:
-        post_rows = dataset.X[i_b] + result.delta[i_b]
-        codes_nnls = normalize_rows(nnls_project_rows(post_rows, latent.H)).codes
-        p_codes = float(np.mean(model.predict_proba(codes_post_b)))
-        p_nnls = float(np.mean(model.predict_proba(codes_nnls)))
-        conv_nnls = conversion_metrics(model, codes_pre_b, codes_nnls, tau_y)
-        check = {
-            "mean_prob_codes": p_codes,
-            "mean_prob_nnls": p_nnls,
-            "gap": abs(p_codes - p_nnls),
-            "flagged": bool(abs(p_codes - p_nnls) > CROSS_CHECK_TOL),
-            "n_conv_nnls": conv_nnls.n_conv,
-        }
+    post_rows = dataset.X[i_b] + result.delta[i_b]
+    codes_nnls = normalize_rows(nnls_project_rows(post_rows, latent.H)).codes
+    p_codes = float(np.mean(model.predict_proba(codes_post_b)))
+    p_nnls = float(np.mean(model.predict_proba(codes_nnls)))
+    conv_nnls = conversion_metrics(model, codes_pre_b, codes_nnls, tau_y)
+    check = {
+        "mean_prob_codes": p_codes,
+        "mean_prob_nnls": p_nnls,
+        "gap": abs(p_codes - p_nnls),
+        "flagged": bool(abs(p_codes - p_nnls) > CROSS_CHECK_TOL),
+        "n_conv_nnls": conv_nnls.n_conv,
+    }
 
     return MetricsReport(
         n_conv=conv.n_conv,
@@ -288,11 +253,11 @@ def evaluate_intervention(
         effort=effort,
         n_lever=n_lever,
         eff_conv=eff_conv,
-        w_before=align.w_before,
-        w_after=align.w_after,
-        dw=align.dw,
-        rho_reduction=align.rho_reduction,
-        degenerate_alignment=align.degenerate,
+        w_before=w_before,
+        w_after=w_after,
+        dw=dw,
+        rho_reduction=0.0 if degenerate else dw / w_before,
+        degenerate_alignment=degenerate,
         group_movement=movement,
         cross_check=check,
         n_target=int(i_b.size),

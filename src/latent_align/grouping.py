@@ -3,8 +3,7 @@
 Clusters are found by seeded k-means (k-means++ init, best of several
 restarts) and then anchored to the survey outcome: the cluster with the
 highest mean outcome becomes the reference group, the lowest the target
-group. Groups are exposed as uniform empirical measures for the transport
-stage.
+group.
 """
 
 from __future__ import annotations
@@ -72,22 +71,6 @@ class GroupAssignment:
     @classmethod
     def from_json(cls, path: str | Path) -> "GroupAssignment":
         return cls.from_dict(json.loads(Path(path).read_text()))
-
-
-@dataclass
-class EmpiricalMeasure:
-    """Uniform weights over a multiset of support points (duplicates kept)."""
-
-    support: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        self.support.setflags(write=False)
-        self.weights.setflags(write=False)
-
-    @property
-    def size(self) -> int:
-        return self.support.shape[0]
 
 
 def _plus_plus_init(V: np.ndarray, n_clusters: int, rng: np.random.Generator) -> np.ndarray:
@@ -201,12 +184,3 @@ def anchor_groups(
         cluster_means=means,
     )
 
-
-def empirical_measure(codes: NormalizedCodes, indices: np.ndarray) -> EmpiricalMeasure:
-    """Uniform empirical measure on the selected rows (multiset semantics)."""
-    indices = np.asarray(indices, dtype=int)
-    if indices.size == 0:
-        raise ValueError("empty index set")
-    support = codes.codes[indices].copy()
-    m = support.shape[0]
-    return EmpiricalMeasure(support=support, weights=np.full(m, 1.0 / m))

@@ -26,6 +26,7 @@ from . import transport
 NORMALIZATION_FLOOR = 1e-12
 DEFAULT_TAU_DELTA = 1e-6
 MAX_HALVINGS = 20
+STEP_GROWTH = 2.0
 # Auto coupling weight: scale / (n_target * median row mass squared). The
 # alignment force on a target row is O(1/n_target) and acts on codes whose
 # mass is the row's l1 norm, so a fixed O(1) coupling weight pins the codes
@@ -67,7 +68,6 @@ class InterventionProblem:
     sinkhorn_max_iters: int = transport.DEFAULT_MAX_ITERS
     sinkhorn_tol: float = transport.DEFAULT_TOL
     tau_delta: float = DEFAULT_TAU_DELTA
-    step_growth: float = 2.0
 
     def __post_init__(self):
         if self.sparsity_weight < 0:
@@ -124,7 +124,6 @@ class LeverActivation:
 class InterventionResult:
     delta: np.ndarray
     u_star: np.ndarray
-    gamma: np.ndarray | None
     trajectory: tuple[TrajectoryRecord, ...]
     active_levers: tuple[LeverActivation, ...]
     rounded_delta: np.ndarray
@@ -220,19 +219,34 @@ def prox_weighted_l21(block: np.ndarray, rho: np.ndarray, t_lambda: float) -> np
     return block * factor[None, :]
 
 
-def coupling_residual(delta_b: np.ndarray, U: np.ndarray, X_B: np.ndarray, H: np.ndarray) -> float:
-    """Squared Frobenius mismatch between post rows and their latent image:
-    sum_i ||x_i + delta_i - U_i H||^2 over the target block."""
-    R = X_B + delta_b - U @ H
+def coupling_residual(
+    U: np.ndarray, D: np.ndarray, X_B: np.ndarray, H: np.ndarray, levers: np.ndarray
+) -> np.ndarray:
+    """Mismatch between the post rows and their latent image over the target
+    block: X_B - U H, with the lever block D added on the lever columns."""
+    R = X_B - U @ H
+    R[:, levers] += D
+    return R
+
+
+def coupling_value(R: np.ndarray) -> float:
+    """The coupling penalty ||R||_F^2 of a residual."""
     return float(np.einsum("ij,ij->", R, R))
 
 
-def coupling_grad_delta(delta_b: np.ndarray, U: np.ndarray, X_B: np.ndarray, H: np.ndarray) -> np.ndarray:
-    return 2.0 * (X_B + delta_b - U @ H)
+def coupling_grad_codes(R: np.ndarray, H: np.ndarray) -> np.ndarray:
+    """Gradient of the coupling penalty w.r.t. the codes U."""
+    return -2.0 * R @ H.T
 
 
-def coupling_grad_u(delta_b: np.ndarray, U: np.ndarray, X_B: np.ndarray, H: np.ndarray) -> np.ndarray:
-    return -2.0 * (X_B + delta_b - U @ H) @ H.T
+def coupling_grad_levers(R: np.ndarray, levers: np.ndarray) -> np.ndarray:
+    """Gradient of the coupling penalty w.r.t. the lever block D."""
+    return 2.0 * R[:, levers]
+
+
+def lever_penalty(D: np.ndarray, rho: np.ndarray) -> float:
+    """Weighted l2,1 norm of the lever block: sum_j rho_j ||D_:j||."""
+    return float(np.sum(rho * np.linalg.norm(D, axis=0)))
 
 
 def _tilde(U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -252,15 +266,13 @@ def _chain_through_normalization(g_tilde: np.ndarray, U: np.ndarray) -> np.ndarr
     return (g_tilde - radial) / s[:, None]
 
 
-def ot_grad_wrt_U(U: np.ndarray, W_tilde_ref: np.ndarray, gamma: np.ndarray, eta: float) -> np.ndarray:
+def ot_grad_wrt_U(U: np.ndarray, W_tilde_ref: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     """Gradient of the fixed-plan transport cost w.r.t. the raw codes.
 
     The plan is held fixed (envelope-style update), so the entropy term is
     constant and only sum_pq gamma_pq ||u~_p - w~_q||^2 varies; the gradient
-    chains through the row normalization of U. eta is part of the problem
-    signature but does not enter at a fixed plan.
+    chains through the row normalization of U.
     """
-    del eta
     U = np.asarray(U, dtype=float)
     u_t, _ = _tilde(U)
     if gamma.shape != (U.shape[0], W_tilde_ref.shape[0]):
@@ -287,7 +299,7 @@ class _OTAlignment:
         return sol.transport_cost
 
     def grad_u(self, U: np.ndarray) -> np.ndarray:
-        return ot_grad_wrt_U(U, self.w_ref, self.plan, self.eta)
+        return ot_grad_wrt_U(U, self.w_ref, self.plan)
 
 
 class _MeanMarginAlignment:
@@ -296,7 +308,6 @@ class _MeanMarginAlignment:
     def __init__(self, beta: np.ndarray, bias: float):
         self.beta = beta
         self.bias = bias
-        self.plan = None
         self.n_calls = 0
 
     def refresh(self, u_tilde: np.ndarray) -> float:
@@ -313,7 +324,6 @@ class _CentroidAlignment:
 
     def __init__(self, centroid_ref: np.ndarray):
         self.centroid_ref = centroid_ref
-        self.plan = None
         self.n_calls = 0
 
     def refresh(self, u_tilde: np.ndarray) -> float:
@@ -361,8 +371,7 @@ def optimize(problem: InterventionProblem) -> InterventionResult:
         raise ValueError("no controllable non-categorical features to intervene on")
     i_b = groups.i_target
     i_a = groups.i_reference
-    X = dataset.X
-    X_B = X[i_b]
+    X_B = dataset.X[i_b]
     H = latent.H
     n_b = i_b.size
 
@@ -387,22 +396,14 @@ def optimize(problem: InterventionProblem) -> InterventionResult:
     t_u = problem.step_u / curvature_u
     t_d = problem.step_delta / (2.0 * beta)
 
-    def residual(U_, D_):
-        R = X_B - U_ @ H
-        R[:, levers] += D_
-        return R
-
-    def sparsity_value(D_):
-        return float(np.sum(rho_lev * np.linalg.norm(D_, axis=0)))
-
     def mean_gain(u_tilde):
         return float(np.mean(problem.surrogate.predict_proba(u_tilde))) - mean_prob_pre
 
     u_t, _ = _tilde(U)
     align_val = align.refresh(u_t)
-    R = residual(U, D)
-    coup = float(np.einsum("ij,ij->", R, R))
-    spars = sparsity_value(D)
+    R = coupling_residual(U, D, X_B, H, levers)
+    coup = coupling_value(R)
+    spars = lever_penalty(D, rho_lev)
     J = align_val + beta * coup + lam * spars
     trajectory = [TrajectoryRecord(0, J, align_val, coup, spars, mean_gain(u_t))]
 
@@ -410,20 +411,20 @@ def optimize(problem: InterventionProblem) -> InterventionResult:
     accepted_any = False
     small_streak = 0
     for it in range(1, problem.max_outer + 1):
-        g_u = align.grad_u(U) + beta * (-2.0 * R @ H.T)
+        g_u = align.grad_u(U) + beta * coupling_grad_codes(R, H)
         accepted = False
         for _ in range(MAX_HALVINGS + 1):
             U_c = np.maximum(U - t_u * g_u, 0.0)
-            R_mid = residual(U_c, D)
-            g_d = 2.0 * beta * R_mid[:, levers]
+            R_mid = coupling_residual(U_c, D, X_B, H, levers)
+            g_d = beta * coupling_grad_levers(R_mid, levers)
             D_c = prox_weighted_l21(D - t_d * g_d, rho_lev, t_d * lam)
             D_c = np.clip(D_c, lo, hi)
 
             u_tc, _ = _tilde(U_c)
             align_c = align.refresh(u_tc)
-            R_c = residual(U_c, D_c)
-            coup_c = float(np.einsum("ij,ij->", R_c, R_c))
-            spars_c = sparsity_value(D_c)
+            R_c = coupling_residual(U_c, D_c, X_B, H, levers)
+            coup_c = coupling_value(R_c)
+            spars_c = lever_penalty(D_c, rho_lev)
             J_c = align_c + beta * coup_c + lam * spars_c
             if J_c < J:
                 accepted = True
@@ -439,8 +440,8 @@ def optimize(problem: InterventionProblem) -> InterventionResult:
         J, align_val, coup, spars = J_c, align_c, coup_c, spars_c
         trajectory.append(TrajectoryRecord(it, J, align_val, coup, spars, mean_gain(u_t)))
         accepted_any = True
-        t_u *= problem.step_growth
-        t_d *= problem.step_growth
+        t_u *= STEP_GROWTH
+        t_d *= STEP_GROWTH
         if rel < problem.tol_obj:
             small_streak += 1
             if small_streak >= 3:
@@ -449,13 +450,34 @@ def optimize(problem: InterventionProblem) -> InterventionResult:
         else:
             small_streak = 0
 
-    if align.plan is not None:
-        align.refresh(u_t)  # leave the stored plan at the final iterate
+    return _assemble_result(problem, U, D, trajectory, status, align.n_calls, beta)
 
+
+def _assemble_result(
+    problem: InterventionProblem,
+    U: np.ndarray,
+    D: np.ndarray,
+    trajectory: list[TrajectoryRecord],
+    status: str,
+    n_sinkhorn_calls: int,
+    beta_used: float,
+) -> InterventionResult:
+    """Scatter the lever block into a full intervention, round it for
+    reporting, re-validate every target row, rank the active levers and
+    build the result. The objective is the last trajectory record's."""
+    dataset, i_b = problem.dataset, problem.groups.i_target
+    X, schema = dataset.X, dataset.schema
+    levers = schema.policy_levers
     delta = np.zeros_like(X)
     delta[np.ix_(i_b, levers)] = D
     rounded = round_report(delta, X, schema, i_b)
-    _assert_feasible(delta, rounded, X, schema, i_b)
+    for i in i_b:
+        bad = validate_row(X[i] + delta[i], schema, mode="optimize")
+        if bad:
+            raise RuntimeError(f"optimizer produced an infeasible row {i}: {bad[0]}")
+        bad = validate_row(X[i] + rounded[i], schema, mode="report")
+        if bad:
+            raise RuntimeError(f"rounding produced an invalid report row {i}: {bad[0]}")
 
     norms = np.linalg.norm(D, axis=0)
     omega_lev = problem.priorities.omega_for(levers)
@@ -469,25 +491,14 @@ def optimize(problem: InterventionProblem) -> InterventionResult:
     return InterventionResult(
         delta=delta,
         u_star=U,
-        gamma=align.plan,
         trajectory=tuple(trajectory),
         active_levers=tuple(active),
         rounded_delta=rounded,
         status=status,
-        n_sinkhorn_calls=align.n_calls,
-        beta_used=beta,
-        objective=J,
+        n_sinkhorn_calls=n_sinkhorn_calls,
+        beta_used=beta_used,
+        objective=trajectory[-1].objective,
     )
-
-
-def _assert_feasible(delta, rounded, X, schema, i_b):
-    for i in i_b:
-        bad = validate_row(X[i] + delta[i], schema, mode="optimize")
-        if bad:
-            raise RuntimeError(f"optimizer produced an infeasible row {i}: {bad[0]}")
-        bad = validate_row(X[i] + rounded[i], schema, mode="report")
-        if bad:
-            raise RuntimeError(f"rounding produced an invalid report row {i}: {bad[0]}")
 
 
 def round_report(

@@ -12,8 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grouping import EmpiricalMeasure
-
 DEFAULT_ETA = 0.05
 DEFAULT_MAX_ITERS = 10_000
 DEFAULT_TOL = 1e-9
@@ -60,6 +58,8 @@ class TransportProblem:
 
     @classmethod
     def from_supports(cls, source: np.ndarray, target: np.ndarray, eta: float) -> "TransportProblem":
+        """Uniform weights on the rows of each support; repeated rows stay
+        separate atoms."""
         source = np.asarray(source, dtype=float)
         target = np.asarray(target, dtype=float)
         nb, na = source.shape[0], target.shape[0]
@@ -67,15 +67,6 @@ class TransportProblem:
             cost=cost_matrix(source, target),
             source_weights=np.full(nb, 1.0 / nb),
             target_weights=np.full(na, 1.0 / na),
-            eta=float(eta),
-        )
-
-    @classmethod
-    def from_measures(cls, mu_source: EmpiricalMeasure, mu_target: EmpiricalMeasure, eta: float) -> "TransportProblem":
-        return cls(
-            cost=cost_matrix(mu_source.support, mu_target.support),
-            source_weights=mu_source.weights.copy(),
-            target_weights=mu_target.weights.copy(),
             eta=float(eta),
         )
 
@@ -90,13 +81,6 @@ class TransportPlan:
 
     def __post_init__(self):
         self.gamma.setflags(write=False)
-
-    def to_csv(self, path) -> None:
-        """Dump the plan for offline inspection, one row per source point."""
-        header = ",".join(f"t{q}" for q in range(self.gamma.shape[1]))
-        lines = [header] + [",".join(repr(v) for v in row) for row in self.gamma.tolist()]
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
 
 
 def cost_matrix(source: np.ndarray, target: np.ndarray) -> np.ndarray:

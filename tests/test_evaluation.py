@@ -1,14 +1,17 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 import latent_align as la
+from latent_align import transport
 from latent_align.evaluation import (
-    alignment_metrics,
     conversion_metrics,
     effort_and_levers,
+    evaluate_intervention,
     group_movement_report,
 )
-from latent_align.grouping import EmpiricalMeasure, GroupAssignment
+from latent_align.grouping import GroupAssignment
 from latent_align.surrogate import SurrogateModel
 from latent_align.transport import TransportProblem, sinkhorn
 
@@ -82,18 +85,34 @@ class TestEffort:
         assert e1 == pytest.approx(e2)
 
 
-def _measure(points):
-    pts = np.asarray(points, dtype=float)
-    return EmpiricalMeasure(support=pts, weights=np.full(pts.shape[0], 1.0 / pts.shape[0]))
+def _evaluate(pre, ref, post, eta):
+    """One evaluation pass on handmade codes: the target rows (pre) and the
+    reference rows over an identity basis, with post as the solver's codes
+    and no feature change."""
+    pre, ref, post = (np.asarray(a, dtype=float) for a in (pre, ref, post))
+    W = np.vstack([pre, ref])
+    k = W.shape[1]
+    groups = GroupAssignment(
+        labels=np.repeat([0, 1], [pre.shape[0], ref.shape[0]]),
+        centroids=np.vstack([pre.mean(axis=0), ref.mean(axis=0)]),
+        reference=1,
+        target=0,
+        cluster_means=np.array([0.0, 1.0]),
+    )
+    dataset = SimpleNamespace(X=W, schema=SimpleNamespace(s_ctrl=np.arange(k)))
+    latent = SimpleNamespace(W=W, H=np.eye(k))
+    result = SimpleNamespace(u_star=post, delta=np.zeros_like(W))
+    model = SurrogateModel(beta=np.ones(k), bias=0.0)
+    return evaluate_intervention(dataset, latent, groups, model, result, eta=eta)
 
 
 class TestAlignmentMetrics:
     def test_no_movement(self):
         rng = np.random.default_rng(2)
-        pre = _measure(rng.dirichlet(np.ones(3), 5))
-        ref = _measure(rng.dirichlet(np.ones(3), 4))
-        m = alignment_metrics(pre, pre, ref, eta=0.2)
-        assert m.dw == 0.0 and m.rho_reduction == 0.0 and not m.degenerate
+        pre = rng.dirichlet(np.ones(3), 5)
+        ref = rng.dirichlet(np.ones(3), 4)
+        m = _evaluate(pre, ref, pre, eta=0.2)
+        assert m.dw == 0.0 and m.rho_reduction == 0.0 and not m.degenerate_alignment
 
     def test_perfect_alignment_limit(self):
         # separated corners; pre points each have a unique nearest corner so
@@ -102,17 +121,36 @@ class TestAlignmentMetrics:
         pts /= pts.sum(axis=1, keepdims=True)
         blend = 0.7 * pts + 0.3 * np.roll(pts, 1, axis=0)
         blend /= blend.sum(axis=1, keepdims=True)
-        pre = _measure(blend)
-        ref = _measure(pts)
-        post = _measure(pts)
-        m = alignment_metrics(pre, post, ref, eta=1e-3)
+        m = _evaluate(blend, pts, pts, eta=1e-3)
         assert m.w_after < 1e-6
         assert m.rho_reduction == pytest.approx(1.0, abs=1e-4)
 
     def test_degenerate_zero_before(self):
-        same = _measure(np.tile([0.5, 0.5], (3, 1)))
-        m = alignment_metrics(same, same, same, eta=0.1)
-        assert m.degenerate and m.rho_reduction == 0.0
+        same = np.tile([0.5, 0.5], (3, 1))
+        m = _evaluate(same, same, same, eta=0.1)
+        assert m.degenerate_alignment and m.rho_reduction == 0.0
+
+    def test_one_pass_solves_each_discrepancy_once(self, fixture_arts, monkeypatch):
+        shapes = []
+        solve = transport.sinkhorn
+
+        def counted(problem, *args, **kwargs):
+            shapes.append(problem.cost.shape)
+            return solve(problem, *args, **kwargs)
+
+        monkeypatch.setattr(transport, "sinkhorn", counted)
+        m = evaluate_intervention(
+            fixture_arts.dataset,
+            fixture_arts.latent,
+            fixture_arts.groups,
+            fixture_arts.surrogate,
+            fixture_arts.result,
+            eta=fixture_arts.problem.eta,
+        )
+        assert len(shapes) == 2
+        rows = {r.group: r for r in m.group_movement}
+        assert m.w_before == rows["target_pre"].ot_discrepancy
+        assert m.w_after == rows["target_post"].ot_discrepancy
 
     def test_dw_matches_independent_recomputation(self, fixture_arts):
         m = fixture_arts.metrics

@@ -3,7 +3,7 @@ import pytest
 
 import latent_align as la
 from latent_align.factorization import normalize_rows
-from latent_align.grouping import GroupAssignment, anchor_groups, empirical_measure, kmeans
+from latent_align.grouping import GroupAssignment, anchor_groups, kmeans
 
 from oracles import random_assignment_wcss
 
@@ -68,6 +68,12 @@ class TestAnchorGroups:
         g = anchor_groups(labels, y, 3)
         assert g.reference == 0 and g.target == 2
 
+    def test_empty_cluster_rejected(self):
+        labels = np.array([0, 0, 2, 2])
+        y = np.array([0.1, 0.2, 0.8, 0.9])
+        with pytest.raises(ValueError, match="empty"):
+            anchor_groups(labels, y, 3)
+
     def test_all_equal_means_is_error(self):
         labels = np.array([0, 1, 2])
         y = np.array([0.5, 0.5, 0.5])
@@ -91,27 +97,6 @@ class TestAnchorGroups:
         g2 = anchor_groups(perm[labels], y, 3)
         assert set(g1.i_reference.tolist()) == set(g2.i_reference.tolist())
         assert set(g1.i_target.tolist()) == set(g2.i_target.tolist())
-
-
-class TestEmpiricalMeasure:
-    def test_singleton(self):
-        mu = empirical_measure(_codes([[1.0, 1.0], [3.0, 1.0]]), np.array([1]))
-        assert mu.size == 1 and mu.weights.tolist() == [1.0]
-
-    def test_uniform_weights(self):
-        mu = empirical_measure(_codes(np.ones((6, 2))), np.array([0, 2, 4, 5]))
-        np.testing.assert_allclose(mu.weights, 0.25)
-        assert abs(mu.weights.sum() - 1.0) <= 1e-12
-
-    def test_duplicates_kept(self):
-        codes = _codes([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        mu = empirical_measure(codes, np.array([0, 1]))
-        assert mu.size == 2
-        assert np.array_equal(mu.support[0], mu.support[1])
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
-            empirical_measure(_codes(np.ones((3, 2))), np.array([], dtype=int))
 
 
 def test_group_assignment_round_trip(tmp_path, fixture_arts):

@@ -137,3 +137,22 @@ class TestSinkhorn:
         g = plan.gamma
         ent = np.sum(g[g > 0] * (np.log(g[g > 0]) - 1.0))
         assert abs(plan.entropic_value - (plan.transport_cost + 0.5 * ent)) < 1e-12
+
+
+class TestFromSupports:
+    def test_singleton(self):
+        problem = TransportProblem.from_supports(np.array([[0.75, 0.25]]), np.array([[0.5, 0.5], [0.0, 1.0]]), 0.1)
+        assert problem.source_weights.tolist() == [1.0]
+        assert problem.target_weights.tolist() == [0.5, 0.5]
+
+    def test_uniform_weights(self):
+        problem = TransportProblem.from_supports(np.full((4, 2), 0.5), np.full((6, 2), 0.5), 0.1)
+        np.testing.assert_allclose(problem.source_weights, 0.25)
+        np.testing.assert_allclose(problem.target_weights, 1.0 / 6)
+        assert abs(problem.target_weights.sum() - 1.0) <= 1e-12
+
+    def test_duplicates_kept(self):
+        source = np.array([[1.0, 0.0], [1.0, 0.0]])
+        problem = TransportProblem.from_supports(source, np.array([[0.0, 1.0]]), 0.1)
+        assert problem.source_weights.tolist() == [0.5, 0.5]
+        assert problem.cost.shape == (2, 1) and problem.cost[0, 0] == problem.cost[1, 0]
