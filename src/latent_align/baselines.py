@@ -80,11 +80,7 @@ def _uniform_result(problem: InterventionProblem, chosen: np.ndarray, step: floa
     u_tilde = normalize_rows(U).codes
     codes_all = normalize_rows(latent.W).codes
     w_ref = codes_all[groups.i_reference]
-    plan = transport.sinkhorn(
-        transport.TransportProblem.from_supports(u_tilde, w_ref, problem.eta),
-        max_iters=problem.sinkhorn_max_iters,
-        tol=problem.sinkhorn_tol,
-    )
+    plan = transport.sinkhorn(transport.TransportProblem.from_supports(u_tilde, w_ref, problem.eta))
 
     coupling = coupling_value(coupling_residual(U, D, X_B, latent.H, levers))
     sparsity = lever_penalty(D, problem.priorities.rho_for(levers))

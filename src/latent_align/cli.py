@@ -54,13 +54,25 @@ def _config_hash(config: ExperimentConfig) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
-def _worker_count(n_tasks: int) -> int:
-    raw = os.environ.get("LATENT_ALIGN_THREADS", "1")
+def _fan_out(fn, *arg_lists) -> list:
+    """fn over the zipped argument lists, in order; on a process pool when
+    LATENT_ALIGN_THREADS allows more than one worker."""
     try:
-        cap = max(1, int(raw))
+        cap = max(1, int(os.environ.get("LATENT_ALIGN_THREADS", "1")))
     except ValueError:
         cap = 1
-    return min(cap, n_tasks)
+    workers = min(cap, len(arg_lists[0]))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, *arg_lists))
+    return list(map(fn, *arg_lists))
+
+
+def _write_rows_csv(rows: list[dict], header: list[str], path: Path) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=header)
+        writer.writeheader()
+        writer.writerows(rows)
 
 
 def _write_movement_csv(metrics: MetricsReport, path: Path) -> None:
@@ -152,20 +164,11 @@ def cmd_run(config: ExperimentConfig) -> int:
     _write_json(_manifest(config), out / "manifest.json")
 
     seeds = list(config.seeds)
-    workers = _worker_count(len(seeds))
-    config_dict = config.to_dict()
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_run_one_seed, [config_dict] * len(seeds), seeds, [str(out)] * len(seeds)))
-    else:
-        rows = [_run_one_seed(config_dict, s, str(out)) for s in seeds]
+    n = len(seeds)
+    rows = _fan_out(_run_one_seed, [config.to_dict()] * n, seeds, [str(out)] * n)
     rows.sort(key=lambda r: r["seed"])
-
     header = ["seed"] + list(MetricsReport.CSV_FIELDS) + ["objective", "status"]
-    with open(out / "runs.csv", "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=header)
-        writer.writeheader()
-        writer.writerows(rows)
+    _write_rows_csv(rows, header, out / "runs.csv")
 
     agg = {"n_seeds": len(rows)}
     for name in AGGREGATE_FIELDS:
@@ -208,27 +211,10 @@ def cmd_sweep(config: ExperimentConfig, param: str, values: list[str]) -> int:
     seed = config.seeds[0]
 
     parsed = [int(v) if param in ("k", "G", "q") else float(v) for v in values]
-    workers = _worker_count(len(parsed))
-    config_dict = config.to_dict()
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(
-                pool.map(
-                    _sweep_cell,
-                    [config_dict] * len(parsed),
-                    [param] * len(parsed),
-                    parsed,
-                    [seed] * len(parsed),
-                )
-            )
-    else:
-        rows = [_sweep_cell(config_dict, param, v, seed) for v in parsed]
-
+    n = len(parsed)
+    rows = _fan_out(_sweep_cell, [config.to_dict()] * n, [param] * n, parsed, [seed] * n)
     header = ["param", "value", "seed"] + list(MetricsReport.CSV_FIELDS) + ["status"]
-    with open(out / f"sweep_{param}.csv", "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=header)
-        writer.writeheader()
-        writer.writerows(rows)
+    _write_rows_csv(rows, header, out / f"sweep_{param}.csv")
     return 0
 
 
@@ -242,35 +228,21 @@ def cmd_baselines(config: ExperimentConfig) -> int:
     arts = run_pipeline(config, seed)
     _write_seed_artifacts(arts, out / f"seed_{seed}")
 
-    def score(result):
-        return evaluate_intervention(
-            arts.dataset,
-            arts.latent,
-            arts.groups,
-            arts.surrogate,
-            result,
-            eta=config.eta,
-            tau_y=config.tau_y,
-            tau_delta=config.tau_delta,
-            sinkhorn_max_iters=config.sinkhorn_max_iters,
-            sinkhorn_tol=config.sinkhorn_tol,
-        )
-
     rows = [("full_method", arts.metrics, arts.result)]
     for kind in bl.BASELINE_KINDS:
         spec = bl.BaselineSpec(kind=kind, k_levers=config.baseline_k_levers, step_magnitude=config.baseline_step)
         result = bl.run_baseline(spec, arts.problem)
-        rows.append((kind, score(result), result))
+        rows.append((kind, evaluate_intervention(arts.problem, result), result))
     for kind in bl.ABLATION_KINDS:
         result = bl.run_ablation(kind, arts.problem)
-        rows.append((f"ablation_{kind}", score(result), result))
+        rows.append((f"ablation_{kind}", evaluate_intervention(arts.problem, result), result))
 
     header = ["method"] + list(MetricsReport.CSV_FIELDS) + ["status"]
-    with open(out / "comparison.csv", "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=header)
-        writer.writeheader()
-        for name, metrics, result in rows:
-            writer.writerow({"method": name, **metrics.csv_row(), "status": result.status})
+    _write_rows_csv(
+        [{"method": name, **metrics.csv_row(), "status": result.status} for name, metrics, result in rows],
+        header,
+        out / "comparison.csv",
+    )
     _write_json(
         {name: metrics.to_dict() for name, metrics, _ in rows},
         out / "comparison.json",

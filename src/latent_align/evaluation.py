@@ -10,15 +10,14 @@ mean-probability gaps above CROSS_CHECK_TOL.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .factorization import LatentModel, nnls_project_rows, normalize_rows
+from .factorization import nnls_project_rows, normalize_rows
 from .grouping import GroupAssignment
-from .optimizer import InterventionResult
-from .schema import SurveyDataset
+from .optimizer import InterventionProblem, InterventionResult
 from .surrogate import SurrogateModel
 from . import transport
 
@@ -41,15 +40,6 @@ class GroupMovementRow:
     centroid_distance: float
     ot_discrepancy: float
 
-    def to_dict(self) -> dict:
-        return {
-            "group": self.group,
-            "size": self.size,
-            "mean_probability": self.mean_probability,
-            "centroid_distance": self.centroid_distance,
-            "ot_discrepancy": self.ot_discrepancy,
-        }
-
 
 @dataclass
 class MetricsReport:
@@ -69,22 +59,7 @@ class MetricsReport:
     n_target: int
 
     def to_dict(self) -> dict:
-        return {
-            "n_conv": self.n_conv,
-            "r_conv": self.r_conv,
-            "mean_dp": self.mean_dp,
-            "effort": self.effort,
-            "n_lever": self.n_lever,
-            "eff_conv": self.eff_conv,
-            "w_before": self.w_before,
-            "w_after": self.w_after,
-            "dw": self.dw,
-            "rho_reduction": self.rho_reduction,
-            "degenerate_alignment": self.degenerate_alignment,
-            "group_movement": [r.to_dict() for r in self.group_movement],
-            "cross_check": self.cross_check,
-            "n_target": self.n_target,
-        }
+        return asdict(self)
 
     def to_json(self, path: str | Path) -> None:
         Path(path).write_text(json.dumps(self.to_dict(), sort_keys=True) + "\n")
@@ -157,8 +132,6 @@ def group_movement_report(
     codes_pre: np.ndarray,
     codes_post_target: np.ndarray,
     eta: float,
-    max_iters: int = transport.DEFAULT_MAX_ITERS,
-    tol: float = transport.DEFAULT_TOL,
 ) -> tuple[GroupMovementRow, ...]:
     """Reference vs target-before vs target-after movement table.
 
@@ -176,7 +149,7 @@ def group_movement_report(
 
     def ot_to_ref(supp):
         problem = transport.TransportProblem.from_supports(supp, ref, eta)
-        return transport.sinkhorn(problem, max_iters, tol).transport_cost
+        return transport.sinkhorn(problem).transport_cost
 
     rows = [
         GroupMovementRow("reference", ref.shape[0], float(np.mean(model.predict_proba(ref))), 0.0, 0.0),
@@ -198,37 +171,26 @@ def group_movement_report(
     return tuple(rows)
 
 
-def evaluate_intervention(
-    dataset: SurveyDataset,
-    latent: LatentModel,
-    groups: GroupAssignment,
-    model: SurrogateModel,
-    result: InterventionResult,
-    eta: float,
-    tau_y: float = 0.5,
-    tau_delta: float = 1e-6,
-    sinkhorn_max_iters: int = transport.DEFAULT_MAX_ITERS,
-    sinkhorn_tol: float = transport.DEFAULT_TOL,
-) -> MetricsReport:
+def evaluate_intervention(problem: InterventionProblem, result: InterventionResult) -> MetricsReport:
     """Standard metrics harness shared by the full method, baselines and
-    ablations.
+    ablations, scored against the problem the result solves.
 
-    The discrepancies before and after are the target rows of the movement
-    table, so one pass solves each transport problem once. A zero
-    before-value marks the reduction ratio degenerate and reports it as 0.
+    The conversion threshold is the probe's tau_y. The discrepancies before
+    and after are the target rows of the movement table, so one pass solves
+    each transport problem once. A zero before-value marks the reduction
+    ratio degenerate and reports it as 0.
     """
+    dataset, latent, groups, model = problem.dataset, problem.latent, problem.groups, problem.surrogate
     i_b = groups.i_target
     codes_all = normalize_rows(latent.W).codes
     codes_pre_b = codes_all[i_b]
     codes_post_b = normalize_rows(result.u_star).codes
 
-    conv = conversion_metrics(model, codes_pre_b, codes_post_b, tau_y)
-    effort, n_lever, _ = effort_and_levers(result.delta, dataset.schema.s_ctrl, tau_delta)
+    conv = conversion_metrics(model, codes_pre_b, codes_post_b, model.tau_y)
+    effort, n_lever, _ = effort_and_levers(result.delta, dataset.schema.s_ctrl, problem.tau_delta)
     eff_conv = conv.n_conv / max(effort, EFFORT_FLOOR)
 
-    movement = group_movement_report(
-        groups, model, codes_all, codes_post_b, eta, sinkhorn_max_iters, sinkhorn_tol
-    )
+    movement = group_movement_report(groups, model, codes_all, codes_post_b, problem.eta)
     w_before, w_after = movement[1].ot_discrepancy, movement[2].ot_discrepancy
     dw = w_before - w_after
     degenerate = not w_before > 0
@@ -237,7 +199,7 @@ def evaluate_intervention(
     codes_nnls = normalize_rows(nnls_project_rows(post_rows, latent.H)).codes
     p_codes = float(np.mean(model.predict_proba(codes_post_b)))
     p_nnls = float(np.mean(model.predict_proba(codes_nnls)))
-    conv_nnls = conversion_metrics(model, codes_pre_b, codes_nnls, tau_y)
+    conv_nnls = conversion_metrics(model, codes_pre_b, codes_nnls, model.tau_y)
     check = {
         "mean_prob_codes": p_codes,
         "mean_prob_nnls": p_nnls,

@@ -12,7 +12,7 @@ only if the penalized objective strictly decreases.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +27,8 @@ NORMALIZATION_FLOOR = 1e-12
 DEFAULT_TAU_DELTA = 1e-6
 MAX_HALVINGS = 20
 STEP_GROWTH = 2.0
+# Initial step on each block, as a fraction of the inverse of its curvature.
+STEP_FRACTION = 0.1
 # Auto coupling weight: scale / (n_target * median row mass squared). The
 # alignment force on a target row is O(1/n_target) and acts on codes whose
 # mass is the row's l1 norm, so a fixed O(1) coupling weight pins the codes
@@ -60,13 +62,9 @@ class InterventionProblem:
     eta: float = transport.DEFAULT_ETA
     sparsity_weight: float = 0.05
     beta_couple: float | None = None
-    step_u: float = 0.1
-    step_delta: float = 0.1
     max_outer: int = 200
     tol_obj: float = 1e-5
     alignment: str = ALIGNMENT_OT
-    sinkhorn_max_iters: int = transport.DEFAULT_MAX_ITERS
-    sinkhorn_tol: float = transport.DEFAULT_TOL
     tau_delta: float = DEFAULT_TAU_DELTA
 
     def __post_init__(self):
@@ -76,8 +74,6 @@ class InterventionProblem:
             raise ValueError("beta_couple must be positive (or None for auto)")
         if not self.eta > 0:
             raise ValueError("eta must be positive")
-        if self.step_u <= 0 or self.step_delta <= 0:
-            raise ValueError("step sizes must be positive")
         if self.max_outer < 1:
             raise ValueError("max_outer must be >= 1")
         if self.alignment not in (ALIGNMENT_OT, ALIGNMENT_MEAN_MARGIN, ALIGNMENT_CENTROID):
@@ -93,16 +89,6 @@ class TrajectoryRecord:
     sparsity: float
     mean_gain: float
 
-    def to_dict(self) -> dict:
-        return {
-            "iteration": self.iteration,
-            "objective": self.objective,
-            "alignment": self.alignment,
-            "coupling": self.coupling,
-            "sparsity": self.sparsity,
-            "mean_gain": self.mean_gain,
-        }
-
 
 @dataclass(frozen=True)
 class LeverActivation:
@@ -110,14 +96,6 @@ class LeverActivation:
     name: str
     magnitude: float
     omega: float
-
-    def to_dict(self) -> dict:
-        return {
-            "feature": self.feature,
-            "name": self.name,
-            "magnitude": self.magnitude,
-            "omega": self.omega,
-        }
 
 
 @dataclass
@@ -149,8 +127,8 @@ class InterventionResult:
         return {
             "delta": self.delta_triplets(),
             "rounded_delta": self.delta_triplets(rounded=True),
-            "active_levers": [a.to_dict() for a in self.active_levers],
-            "trajectory": [r.to_dict() for r in self.trajectory],
+            "active_levers": [asdict(a) for a in self.active_levers],
+            "trajectory": [asdict(r) for r in self.trajectory],
             "status": self.status,
             "n_sinkhorn_calls": self.n_sinkhorn_calls,
             "beta_used": self.beta_used,
@@ -283,17 +261,15 @@ def ot_grad_wrt_U(U: np.ndarray, W_tilde_ref: np.ndarray, gamma: np.ndarray) -> 
 
 
 class _OTAlignment:
-    def __init__(self, w_ref: np.ndarray, eta: float, max_iters: int, tol: float):
+    def __init__(self, w_ref: np.ndarray, eta: float):
         self.w_ref = w_ref
         self.eta = eta
-        self.max_iters = max_iters
-        self.tol = tol
         self.plan: np.ndarray | None = None
         self.n_calls = 0
 
     def refresh(self, u_tilde: np.ndarray) -> float:
         problem = transport.TransportProblem.from_supports(u_tilde, self.w_ref, self.eta)
-        sol = transport.sinkhorn(problem, max_iters=self.max_iters, tol=self.tol)
+        sol = transport.sinkhorn(problem)
         self.n_calls += 1
         self.plan = sol.gamma
         return sol.transport_cost
@@ -340,7 +316,7 @@ class _CentroidAlignment:
 
 def _make_alignment(problem: InterventionProblem, w_ref: np.ndarray):
     if problem.alignment == ALIGNMENT_OT:
-        return _OTAlignment(w_ref, problem.eta, problem.sinkhorn_max_iters, problem.sinkhorn_tol)
+        return _OTAlignment(w_ref, problem.eta)
     if problem.alignment == ALIGNMENT_MEAN_MARGIN:
         return _MeanMarginAlignment(problem.surrogate.beta, problem.surrogate.bias)
     return _CentroidAlignment(w_ref.mean(axis=0))
@@ -393,8 +369,8 @@ def optimize(problem: InterventionProblem) -> InterventionResult:
     lam_h = float(np.max(np.linalg.eigvalsh(H @ H.T)))
     s_med = float(np.median(U.sum(axis=1)))
     curvature_u = 2.0 * beta * lam_h + 2.0 / (n_b * max(s_med, 1.0) ** 2)
-    t_u = problem.step_u / curvature_u
-    t_d = problem.step_delta / (2.0 * beta)
+    t_u = STEP_FRACTION / curvature_u
+    t_d = STEP_FRACTION / (2.0 * beta)
 
     def mean_gain(u_tilde):
         return float(np.mean(problem.surrogate.predict_proba(u_tilde))) - mean_prob_pre

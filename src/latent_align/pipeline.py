@@ -55,12 +55,8 @@ class ExperimentConfig:
     nmf_max_iters: int = 500
     nmf_tol: float = 1e-9
     kmeans_restarts: int = 10
-    step_u: float = 0.1
-    step_delta: float = 0.1
     max_outer: int = 200
     tol_obj: float = 1e-5
-    sinkhorn_max_iters: int = 10_000
-    sinkhorn_tol: float = 1e-9
 
     seeds: tuple[int, ...] = (42,)
     out_dir: str = "runs/latest"
@@ -170,12 +166,8 @@ def build_problem(
         eta=config.eta,
         sparsity_weight=config.sparsity_weight,
         beta_couple=config.beta_couple,
-        step_u=config.step_u,
-        step_delta=config.step_delta,
         max_outer=config.max_outer,
         tol_obj=config.tol_obj,
-        sinkhorn_max_iters=config.sinkhorn_max_iters,
-        sinkhorn_tol=config.sinkhorn_tol,
         tau_delta=config.tau_delta,
     )
 
@@ -217,18 +209,7 @@ def run_pipeline(config: ExperimentConfig, seed: int, dataset: SurveyDataset | N
     )
     problem = build_problem(config, dataset, latent, groups, priorities, surrogate)
     result = optimize(problem)
-    metrics = evaluate_intervention(
-        dataset,
-        latent,
-        groups,
-        surrogate,
-        result,
-        eta=config.eta,
-        tau_y=config.tau_y,
-        tau_delta=config.tau_delta,
-        sinkhorn_max_iters=config.sinkhorn_max_iters,
-        sinkhorn_tol=config.sinkhorn_tol,
-    )
+    metrics = evaluate_intervention(problem, result)
     return PipelineArtifacts(
         seed=seed,
         dataset=dataset,

@@ -20,6 +20,16 @@ GRAD_TOL = 1e-7
 MAX_GD_ITERS = 5000
 
 
+def _sigmoid(m: np.ndarray) -> np.ndarray:
+    """Logistic function, split on the sign of m so exp never overflows."""
+    out = np.empty_like(m)
+    pos = m >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-m[pos]))
+    e = np.exp(m[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
 @dataclass
 class SurrogateModel:
     """Logistic probe: predict(w) = sigmoid(beta . w + bias)."""
@@ -42,13 +52,7 @@ class SurrogateModel:
         return np.asarray(W, dtype=float) @ self.beta + self.bias
 
     def predict_proba(self, W: np.ndarray) -> np.ndarray:
-        m = self.margin(W)
-        out = np.empty_like(m)
-        pos = m >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-m[pos]))
-        e = np.exp(m[~pos])
-        out[~pos] = e / (1.0 + e)
-        return out
+        return _sigmoid(self.margin(W))
 
     def to_dict(self) -> dict:
         return {
@@ -100,19 +104,20 @@ class PriorityWeights:
         for arr in (self.phi, self.varphi, self.top_factors, self.omega, self.rho, self.s_ctrl):
             arr.setflags(write=False)
 
-    def rho_for(self, feature_indices: np.ndarray) -> np.ndarray:
-        """Penalty weights for a subset of controllable features."""
+    def _positions(self, feature_indices: np.ndarray) -> list[int]:
         pos = {int(j): i for i, j in enumerate(self.s_ctrl)}
         try:
-            sel = [pos[int(j)] for j in feature_indices]
+            return [pos[int(j)] for j in feature_indices]
         except KeyError as exc:
             raise ValueError(f"feature {exc} is not controllable") from exc
-        return self.rho[sel]
+
+    def rho_for(self, feature_indices: np.ndarray) -> np.ndarray:
+        """Penalty weights for a subset of controllable features."""
+        return self.rho[self._positions(feature_indices)]
 
     def omega_for(self, feature_indices: np.ndarray) -> np.ndarray:
-        pos = {int(j): i for i, j in enumerate(self.s_ctrl)}
-        sel = [pos[int(j)] for j in feature_indices]
-        return self.omega[sel]
+        """Priority scores for a subset of controllable features."""
+        return self.omega[self._positions(feature_indices)]
 
     def to_dict(self) -> dict:
         return {
@@ -151,12 +156,7 @@ def _logistic_loss_and_grad(W, labels, beta, bias, l2):
     m = W @ beta + bias
     # mean softplus(m) - y*m, stable for large |m|
     loss = float(np.mean(np.logaddexp(0.0, m) - labels * m)) + 0.5 * l2 * float(beta @ beta)
-    p = np.empty_like(m)
-    pos = m >= 0
-    p[pos] = 1.0 / (1.0 + np.exp(-m[pos]))
-    e = np.exp(m[~pos])
-    p[~pos] = e / (1.0 + e)
-    r = p - labels
+    r = _sigmoid(m) - labels
     g_beta = W.T @ r / W.shape[0] + l2 * beta
     g_bias = float(np.mean(r))
     return loss, g_beta, g_bias

@@ -43,24 +43,11 @@ from oracles import (
 @pytest.fixture(scope="module")
 def comparison(fixture_arts):
     """Full method vs the four baselines, evaluated by the shared harness."""
-
-    def score(result):
-        return evaluate_intervention(
-            fixture_arts.dataset,
-            fixture_arts.latent,
-            fixture_arts.groups,
-            fixture_arts.surrogate,
-            result,
-            eta=fixture_arts.problem.eta,
-            tau_y=0.5,
-            tau_delta=1e-6,
-        )
-
     rows = {"full_method": fixture_arts.metrics}
     for kind in BASELINE_KINDS:
         result = run_baseline(BaselineSpec(kind=kind, k_levers=5, step_magnitude=0.2), fixture_arts.problem)
-        rows[kind] = score(result)
-    return rows, score
+        rows[kind] = evaluate_intervention(fixture_arts.problem, result)
+    return rows
 
 
 class TestCriterion1KernelOracles:
@@ -223,15 +210,13 @@ class TestCriterion5EndToEnd:
 
 class TestCriterion6ComparativeOrdering:
     def test_full_method_dominates_baselines_on_conversions(self, comparison):
-        rows, _ = comparison
-        full = rows["full_method"].n_conv
+        full = comparison["full_method"].n_conv
         for kind in BASELINE_KINDS:
-            assert full >= rows[kind].n_conv, kind
+            assert full >= comparison[kind].n_conv, kind
 
-    def test_no_sparsity_activates_at_least_full(self, fixture_arts, comparison):
-        _, score = comparison
+    def test_no_sparsity_activates_at_least_full(self, fixture_arts):
         result = run_ablation(ABLATION_NO_SPARSITY, fixture_arts.problem)
-        assert score(result).n_lever >= fixture_arts.metrics.n_lever
+        assert evaluate_intervention(fixture_arts.problem, result).n_lever >= fixture_arts.metrics.n_lever
 
     def test_lambda_sweep_effort_collapse(self, fixture_dataset):
         lambdas = (3e-5, 1e-4, 3e-4, 1e-3, 3e-3)

@@ -26,13 +26,6 @@ def baseline_results(fixture_arts):
     return out
 
 
-def _score(arts, result):
-    return evaluate_intervention(
-        arts.dataset, arts.latent, arts.groups, arts.surrogate, result,
-        eta=arts.problem.eta, tau_y=0.5, tau_delta=1e-6,
-    )
-
-
 class TestBaselineSpec:
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="kind"):
@@ -50,11 +43,11 @@ class TestBaselineSpec:
 
 class TestUniformBaselines:
     def test_single_lever_activates_one(self, fixture_arts, baseline_results):
-        m = _score(fixture_arts, baseline_results["top_shapley_single"])
+        m = evaluate_intervention(fixture_arts.problem, baseline_results["top_shapley_single"])
         assert m.n_lever == 1
 
     def test_topk_bounded_by_k(self, fixture_arts, baseline_results):
-        m = _score(fixture_arts, baseline_results["top_shapley_topk"])
+        m = evaluate_intervention(fixture_arts.problem, baseline_results["top_shapley_topk"])
         assert m.n_lever <= 5
 
     def test_single_picks_highest_priority_lever(self, fixture_arts, baseline_results):
@@ -122,7 +115,7 @@ class TestAblations:
 
     def test_no_sparsity_activates_at_least_full(self, fixture_arts):
         result = run_ablation(ABLATION_NO_SPARSITY, fixture_arts.problem)
-        m = _score(fixture_arts, result)
+        m = evaluate_intervention(fixture_arts.problem, result)
         assert m.n_lever >= fixture_arts.metrics.n_lever
 
     def test_unknown_ablation(self, fixture_arts):

@@ -99,11 +99,16 @@ def _evaluate(pre, ref, post, eta):
         target=0,
         cluster_means=np.array([0.0, 1.0]),
     )
-    dataset = SimpleNamespace(X=W, schema=SimpleNamespace(s_ctrl=np.arange(k)))
-    latent = SimpleNamespace(W=W, H=np.eye(k))
+    problem = SimpleNamespace(
+        dataset=SimpleNamespace(X=W, schema=SimpleNamespace(s_ctrl=np.arange(k))),
+        latent=SimpleNamespace(W=W, H=np.eye(k)),
+        groups=groups,
+        surrogate=SurrogateModel(beta=np.ones(k), bias=0.0),
+        eta=eta,
+        tau_delta=1e-6,
+    )
     result = SimpleNamespace(u_star=post, delta=np.zeros_like(W))
-    model = SurrogateModel(beta=np.ones(k), bias=0.0)
-    return evaluate_intervention(dataset, latent, groups, model, result, eta=eta)
+    return evaluate_intervention(problem, result)
 
 
 class TestAlignmentMetrics:
@@ -139,14 +144,7 @@ class TestAlignmentMetrics:
             return solve(problem, *args, **kwargs)
 
         monkeypatch.setattr(transport, "sinkhorn", counted)
-        m = evaluate_intervention(
-            fixture_arts.dataset,
-            fixture_arts.latent,
-            fixture_arts.groups,
-            fixture_arts.surrogate,
-            fixture_arts.result,
-            eta=fixture_arts.problem.eta,
-        )
+        m = evaluate_intervention(fixture_arts.problem, fixture_arts.result)
         assert len(shapes) == 2
         rows = {r.group: r for r in m.group_movement}
         assert m.w_before == rows["target_pre"].ot_discrepancy

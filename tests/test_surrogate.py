@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latent_align.surrogate import (
+    PriorityWeights,
     SurrogateModel,
     aggregate_relevance,
     binarize_outcome,
@@ -160,6 +161,21 @@ class TestFeaturePriorities:
         assert np.argsort(omega, kind="stable").tolist() == sorted(
             range(d), key=lambda j: (exact[j], j)
         )
+
+    @pytest.mark.parametrize("lookup, expected", [("rho_for", [4.0, 2.0]), ("omega_for", [0.25, 0.5])])
+    def test_lookup_rejects_non_controllable_feature(self, lookup, expected):
+        weights = PriorityWeights(
+            phi=np.zeros((1, 1)),
+            varphi=np.ones(1),
+            top_factors=np.array([0]),
+            omega=np.array([0.5, 0.25]),
+            rho=np.array([2.0, 4.0]),
+            s_ctrl=np.array([1, 3]),
+            eps_omega=1e-6,
+        )
+        assert getattr(weights, lookup)(np.array([3, 1])).tolist() == expected
+        with pytest.raises(ValueError, match="feature 2 is not controllable"):
+            getattr(weights, lookup)(np.array([1, 2]))
 
 
 @settings(max_examples=30, deadline=None)
