@@ -20,31 +20,35 @@ import platform
 import sys
 import traceback
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, baselines as bl
-from .evaluation import MetricsReport, evaluate_intervention
-from .factorization import normalize_rows
+from .evaluation import GroupMovementRow, MetricsReport, evaluate_intervention
+from .factorization import LatentModel, normalize_rows
+from .grouping import GroupAssignment
+from .optimizer import TrajectoryRecord
 from .pipeline import (
     ConfigError,
     ExperimentConfig,
     PipelineArtifacts,
     SWEEPABLE,
-    load_or_generate,
     run_pipeline,
 )
 from .schema import DataValidationError, SchemaError, default_synthetic_schema, generate_synthetic, save_dataset
+from .surrogate import SurrogateModel
 
 AGGREGATE_FIELDS = ("n_conv", "r_conv", "mean_dp", "n_lever", "effort")
 
 
-def _write_json(obj, path: Path) -> None:
+def _write_json(obj, path: Path, indent: int | None = 2) -> None:
+    """Sorted keys and a trailing newline; indent=None is the compact layout
+    of the per-seed files."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(obj, indent=indent, sort_keys=True) + "\n")
 
 
 def _config_hash(config: ExperimentConfig) -> str:
@@ -69,67 +73,61 @@ def _fan_out(fn, *arg_lists) -> list:
 
 
 def _write_rows_csv(rows: list[dict], header: list[str], path: Path) -> None:
+    """RFC 4180 CSV (CRLF line ends); floats are written as repr(float)."""
     with open(path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=header)
         writer.writeheader()
         writer.writerows(rows)
 
 
-def _write_movement_csv(metrics: MetricsReport, path: Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["group", "size", "mean_probability", "centroid_distance", "ot_discrepancy"])
-        for row in metrics.group_movement:
-            writer.writerow(
-                [row.group, row.size, repr(row.mean_probability), repr(row.centroid_distance), repr(row.ot_discrepancy)]
-            )
+def _record_rows(records) -> list[dict]:
+    # float() turns NumPy scalars into Python floats, which csv writes as repr
+    return [{k: float(v) if isinstance(v, float) else v for k, v in asdict(r).items()} for r in records]
 
 
-def _write_codes_csv(arts: PipelineArtifacts, path: Path) -> None:
+def _codes_rows(arts: PipelineArtifacts) -> list[dict]:
     """Pre codes for everyone plus post codes for the target group, for
     external latent-space plotting."""
-    k = arts.latent.k
     groups = arts.groups
+    roles = {groups.reference: "reference", groups.target: "target"}
     post = normalize_rows(arts.result.u_star).codes
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["respondent_id", "cluster", "role", "phase"] + [f"c{r}" for r in range(k)])
-        roles = {groups.reference: "reference", groups.target: "target"}
-        for i in range(arts.dataset.n):
-            role = roles.get(int(groups.labels[i]), "other")
-            writer.writerow(
-                [arts.dataset.respondent_ids[i], int(groups.labels[i]), role, "pre"]
-                + [repr(float(v)) for v in arts.codes.codes[i]]
-            )
-        for row, i in enumerate(groups.i_target):
-            writer.writerow(
-                [arts.dataset.respondent_ids[i], int(groups.labels[i]), "target", "post"]
-                + [repr(float(v)) for v in post[row]]
-            )
+    entries = [(i, roles.get(int(groups.labels[i]), "other"), "pre", arts.codes.codes[i]) for i in range(arts.dataset.n)]
+    entries += [(i, "target", "post", post[r]) for r, i in enumerate(groups.i_target)]
+    return [
+        {
+            "respondent_id": arts.dataset.respondent_ids[i],
+            "cluster": int(groups.labels[i]),
+            "role": role,
+            "phase": phase,
+            **{f"c{r}": float(v) for r, v in enumerate(codes)},
+        }
+        for i, role, phase, codes in entries
+    ]
 
 
 def _write_seed_artifacts(arts: PipelineArtifacts, seed_dir: Path) -> None:
-    from .factorization import LatentModel
-    from .grouping import GroupAssignment
-    from .surrogate import SurrogateModel
-
-    seed_dir.mkdir(parents=True, exist_ok=True)
-    arts.latent.to_json(seed_dir / "latent_model.json")
-    arts.groups.to_json(seed_dir / "groups.json")
-    arts.surrogate.to_json(seed_dir / "surrogate.json")
-    arts.priorities.to_json(seed_dir / "priorities.json")
-    arts.result.to_json(seed_dir / "intervention.json")
-    arts.metrics.to_json(seed_dir / "metrics.json")
-    arts.result.trajectory_csv(seed_dir / "trajectory.csv")
-    _write_movement_csv(arts.metrics, seed_dir / "movement.csv")
-    _write_codes_csv(arts, seed_dir / "latent_codes.csv")
+    docs = {
+        "latent_model.json": arts.latent.to_dict(),
+        "groups.json": arts.groups.to_dict(),
+        "surrogate.json": arts.surrogate.to_dict(),
+        "priorities.json": arts.priorities.to_dict(),
+        "intervention.json": arts.result.to_dict(),
+        "metrics.json": arts.metrics.to_dict(),
+    }
+    for name, doc in docs.items():
+        _write_json(doc, seed_dir / name, indent=None)
+    trajectory_header = [f.name for f in fields(TrajectoryRecord)]
+    _write_rows_csv(_record_rows(arts.result.trajectory), trajectory_header, seed_dir / "trajectory.csv")
+    movement_header = [f.name for f in fields(GroupMovementRow)]
+    _write_rows_csv(_record_rows(arts.metrics.group_movement), movement_header, seed_dir / "movement.csv")
+    codes_header = ["respondent_id", "cluster", "role", "phase"] + [f"c{r}" for r in range(arts.latent.k)]
+    _write_rows_csv(_codes_rows(arts), codes_header, seed_dir / "latent_codes.csv")
 
     # read-back check: every artifact parses, and the typed ones re-validate
-    LatentModel.from_json(seed_dir / "latent_model.json")
-    GroupAssignment.from_json(seed_dir / "groups.json")
-    SurrogateModel.from_json(seed_dir / "surrogate.json")
-    for name in ("priorities.json", "intervention.json", "metrics.json"):
-        json.loads((seed_dir / name).read_text())
+    read = {name: json.loads((seed_dir / name).read_text()) for name in docs}
+    LatentModel.from_dict(read["latent_model.json"])
+    GroupAssignment.from_dict(read["groups.json"])
+    SurrogateModel.from_dict(read["surrogate.json"])
 
 
 def _run_one_seed(config_dict: dict, seed: int, out_root: str) -> dict:
@@ -179,11 +177,8 @@ def cmd_run(config: ExperimentConfig) -> int:
     dw_vals = np.array([float(r["dw"]) for r in rows])
     agg["dw"] = {"mean": float(dw_vals.mean()), "std": float(dw_vals.std(ddof=0)), "reference_comparable": False}
     _write_json(agg, out / "aggregate.json")
-    with open(out / "aggregate.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["metric", "mean", "std"])
-        for name in AGGREGATE_FIELDS:
-            writer.writerow([name, repr(agg[name]["mean"]), repr(agg[name]["std"])])
+    agg_rows = [{"metric": name, **agg[name]} for name in AGGREGATE_FIELDS]
+    _write_rows_csv(agg_rows, ["metric", "mean", "std"], out / "aggregate.csv")
     return 0
 
 

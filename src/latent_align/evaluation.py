@@ -9,9 +9,7 @@ mean-probability gaps above CROSS_CHECK_TOL.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -60,9 +58,6 @@ class MetricsReport:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    def to_json(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), sort_keys=True) + "\n")
 
     CSV_FIELDS = (
         "n_conv",

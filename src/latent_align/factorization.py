@@ -9,9 +9,7 @@ solver.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -66,13 +64,6 @@ class LatentModel:
             iters_run=int(d["iters_run"]),
         )
 
-    def to_json(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), sort_keys=True) + "\n")
-
-    @classmethod
-    def from_json(cls, path: str | Path) -> "LatentModel":
-        return cls.from_dict(json.loads(Path(path).read_text()))
-
 
 @dataclass
 class NormalizedCodes:
@@ -85,10 +76,6 @@ class NormalizedCodes:
     def __post_init__(self):
         self.codes.setflags(write=False)
         self.zero_mask.setflags(write=False)
-
-    @property
-    def k(self) -> int:
-        return self.codes.shape[1]
 
 
 def _check_latent_invariants(W: np.ndarray, H: np.ndarray, k: int) -> None:

@@ -8,9 +8,7 @@ group.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -42,10 +40,6 @@ class GroupAssignment:
     def i_target(self) -> np.ndarray:
         return np.flatnonzero(self.labels == self.target)
 
-    @property
-    def n_clusters(self) -> int:
-        return self.centroids.shape[0]
-
     def to_dict(self) -> dict:
         return {
             "labels": self.labels.tolist(),
@@ -64,13 +58,6 @@ class GroupAssignment:
             target=int(d["target"]),
             cluster_means=np.array(d["cluster_means"], dtype=float),
         )
-
-    def to_json(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), sort_keys=True) + "\n")
-
-    @classmethod
-    def from_json(cls, path: str | Path) -> "GroupAssignment":
-        return cls.from_dict(json.loads(Path(path).read_text()))
 
 
 def _plus_plus_init(V: np.ndarray, n_clusters: int, rng: np.random.Generator) -> np.ndarray:

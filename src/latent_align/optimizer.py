@@ -11,9 +11,7 @@ only if the penalized objective strictly decreases.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -134,17 +132,6 @@ class InterventionResult:
             "beta_used": self.beta_used,
             "objective": self.objective,
         }
-
-    def to_json(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), sort_keys=True) + "\n")
-
-    def trajectory_csv(self, path: str | Path) -> None:
-        lines = ["iteration,objective,alignment,coupling,sparsity,mean_gain"]
-        for r in self.trajectory:
-            lines.append(
-                f"{r.iteration},{r.objective!r},{r.alignment!r},{r.coupling!r},{r.sparsity!r},{r.mean_gain!r}"
-            )
-        Path(path).write_text("\n".join(lines) + "\n")
 
 
 def project_feasible(

@@ -126,9 +126,6 @@ class FeatureSchema:
     def names(self) -> tuple[str, ...]:
         return tuple(f.name for f in self.features)
 
-    def index(self, name: str) -> int:
-        return self.names.index(name)
-
     @cached_property
     def lowers(self) -> np.ndarray:
         a = np.array([f.lower for f in self.features], dtype=float)

@@ -9,9 +9,7 @@ to produce per-feature priority scores and sparsity penalty weights.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -75,13 +73,6 @@ class SurrogateModel:
             n_iters=int(d.get("n_iters", 0)),
         )
 
-    def to_json(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), sort_keys=True) + "\n")
-
-    @classmethod
-    def from_json(cls, path: str | Path) -> "SurrogateModel":
-        return cls.from_dict(json.loads(Path(path).read_text()))
-
 
 @dataclass
 class PriorityWeights:
@@ -129,9 +120,6 @@ class PriorityWeights:
             "eps_omega": float(self.eps_omega),
             "provenance": self.provenance,
         }
-
-    def to_json(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), sort_keys=True) + "\n")
 
 
 def binarize_outcome(y: np.ndarray, rule: str = "median", threshold: float | None = None) -> np.ndarray:

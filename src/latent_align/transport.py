@@ -106,6 +106,8 @@ def sinkhorn(
     of the implied plan drops below tol. Raises ConvergenceError (with the
     final marginal error) if the budget is exhausted first.
     """
+    if max_iters < 1:
+        raise ValueError(f"max_iters must be >= 1, got {max_iters}")
     M, a, b, eta = problem.cost, problem.source_weights, problem.target_weights, problem.eta
     log_a = np.log(a)
     log_b = np.log(b)
@@ -113,22 +115,20 @@ def sinkhorn(
     f = np.zeros(M.shape[0])
     g = np.zeros(M.shape[1])
 
-    def plan_and_err():
-        logT = logK + f[:, None] + g[None, :]
-        gamma = np.exp(logT)
-        row_err = float(np.max(np.abs(gamma.sum(axis=1) - a)))
-        col_err = float(np.max(np.abs(gamma.sum(axis=0) - b)))
-        return logT, gamma, max(row_err, col_err)
-
-    iters = 0
     for iters in range(1, max_iters + 1):
         g = log_b - _logsumexp(logK + f[:, None], axis=0)
         f = log_a - _logsumexp(logK + g[None, :], axis=1)
+        # the last iteration is always checked, so a converged solve leaves
+        # the loop with the plan at its final potentials
         if iters % 5 == 0 or iters == max_iters:
-            _, _, err = plan_and_err()
+            logT = logK + f[:, None] + g[None, :]
+            gamma = np.exp(logT)
+            row_err = float(np.max(np.abs(gamma.sum(axis=1) - a)))
+            col_err = float(np.max(np.abs(gamma.sum(axis=0) - b)))
+            err = max(row_err, col_err)
             if err < tol:
                 break
-    logT, gamma, err = plan_and_err()
+            del logT, gamma  # free the plan before the next potential updates
     if err >= tol:
         raise ConvergenceError(iters, err, tol)
 

@@ -1,11 +1,14 @@
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 import latent_align as la
 from latent_align.cli import main
-from latent_align.pipeline import ExperimentConfig
+from latent_align.evaluation import GroupMovementRow
+from latent_align.optimizer import TrajectoryRecord
+from latent_align.pipeline import ExperimentConfig, run_pipeline
 
 from conftest import small_config
 
@@ -155,6 +158,50 @@ class TestBaselinesCommand:
         n_target_col = header.index("n_target")
         sizes = {r.split(",")[n_target_col] for r in rows[1:]}
         assert len(sizes) == 1
+
+
+class TestArtifactFormat:
+    """The file formats of the run outputs: RFC 4180 CSV with CRLF line ends,
+    record CSVs headed by their dataclass fields, and per-seed JSON in the
+    compact sorted layout of each object's to_dict()."""
+
+    @pytest.fixture(scope="class")
+    def outputs(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("format")
+        cfg = _write_config(root, seeds=(7,), max_outer=30)
+        assert main(["run", "--config", str(cfg), "--out", str(root / "run")]) == 0
+        assert main(["baselines", "--config", str(cfg), "--out", str(root / "baselines")]) == 0
+        return root
+
+    def test_every_csv_line_ends_in_crlf(self, outputs):
+        paths = sorted(outputs.rglob("*.csv"))
+        names = {p.name for p in paths}
+        assert {"trajectory.csv", "movement.csv", "latent_codes.csv", "runs.csv", "aggregate.csv", "comparison.csv"} <= names
+        for p in paths:
+            lines = p.read_bytes().split(b"\n")
+            assert lines[-1] == b"", p
+            assert all(line.endswith(b"\r") for line in lines[:-1]), p
+
+    def test_record_headers_are_field_names(self, outputs):
+        for name, record_type in (("trajectory.csv", TrajectoryRecord), ("movement.csv", GroupMovementRow)):
+            for out in ("run", "baselines"):
+                header = (outputs / out / "seed_7" / name).read_text().splitlines()[0]
+                assert header.split(",") == [f.name for f in fields(record_type)]
+
+    def test_per_seed_json_is_sorted_to_dict(self, outputs):
+        arts = run_pipeline(small_config(seeds=(7,), max_outer=30), 7)
+        objects = {
+            "latent_model.json": arts.latent,
+            "groups.json": arts.groups,
+            "surrogate.json": arts.surrogate,
+            "priorities.json": arts.priorities,
+            "intervention.json": arts.result,
+            "metrics.json": arts.metrics,
+        }
+        for out in ("run", "baselines"):
+            for name, obj in objects.items():
+                text = (outputs / out / "seed_7" / name).read_text()
+                assert text == json.dumps(obj.to_dict(), sort_keys=True) + "\n", (out, name)
 
 
 class TestSynthAndInspect:

@@ -1,4 +1,5 @@
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -145,11 +146,10 @@ class TestNormalizeRows:
 
 
 class TestSerializationAndImmutability:
-    def test_json_round_trip(self, tmp_path):
+    def test_json_round_trip(self):
         rng = np.random.default_rng(9)
         model = fit_nmf(rng.uniform(0.0, 2.0, size=(15, 6)), k=3, seed=4, max_iters=80)
-        model.to_json(tmp_path / "m.json")
-        loaded = LatentModel.from_json(tmp_path / "m.json")
+        loaded = LatentModel.from_dict(json.loads(json.dumps(model.to_dict(), sort_keys=True)))
         np.testing.assert_allclose(loaded.W, model.W)
         np.testing.assert_allclose(loaded.H, model.H)
         assert loaded.k == model.k and loaded.seed == model.seed

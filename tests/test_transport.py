@@ -117,6 +117,11 @@ class TestSinkhorn:
         with pytest.raises(ConvergenceError, match="marginal error"):
             sinkhorn(_uniform_problem(M, eta=0.01), max_iters=3)
 
+    @pytest.mark.parametrize("max_iters", [0, -1])
+    def test_empty_budget_rejected(self, max_iters):
+        with pytest.raises(ValueError, match="max_iters"):
+            sinkhorn(_uniform_problem(np.ones((2, 2)), eta=0.5), max_iters=max_iters)
+
     def test_invalid_problem_rejected(self):
         with pytest.raises(ValueError, match="eta"):
             _uniform_problem(np.ones((2, 2)), eta=0.0)
