@@ -167,7 +167,9 @@ def prox_weighted_l21(block: np.ndarray, rho: np.ndarray, t_lambda: float) -> np
     """Columnwise group soft-threshold with per-column weights.
 
     Column j shrinks by max(0, 1 - t_lambda * rho_j / ||col_j||); zero
-    columns stay zero, and t_lambda = 0 is the identity.
+    columns stay zero, and t_lambda = 0 is the identity. A nonzero column
+    whose norm underflows to 0 gets it recomputed after scaling by its
+    largest |entry|.
     """
     if t_lambda < 0:
         raise ValueError("t_lambda must be >= 0")
@@ -178,6 +180,10 @@ def prox_weighted_l21(block: np.ndarray, rho: np.ndarray, t_lambda: float) -> np
     if t_lambda == 0:
         return block.copy()
     norms = np.linalg.norm(block, axis=0)
+    tiny = (norms == 0) & np.any(block != 0, axis=0)
+    if np.any(tiny):
+        scale = np.max(np.abs(block[:, tiny]), axis=0)
+        norms[tiny] = scale * np.linalg.norm(block[:, tiny] / scale, axis=0)
     factor = np.zeros_like(norms)
     nz = norms > 0
     factor[nz] = np.maximum(0.0, 1.0 - t_lambda * rho[nz] / norms[nz])

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -103,6 +105,12 @@ class TestProx:
             ours = prox_weighted_l21(col, np.array([1.0]), thresh)[:, 0]
             ref = prox_column_oracle(col[:, 0], thresh)
             assert np.max(np.abs(ours - ref)) < 1e-8
+
+    def test_underflowing_norm_keeps_column(self):
+        # the squared entry underflows, so a plain norm reads 0; the exact
+        # prox shrinks 1e-200 by a factor of 1 - 1e-110
+        out = prox_weighted_l21(np.array([[1e-200]]), np.array([1.0]), 1e-310)
+        assert out[0, 0] == pytest.approx(1e-200, rel=1e-12, abs=0.0)
 
     def test_zero_columns_stay_zero(self):
         block = np.array([[0.0, 1.0], [0.0, 2.0]])
@@ -352,18 +360,22 @@ def _block_and_rho(draw):
     return block, rho
 
 
-# 1.45e-280 is nonzero, but its column norm underflows to 0
+# 1.45e-280 is nonzero, but np.linalg.norm of its column underflows to 0
 @settings(max_examples=25, deadline=None)
 @given(case=_block_and_rho(), t=st.floats(0, 2))
 @example(case=(np.array([[1.45e-280, 1.0]]), np.array([1.0, 1.0])), t=0.0)
 @example(case=(np.array([[1.45e-280, 1.0]]), np.array([1.0, 1.0])), t=0.5)
+@example(case=(np.array([[1.45e-280, 1.0]]), np.array([1.0, 1.0])), t=1e-300)
 def test_prox_never_grows_columns(case, t):
     block, rho = case
     out = prox_weighted_l21(block, rho, t)
-    norms = np.linalg.norm(block, axis=0)
+    norms = np.array([math.hypot(*col) for col in block.T])  # no underflow
     assert np.all(np.linalg.norm(out, axis=0) <= norms + 1e-9)
     assert np.all(out[:, np.all(block == 0.0, axis=0)] == 0.0)
     if t == 0:
         assert np.array_equal(out, block)
     else:
-        assert np.all(out[:, norms == 0] == 0.0)
+        # zeroed exactly when the column norm is at most t * rho; the margin
+        # covers a last-bit difference between hypot and np.linalg.norm
+        assert np.all(out[:, norms <= t * rho * (1 - 1e-12)] == 0.0)
+        assert np.all(np.any(out[:, norms > t * rho * (1 + 1e-12)] != 0.0, axis=0))

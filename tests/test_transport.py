@@ -1,9 +1,16 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from latent_align import transport
 from latent_align.transport import (
+    DEFAULT_MAX_ITERS,
+    DEFAULT_TOL,
     ConvergenceError,
     TransportProblem,
     cost_matrix,
@@ -11,6 +18,11 @@ from latent_align.transport import (
 )
 
 from oracles import entropic_ot_pg
+
+
+def _separated_corners():
+    pts = np.eye(4) * 0.9 + 0.025  # well separated simplex corners
+    return pts / pts.sum(axis=1, keepdims=True)
 
 
 def _uniform_problem(M, eta):
@@ -50,6 +62,36 @@ class TestCostMatrix:
         with pytest.raises(ValueError, match="dimensions"):
             cost_matrix(np.ones((2, 3)), np.ones((2, 4)))
 
+    def test_peak_memory_is_the_output(self):
+        # no n_b x n_a x k temporary: the 4 MB output is the only large block
+        rng = np.random.default_rng(13)
+        U = rng.dirichlet(np.ones(10), size=500)
+        V = rng.dirichlet(np.ones(10), size=1000)
+        tracemalloc.start()
+        try:
+            M = cost_matrix(U, V)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * M.nbytes
+
+
+def _supports(k):
+    rows = st.integers(1, 6)
+    return rows.flatmap(lambda n: arrays(np.float64, (n, k), elements=st.floats(-2, 2)))
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data(), k=st.integers(1, 6))
+def test_gemm_cost_is_pairwise_sum_of_squares(data, k):
+    U, V = data.draw(_supports(k)), data.draw(_supports(k))
+    M = cost_matrix(U, V)
+    assert np.all(M >= 0.0)
+    for p in range(len(U)):
+        for q in range(len(V)):
+            assert abs(M[p, q] - np.sum((U[p] - V[q]) ** 2)) <= 1e-12
+    np.testing.assert_allclose(cost_matrix(V, U).T, M, rtol=0, atol=1e-12)
+
 
 class TestSinkhorn:
     def test_forced_coupling_1x1(self):
@@ -83,13 +125,57 @@ class TestSinkhorn:
         assert np.max(np.abs(plan.gamma.sum(axis=1) - 1.0 / 8)) < 1e-7
         assert np.max(np.abs(plan.gamma.sum(axis=0) - 1.0 / 6)) < 1e-7
 
-    def test_identical_separated_supports_near_zero_cost(self):
-        rng = np.random.default_rng(8)
-        pts = np.eye(4) * 0.9 + 0.025  # well separated simplex corners
-        pts /= pts.sum(axis=1, keepdims=True)
+    def test_identical_separated_supports_near_zero_cost(self, monkeypatch):
+        pts = _separated_corners()
         problem = TransportProblem.from_supports(pts, pts, eta=1e-3)
+        # the cost range over eta is beyond the routing bound: log domain only
+        assert np.ptp(problem.cost) / problem.eta > transport.SCALING_MAX_RANGE
+
+        def no_scaling(*args):
+            raise AssertionError("scaling domain used beyond the routing bound")
+
+        monkeypatch.setattr(transport, "_scaling_sinkhorn", no_scaling)
         plan = sinkhorn(problem)
         assert plan.transport_cost < 1e-6
+        assert np.max(np.abs(plan.gamma.sum(axis=1) - 0.25)) < DEFAULT_TOL
+        assert np.max(np.abs(plan.gamma.sum(axis=0) - 0.25)) < DEFAULT_TOL
+
+    @pytest.mark.parametrize("eta", [0.01, 0.05, 0.2])
+    def test_scaling_and_log_domains_agree(self, eta):
+        rng = np.random.default_rng(14)
+        U = rng.dirichlet(np.ones(4), size=30)
+        V = rng.dirichlet(np.ones(4), size=25)
+        problem = TransportProblem.from_supports(U, V, eta)
+        shift = float(problem.cost.min())
+        scaled = transport._scaling_sinkhorn(problem, shift, DEFAULT_MAX_ITERS, DEFAULT_TOL)
+        logged = transport._log_sinkhorn(problem, DEFAULT_MAX_ITERS, DEFAULT_TOL)
+        np.testing.assert_allclose(scaled.gamma, logged.gamma, rtol=0, atol=1e-9)
+        assert abs(scaled.transport_cost - logged.transport_cost) < 1e-9
+        assert abs(scaled.entropic_value - logged.entropic_value) < 1e-9
+
+    def test_nonfinite_scaling_falls_back_to_log_domain(self, monkeypatch):
+        # with the routing bound lifted, row 0 of K = exp(-2/eta) underflows
+        # to 0 and its scaling to inf
+        monkeypatch.setattr(transport, "SCALING_MAX_RANGE", math.inf)
+        problem = _uniform_problem(np.array([[2.0], [0.0]]), eta=1e-3)
+        plan = sinkhorn(problem)
+        np.testing.assert_allclose(plan.gamma, [[0.5], [0.5]], rtol=0, atol=1e-12)
+        assert plan.transport_cost == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("domain", ["scaling", "log"])
+    def test_stops_at_first_converged_iteration(self, domain):
+        if domain == "scaling":
+            M = np.random.default_rng(15).uniform(0.0, 2.0, size=(8, 6))
+            problem = _uniform_problem(M, eta=0.1)
+        else:
+            rng = np.random.default_rng(2)
+            U, V = rng.dirichlet(np.ones(3), size=10), rng.dirichlet(np.ones(3), size=8)
+            problem = TransportProblem.from_supports(U, V, 0.002)
+            assert np.ptp(problem.cost) / problem.eta > transport.SCALING_MAX_RANGE
+        plan = sinkhorn(problem)
+        assert plan.iters > 1
+        with pytest.raises(ConvergenceError):
+            sinkhorn(problem, max_iters=plan.iters - 1)
 
     def test_blur_increases_cost_with_eta(self):
         rng = np.random.default_rng(9)
