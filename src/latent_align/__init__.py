@@ -21,6 +21,7 @@ from .schema import (  # noqa: F401
 )
 from .factorization import (  # noqa: F401
     LatentModel,
+    NNLSError,
     NormalizedCodes,
     fit_nmf,
     nnls_project,

@@ -3,8 +3,11 @@
 The basis is learned once with multiplicative updates, row-normalized to unit
 l1 norm, and then frozen (the returned arrays are read-only) so that observed
 and post-intervention respondents live in the same latent coordinates. New
-feature vectors are projected onto the frozen basis with an active-set NNLS
-solver.
+feature vectors are projected onto the frozen basis by one batched NNLS
+solver, block principal pivoting: every row keeps its own passive set, rows
+that share a passive set are solved together by one multi-right-hand-side
+least-squares call, and each row's sign tests use a tolerance scaled to that
+row. `nnls_project` is the one-row call of the same solver.
 """
 
 from __future__ import annotations
@@ -16,6 +19,8 @@ import numpy as np
 MU_EPS = 1e-12  # multiplicative-update denominator guard
 ZERO_ROW_TOL = 1e-12
 H_ROW_SUM_TOL = 1e-9
+NNLS_MAX_PASSES = 100  # exchange passes before NNLSError
+NNLS_BACKUP_PASSES = 3  # full swaps allowed after the infeasible count stops falling
 
 
 @dataclass
@@ -155,58 +160,92 @@ def fit_nmf(X: np.ndarray, k: int, seed: int, max_iters: int = 500, tol: float =
     )
 
 
-def nnls_project(x: np.ndarray, H: np.ndarray, max_outer: int | None = None) -> np.ndarray:
-    """Solve argmin_{w >= 0} ||x - wH||_2^2 by the Lawson-Hanson active-set method.
+class NNLSError(RuntimeError):
+    """Block principal pivoting exceeded NNLS_MAX_PASSES exchange passes."""
 
-    Deterministic: the entering factor is always the one with the largest
-    dual value, ties broken by lower index. The returned solution satisfies
-    the KKT conditions to high precision for the small ranks used here.
-    """
+
+def nnls_project(x: np.ndarray, H: np.ndarray) -> np.ndarray:
+    """Solve argmin_{w >= 0} ||x - wH||_2^2 for one row: `nnls_project_rows`
+    on the (1, d) batch holding x."""
     H = np.asarray(H, dtype=float)
     x = np.asarray(x, dtype=float)
-    k, d = H.shape
-    if x.shape != (d,):
-        raise ValueError(f"x has shape {x.shape}, basis expects ({d},)")
-    if max_outer is None:
-        max_outer = 10 * k + 10
-
-    A = H.T  # (d, k); solve min ||A w - x||, w >= 0
-    w = np.zeros(k)
-    passive = np.zeros(k, dtype=bool)
-    dual = A.T @ x  # gradient of -0.5 residual^2 at w = 0
-    tol = 1e-10 * max(1.0, float(np.max(np.abs(dual)))) if k else 0.0
-
-    for _ in range(max_outer):
-        candidates = ~passive
-        if not np.any(candidates) or np.max(dual[candidates]) <= tol:
-            break
-        masked = np.where(candidates, dual, -np.inf)
-        passive[int(np.argmax(masked))] = True
-
-        while True:
-            idx = np.flatnonzero(passive)
-            z = np.linalg.lstsq(A[:, idx], x, rcond=None)[0]
-            if np.all(z > 0):
-                w = np.zeros(k)
-                w[idx] = z
-                break
-            bad = z <= 0
-            alpha = np.min(w[idx][bad] / (w[idx][bad] - z[bad]))
-            w[idx] += alpha * (z - w[idx])
-            drop = np.abs(w[idx]) < 1e-14  # entries driven to the boundary
-            drop |= w[idx] <= 0
-            passive[idx[drop]] = False
-            w[idx[drop]] = 0.0
-        dual = A.T @ (x - A @ w)
-    else:
-        raise RuntimeError("NNLS active-set iteration limit exceeded")
-    return w
+    if H.ndim != 2 or x.shape != (H.shape[1],):
+        raise ValueError(f"x has shape {x.shape}, basis expects ({H.shape[-1]},)")
+    return nnls_project_rows(x[None, :], H)[0]
 
 
 def nnls_project_rows(X: np.ndarray, H: np.ndarray) -> np.ndarray:
-    """Project each row of X onto the basis; rows are independent problems."""
+    """Solve argmin_{w >= 0} ||x - wH||_2^2 for every row x of X by block
+    principal pivoting (Kim & Park 2011; Bro & De Jong 1997).
+
+    C = X H^T and G = H H^T are formed once. Each row keeps a passive set P,
+    starting empty. A pass solves w_P by least squares with w zero off P,
+    then tests the row's signs against its scaled tolerance
+    tol = 1e-10 * max(1, max|c|): w_j < -tol on P, or gradient (wG - c)_j <
+    -tol off P, marks j infeasible. While a row's infeasible count falls, the
+    whole infeasible set is swapped; once it stops falling the row gets
+    NNLS_BACKUP_PASSES more full swaps, then swaps only its largest
+    infeasible index until the count falls again. Rows sharing a passive set
+    are solved together by one multi-right-hand-side `np.linalg.lstsq` on
+    H[P]^T, which stays defined when H is rank-deficient (dead factors parked
+    at the same uniform row). Each row follows its own exchange sequence, so
+    its result does not depend on the other rows in the batch. Raises
+    NNLSError if rows are still infeasible after NNLS_MAX_PASSES passes.
+    """
     X = np.asarray(X, dtype=float)
-    return np.vstack([nnls_project(X[i], H) for i in range(X.shape[0])])
+    H = np.asarray(H, dtype=float)
+    if X.ndim != 2 or H.ndim != 2 or X.shape[1] != H.shape[1]:
+        raise ValueError(f"X has shape {X.shape}, basis H has shape {H.shape}")
+    if not (np.all(np.isfinite(X)) and np.all(np.isfinite(H))):
+        raise ValueError("X and H must be finite")
+    n, k = X.shape[0], H.shape[0]
+    C = X @ H.T
+    G = H @ H.T
+    tol = 1e-10 * np.maximum(1.0, np.max(np.abs(C), axis=1, initial=0.0))
+    W = np.zeros((n, k))
+    passive = np.zeros((n, k), dtype=bool)
+    best = np.full(n, k + 1)  # fewest infeasible indices seen per row
+    backup = np.full(n, NNLS_BACKUP_PASSES)
+    rows = np.arange(n)  # rows not yet feasible
+    infeasible = C > tol[:, None]  # the gradient at w = 0 is -C
+    passes = 0
+    while True:
+        live = infeasible.any(axis=1)
+        rows, infeasible = rows[live], infeasible[live]
+        if rows.size == 0:
+            return np.maximum(W, 0.0)
+        if passes == NNLS_MAX_PASSES:
+            raise NNLSError(
+                f"NNLS block principal pivoting left {rows.size} of {n} rows "
+                f"infeasible after {NNLS_MAX_PASSES} passes"
+            )
+        passes += 1
+        count = infeasible.sum(axis=1)
+        fell = count < best[rows]
+        full = fell | (backup[rows] > 0)
+        best[rows] = np.minimum(best[rows], count)
+        backup[rows] = np.where(fell, NNLS_BACKUP_PASSES, backup[rows] - full)
+        last = k - 1 - np.argmax(infeasible[:, ::-1], axis=1)
+        swap = infeasible & full[:, None]
+        swap[~full, last[~full]] = True
+        passive[rows] ^= swap
+        _solve_groups(X, H, W, passive, rows)
+        Wr = W[rows]
+        infeasible = np.where(passive[rows], Wr, Wr @ G - C[rows]) < -tol[rows, None]
+
+
+def _solve_groups(X, H, W, passive, rows) -> None:
+    """W[rows] = least-squares w on each row's passive set, zero off it; one
+    lstsq per distinct passive set."""
+    sets, group = np.unique(passive[rows], axis=0, return_inverse=True)
+    group = group.reshape(-1)
+    order = np.argsort(group, kind="stable")
+    bounds = np.cumsum(np.bincount(group, minlength=len(sets)))[:-1]
+    for P, members in zip(sets, np.split(rows[order], bounds)):
+        W[members] = 0.0
+        if P.any():
+            z = np.linalg.lstsq(H[P].T, X[members].T, rcond=None)[0]
+            W[np.ix_(members, np.flatnonzero(P))] = z.T
 
 
 def normalize_rows(W: np.ndarray) -> NormalizedCodes:

@@ -1,8 +1,17 @@
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import latent_align as la
 from latent_align.pipeline import ExperimentConfig, run_pipeline
+
+# HYPOTHESIS_PROFILE=ci (set in CI) makes property tests draw the same examples
+# on every run and print the reproduction blob of any failure; local runs stay
+# random.
+settings.register_profile("ci", derandomize=True, print_blob=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 # Frozen synthetic fixture: n=500, rank 6, 3 clusters. The seeds and the
 # sparsity weight were fixed after verifying conversion, lever recovery and

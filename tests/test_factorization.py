@@ -3,9 +3,20 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import nnls as scipy_nnls
 
 import latent_align as la
-from latent_align.factorization import LatentModel, fit_nmf, nnls_project, normalize_rows
+import latent_align.factorization as factorization
+from latent_align.factorization import (
+    LatentModel,
+    NNLSError,
+    fit_nmf,
+    nnls_project,
+    nnls_project_rows,
+    normalize_rows,
+)
 
 from oracles import nnls_enumerate
 
@@ -126,6 +137,94 @@ class TestNNLSProject:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="shape"):
             nnls_project(np.ones(4), np.ones((2, 5)))
+
+
+@st.composite
+def _nnls_batches(draw):
+    """A row-normalized basis with k <= 6 (some entries zeroed) and 1-40 rows,
+    some with negative entries, some zero."""
+    k = draw(st.integers(1, 6))
+    d = draw(st.integers(k, 10))
+    n = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    H = rng.uniform(0.0, 1.0, size=(k, d)) * (rng.uniform(size=(k, d)) > 0.3)
+    H[np.arange(k), rng.integers(0, d, size=k)] += 0.1  # no all-zero row
+    H /= H.sum(axis=1, keepdims=True)
+    X = rng.normal(1.0, 1.5, size=(n, d)) * draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    X[rng.uniform(size=n) < 0.1] = 0.0
+    return X, H
+
+
+class TestBatchedNNLS:
+    @settings(max_examples=60, deadline=None)
+    @given(_nnls_batches())
+    def test_kkt_per_row(self, batch):
+        X, H = batch
+        W = nnls_project_rows(X, H)
+        C = X @ H.T
+        grad = W @ (H @ H.T) - C
+        # the solver's own sign tolerance, 1e-10 * max(1, max|c|) per row
+        tol = 1e-10 * np.maximum(1.0, np.max(np.abs(C), axis=1, keepdims=True))
+        assert np.all(W >= 0.0)
+        assert np.all(grad >= -tol)
+        assert np.all(np.abs(W * grad) <= tol)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_nnls_batches())
+    def test_row_result_independent_of_batch(self, batch):
+        X, H = batch
+        W = nnls_project_rows(X, H)
+        assert np.array_equal(W, nnls_project_rows(X, H))
+        for i in range(X.shape[0]):
+            solo = nnls_project_rows(X[i : i + 1], H)[0]
+            assert np.max(np.abs(W[i] - solo)) <= 1e-12 * np.linalg.norm(X[i])
+
+    def test_pass_cap_raises_typed_error(self, monkeypatch):
+        H = np.array([[0.6, 0.4, 0.0], [0.0, 0.5, 0.5], [0.3, 0.3, 0.4]])
+        X = np.array(
+            [
+                [0.0, 0.0, 0.0],  # feasible at w = 0
+                [1.0, 2.0, 3.0] @ H,  # the first swap's passive set is optimal
+                [2.0, 0.1, 1.0],  # every c_j > 0, but w_1 = 0 at the optimum
+            ]
+        )
+        assert np.all(X[2] @ H.T > 0)
+        W = nnls_project_rows(X, H)
+        assert W[2, 1] == 0.0
+        monkeypatch.setattr(factorization, "NNLS_MAX_PASSES", 1)
+        with pytest.raises(NNLSError, match="1 of 3 rows"):
+            nnls_project_rows(X, H)
+        assert issubclass(la.NNLSError, RuntimeError)
+
+    def test_nonfinite_rows_rejected(self):
+        # a NaN row would fail every sign test and come back as silent zeros
+        with pytest.raises(ValueError, match="finite"):
+            nnls_project_rows(np.array([[1.0, np.nan, 2.0]]), np.eye(3))
+
+    def _assert_matches_scipy_residuals(self, X, H):
+        W = nnls_project_rows(X, H)
+        assert np.all(np.isfinite(W)) and np.all(W >= 0.0)
+        ref = np.array([scipy_nnls(H.T, x)[0] for x in X])
+        resid = np.sum((W @ H - X) ** 2, axis=1)
+        ref_resid = np.sum((ref @ H - X) ** 2, axis=1)
+        assert np.all(np.abs(resid - ref_resid) <= 1e-12 * np.sum(X**2, axis=1))
+
+    def test_two_dead_factors_parked_at_uniform(self):
+        # fit_nmf parks dead factors at 1/d, so H[P]^T can repeat a column
+        rng = np.random.default_rng(5)
+        H = rng.uniform(0.0, 1.0, size=(6, 8))
+        H /= H.sum(axis=1, keepdims=True)
+        H[[1, 4]] = 1.0 / 8
+        X = rng.uniform(0.0, 2.0, size=(200, 8))
+        X[:20] = rng.uniform(0.5, 2.0, size=(20, 1))  # constant rows use the dead factors
+        X[20] = 0.0
+        self._assert_matches_scipy_residuals(X, H)
+
+    def test_square_nmf_basis_on_default_data(self):
+        # k = d = 15 leaves cond(H H^T) near 1e17 and numerical rank 14
+        X = la.generate_synthetic(500, la.default_synthetic_schema(), 4, 0).X
+        H = fit_nmf(X, k=15, seed=42).H
+        self._assert_matches_scipy_residuals(X, H)
 
 
 class TestNormalizeRows:

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import latent_align as la
-from latent_align.factorization import LatentModel, nnls_project
+from latent_align.factorization import LatentModel, nnls_project_rows
 from latent_align.grouping import GroupAssignment
 from latent_align.optimizer import (
     InterventionProblem,
@@ -140,7 +140,7 @@ class TestCoupling:
         H /= H.sum(axis=1, keepdims=True)
         U0 = rng.uniform(0.0, 2.0, size=(5, 3))
         X_B = U0 @ H
-        U = np.vstack([nnls_project(X_B[i], H) for i in range(5)])
+        U = nnls_project_rows(X_B, H)
         assert coupling_value(coupling_residual(U, np.zeros((5, 2)), X_B, H, np.array([1, 4]))) <= 1e-10
 
     def test_zero_case(self):
