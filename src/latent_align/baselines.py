@@ -76,19 +76,20 @@ def _uniform_result(problem: InterventionProblem, chosen: np.ndarray, step: floa
     D = delta[np.ix_(i_b, levers)]
 
     X_B = X[i_b]
+    # pre and post projected in separate calls, as evaluation scores them
+    u_pre = normalize_rows(nnls_project_rows(X_B, latent.H)).codes
     U = nnls_project_rows(X_B + delta[i_b], latent.H)
     u_tilde = normalize_rows(U).codes
-    codes_all = normalize_rows(latent.W).codes
-    w_ref = codes_all[groups.i_reference]
+    w_ref = normalize_rows(latent.W).codes[groups.i_reference]
     plan = transport.sinkhorn(transport.TransportProblem.from_supports(u_tilde, w_ref, problem.eta))
 
     coupling = coupling_value(coupling_residual(U, D, X_B, latent.H, levers))
     sparsity = lever_penalty(D, problem.priorities.rho_for(levers))
-    mean_pre = float(np.mean(problem.surrogate.predict_proba(codes_all[i_b])))
+    mean_pre = float(np.mean(problem.surrogate.predict_proba(u_pre)))
     mean_post = float(np.mean(problem.surrogate.predict_proba(u_tilde)))
     objective = plan.transport_cost + problem.sparsity_weight * sparsity
     record = TrajectoryRecord(0, objective, plan.transport_cost, coupling, sparsity, mean_post - mean_pre)
-    return _assemble_result(problem, U, D, [record], STATUS_CONSTRUCTED, 1, 0.0)
+    return _assemble_result(problem, D, [record], STATUS_CONSTRUCTED, 1, 0.0)
 
 
 def run_baseline(spec: BaselineSpec, problem: InterventionProblem) -> InterventionResult:

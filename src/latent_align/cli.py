@@ -27,8 +27,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, baselines as bl
-from .evaluation import GroupMovementRow, MetricsReport, evaluate_intervention
-from .factorization import LatentModel, normalize_rows
+from .evaluation import GroupMovementRow, MetricsReport, evaluate_intervention, target_codes
+from .factorization import LatentModel
 from .grouping import GroupAssignment
 from .optimizer import TrajectoryRecord
 from .pipeline import (
@@ -87,11 +87,14 @@ def _record_rows(records) -> list[dict]:
 
 def _codes_rows(arts: PipelineArtifacts) -> list[dict]:
     """Pre codes for everyone plus post codes for the target group, for
-    external latent-space plotting."""
+    external latent-space plotting. The target rows carry the codes the
+    metrics score; the other rows carry the model codes."""
     groups = arts.groups
     roles = {groups.reference: "reference", groups.target: "target"}
-    post = normalize_rows(arts.result.u_star).codes
-    entries = [(i, roles.get(int(groups.labels[i]), "other"), "pre", arts.codes.codes[i]) for i in range(arts.dataset.n)]
+    pre, post = target_codes(arts.problem, arts.result.delta)
+    codes = arts.codes.codes.copy()
+    codes[groups.i_target] = pre
+    entries = [(i, roles.get(int(groups.labels[i]), "other"), "pre", codes[i]) for i in range(arts.dataset.n)]
     entries += [(i, "target", "post", post[r]) for r, i in enumerate(groups.i_target)]
     return [
         {

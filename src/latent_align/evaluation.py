@@ -2,9 +2,11 @@
 sparsity, transport-discrepancy reduction, and the pre/post group-movement
 table.
 
-Conversion is evaluated on the optimizer's auxiliary codes (their normalized
-form), with a cross-check that re-projects the post rows exactly and flags
-mean-probability gaps above CROSS_CHECK_TOL.
+The target group is scored through one map: its rows before and after the
+intervention, X_B and X_B + delta_B, are each projected onto the frozen basis
+H and row-normalized (`target_codes`). The reference group keeps its model
+codes, the distribution the solver aligns to. A zero intervention therefore
+scores zero conversions and zero discrepancy change.
 """
 
 from __future__ import annotations
@@ -14,13 +16,11 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .factorization import nnls_project_rows, normalize_rows
-from .grouping import GroupAssignment
 from .optimizer import InterventionProblem, InterventionResult
 from .surrogate import SurrogateModel
 from . import transport
 
 EFFORT_FLOOR = 1e-12
-CROSS_CHECK_TOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -53,7 +53,6 @@ class MetricsReport:
     rho_reduction: float
     degenerate_alignment: bool
     group_movement: tuple[GroupMovementRow, ...]
-    cross_check: dict
     n_target: int
 
     def to_dict(self) -> dict:
@@ -108,24 +107,37 @@ def effort_and_levers(
     delta: np.ndarray,
     s_ctrl: np.ndarray,
     tau_delta: float,
-) -> tuple[float, int, list[tuple[int, float]]]:
-    """Total l2,1 magnitude over controllable columns, the count of active
-    levers at the tau_delta threshold, and the per-column norm table."""
+) -> tuple[float, int]:
+    """Total l2,1 magnitude over controllable columns and the count of active
+    levers at the tau_delta threshold."""
     if tau_delta < 0:
         raise ValueError("tau_delta must be >= 0")
     s_ctrl = np.asarray(s_ctrl, dtype=int)
     norms = np.linalg.norm(np.asarray(delta, dtype=float)[:, s_ctrl], axis=0)
     effort = float(np.sum(norms))
     n_lever = int(np.sum(norms > tau_delta))
-    table = [(int(j), float(norms[c])) for c, j in enumerate(s_ctrl)]
-    return effort, n_lever, table
+    return effort, n_lever
+
+
+def target_codes(problem: InterventionProblem, delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Normalized codes of the target rows before and after the intervention.
+
+    X_B and X_B + delta_B are projected onto the frozen basis in two separate
+    calls: equal rows then give bit-identical codes, so delta = 0 maps pre and
+    post to the same array.
+    """
+    i_b, H = problem.groups.i_target, problem.latent.H
+    X_B = problem.dataset.X[i_b]
+    pre = normalize_rows(nnls_project_rows(X_B, H)).codes
+    post = normalize_rows(nnls_project_rows(X_B + delta[i_b], H)).codes
+    return pre, post
 
 
 def group_movement_report(
-    groups: GroupAssignment,
     model: SurrogateModel,
-    codes_pre: np.ndarray,
-    codes_post_target: np.ndarray,
+    ref: np.ndarray,
+    pre: np.ndarray,
+    post: np.ndarray,
     eta: float,
 ) -> tuple[GroupMovementRow, ...]:
     """Reference vs target-before vs target-after movement table.
@@ -134,12 +146,9 @@ def group_movement_report(
     convention. Distances are between group centroids in normalized latent
     space; discrepancies are entropic transport costs to the reference.
     """
-    i_a, i_b = groups.i_reference, groups.i_target
-    ref = codes_pre[i_a]
-    pre = codes_pre[i_b]
-    post = np.asarray(codes_post_target, dtype=float)
+    ref, pre, post = (np.asarray(a, dtype=float) for a in (ref, pre, post))
     if post.shape != pre.shape:
-        raise ValueError("post codes must cover exactly the target group")
+        raise ValueError("pre and post codes must cover the same target rows")
     c_ref = ref.mean(axis=0)
 
     def ot_to_ref(supp):
@@ -175,33 +184,18 @@ def evaluate_intervention(problem: InterventionProblem, result: InterventionResu
     each transport problem once. A zero before-value marks the reduction
     ratio degenerate and reports it as 0.
     """
-    dataset, latent, groups, model = problem.dataset, problem.latent, problem.groups, problem.surrogate
-    i_b = groups.i_target
-    codes_all = normalize_rows(latent.W).codes
-    codes_pre_b = codes_all[i_b]
-    codes_post_b = normalize_rows(result.u_star).codes
+    groups, model = problem.groups, problem.surrogate
+    ref = normalize_rows(problem.latent.W).codes[groups.i_reference]
+    pre, post = target_codes(problem, result.delta)
 
-    conv = conversion_metrics(model, codes_pre_b, codes_post_b, model.tau_y)
-    effort, n_lever, _ = effort_and_levers(result.delta, dataset.schema.s_ctrl, problem.tau_delta)
+    conv = conversion_metrics(model, pre, post, model.tau_y)
+    effort, n_lever = effort_and_levers(result.delta, problem.dataset.schema.s_ctrl, problem.tau_delta)
     eff_conv = conv.n_conv / max(effort, EFFORT_FLOOR)
 
-    movement = group_movement_report(groups, model, codes_all, codes_post_b, problem.eta)
+    movement = group_movement_report(model, ref, pre, post, problem.eta)
     w_before, w_after = movement[1].ot_discrepancy, movement[2].ot_discrepancy
     dw = w_before - w_after
     degenerate = not w_before > 0
-
-    post_rows = dataset.X[i_b] + result.delta[i_b]
-    codes_nnls = normalize_rows(nnls_project_rows(post_rows, latent.H)).codes
-    p_codes = float(np.mean(model.predict_proba(codes_post_b)))
-    p_nnls = float(np.mean(model.predict_proba(codes_nnls)))
-    conv_nnls = conversion_metrics(model, codes_pre_b, codes_nnls, model.tau_y)
-    check = {
-        "mean_prob_codes": p_codes,
-        "mean_prob_nnls": p_nnls,
-        "gap": abs(p_codes - p_nnls),
-        "flagged": bool(abs(p_codes - p_nnls) > CROSS_CHECK_TOL),
-        "n_conv_nnls": conv_nnls.n_conv,
-    }
 
     return MetricsReport(
         n_conv=conv.n_conv,
@@ -216,6 +210,5 @@ def evaluate_intervention(problem: InterventionProblem, result: InterventionResu
         rho_reduction=0.0 if degenerate else dw / w_before,
         degenerate_alignment=degenerate,
         group_movement=movement,
-        cross_check=check,
-        n_target=int(i_b.size),
+        n_target=int(groups.i_target.size),
     )

@@ -189,8 +189,11 @@ def nnls_project_rows(X: np.ndarray, H: np.ndarray) -> np.ndarray:
     are solved together by one multi-right-hand-side `np.linalg.lstsq` on
     H[P]^T, which stays defined when H is rank-deficient (dead factors parked
     at the same uniform row). Each row follows its own exchange sequence, so
-    its result does not depend on the other rows in the batch. Raises
-    NNLSError if rows are still infeasible after NNLS_MAX_PASSES passes.
+    its result does not depend on the other rows in the batch up to
+    rounding: a row solved next to others may differ in its last bits, even
+    from an equal row of the same batch. Callers that need bit-identical
+    codes for equal rows project them in separate calls. Raises NNLSError if
+    rows are still infeasible after NNLS_MAX_PASSES passes.
     """
     X = np.asarray(X, dtype=float)
     H = np.asarray(H, dtype=float)

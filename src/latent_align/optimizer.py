@@ -99,7 +99,6 @@ class LeverActivation:
 @dataclass
 class InterventionResult:
     delta: np.ndarray
-    u_star: np.ndarray
     trajectory: tuple[TrajectoryRecord, ...]
     active_levers: tuple[LeverActivation, ...]
     rounded_delta: np.ndarray
@@ -110,7 +109,6 @@ class InterventionResult:
 
     def __post_init__(self):
         self.delta.setflags(write=False)
-        self.u_star.setflags(write=False)
         self.rounded_delta.setflags(write=False)
 
     def delta_triplets(self, rounded: bool = False) -> list[dict]:
@@ -184,9 +182,11 @@ def prox_weighted_l21(block: np.ndarray, rho: np.ndarray, t_lambda: float) -> np
     if np.any(tiny):
         scale = np.max(np.abs(block[:, tiny]), axis=0)
         norms[tiny] = scale * np.linalg.norm(block[:, tiny] / scale, axis=0)
+    # only columns that survive get a factor, so t_lambda * rho / norm < 1
+    # never overflows on a tiny norm
     factor = np.zeros_like(norms)
-    nz = norms > 0
-    factor[nz] = np.maximum(0.0, 1.0 - t_lambda * rho[nz] / norms[nz])
+    keep = norms > t_lambda * rho
+    factor[keep] = 1.0 - t_lambda * rho[keep] / norms[keep]
     return block * factor[None, :]
 
 
@@ -339,16 +339,11 @@ def optimize(problem: InterventionProblem) -> InterventionResult:
     if levers.size == 0:
         raise ValueError("no controllable non-categorical features to intervene on")
     i_b = groups.i_target
-    i_a = groups.i_reference
     X_B = dataset.X[i_b]
     H = latent.H
     n_b = i_b.size
 
-    codes_all = normalize_rows(latent.W).codes
-    w_ref = codes_all[i_a]
-    w_pre_b = codes_all[i_b]
-    mean_prob_pre = float(np.mean(problem.surrogate.predict_proba(w_pre_b)))
-
+    w_ref = normalize_rows(latent.W).codes[groups.i_reference]
     U = nnls_project_rows(X_B, H)
     D = np.zeros((n_b, levers.size))
     rho_lev = problem.priorities.rho_for(levers)
@@ -365,10 +360,12 @@ def optimize(problem: InterventionProblem) -> InterventionResult:
     t_u = STEP_FRACTION / curvature_u
     t_d = STEP_FRACTION / (2.0 * beta)
 
+    u_t, _ = _tilde(U)
+    mean_prob_pre = float(np.mean(problem.surrogate.predict_proba(u_t)))
+
     def mean_gain(u_tilde):
         return float(np.mean(problem.surrogate.predict_proba(u_tilde))) - mean_prob_pre
 
-    u_t, _ = _tilde(U)
     align_val = align.refresh(u_t)
     R = coupling_residual(U, D, X_B, H, levers)
     coup = coupling_value(R)
@@ -419,12 +416,11 @@ def optimize(problem: InterventionProblem) -> InterventionResult:
         else:
             small_streak = 0
 
-    return _assemble_result(problem, U, D, trajectory, status, align.n_calls, beta)
+    return _assemble_result(problem, D, trajectory, status, align.n_calls, beta)
 
 
 def _assemble_result(
     problem: InterventionProblem,
-    U: np.ndarray,
     D: np.ndarray,
     trajectory: list[TrajectoryRecord],
     status: str,
@@ -459,7 +455,6 @@ def _assemble_result(
 
     return InterventionResult(
         delta=delta,
-        u_star=U,
         trajectory=tuple(trajectory),
         active_levers=tuple(active),
         rounded_delta=rounded,

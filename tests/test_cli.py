@@ -1,12 +1,14 @@
+import csv
 import json
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import latent_align as la
 from latent_align.cli import main
-from latent_align.evaluation import GroupMovementRow
+from latent_align.evaluation import GroupMovementRow, target_codes
 from latent_align.optimizer import TrajectoryRecord
 from latent_align.pipeline import ExperimentConfig, run_pipeline
 
@@ -202,6 +204,20 @@ class TestArtifactFormat:
             for name, obj in objects.items():
                 text = (outputs / out / "seed_7" / name).read_text()
                 assert text == json.dumps(obj.to_dict(), sort_keys=True) + "\n", (out, name)
+
+    def test_latent_codes_target_rows_are_scored_codes(self, outputs):
+        arts = run_pipeline(small_config(seeds=(7,), max_outer=30), 7)
+        with open(outputs / "run" / "seed_7" / "latent_codes.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        k = arts.latent.k
+        read = {(r["respondent_id"], r["phase"]): [float(r[f"c{c}"]) for c in range(k)] for r in rows}
+        ids = arts.dataset.respondent_ids
+        pre, post = target_codes(arts.problem, arts.result.delta)
+        codes = arts.codes.codes.copy()
+        codes[arts.groups.i_target] = pre
+        assert np.array_equal([read[(ids[i], "pre")] for i in range(arts.dataset.n)], codes)
+        assert np.array_equal([read[(ids[i], "post")] for i in arts.groups.i_target], post)
+        assert len(rows) == arts.dataset.n + arts.groups.i_target.size
 
 
 class TestSynthAndInspect:

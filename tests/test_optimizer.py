@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -111,6 +112,14 @@ class TestProx:
         # prox shrinks 1e-200 by a factor of 1 - 1e-110
         out = prox_weighted_l21(np.array([[1e-200]]), np.array([1.0]), 1e-310)
         assert out[0, 0] == pytest.approx(1e-200, rel=1e-12, abs=0.0)
+
+    def test_tiny_column_zeroed_without_overflow_warning(self):
+        # t * rho / norm would overflow for this column; it is zeroed without
+        # that ratio ever being formed
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            out = prox_weighted_l21(np.array([[1e-310, 1.0]]), np.array([1.0, 1.0]), 0.5)
+        assert np.array_equal(out, [[0.0, 0.5]])
 
     def test_zero_columns_stay_zero(self):
         block = np.array([[0.0, 1.0], [0.0, 2.0]])
@@ -259,6 +268,10 @@ class TestOptimize:
         beta = fixture_arts.result.beta_used
         assert t0.sparsity == 0.0
         assert t0.objective == pytest.approx(t0.alignment + beta * t0.coupling)
+
+    def test_initial_gain_is_zero(self, fixture_arts):
+        # the gain is measured from the same projected codes record 0 holds
+        assert fixture_arts.result.trajectory[0].mean_gain == 0.0
 
     def test_misaligned_problem_moves_and_stays_feasible(self):
         problem = _tiny_problem(aligned=False)
