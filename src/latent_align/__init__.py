@@ -18,11 +18,11 @@ from .schema import (  # noqa: F401
     save_dataset,
     synthetic_lever_index,
     validate_row,
+    validate_rows,
 )
 from .factorization import (  # noqa: F401
     LatentModel,
     NNLSError,
-    NormalizedCodes,
     fit_nmf,
     nnls_project,
     nnls_project_rows,

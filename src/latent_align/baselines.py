@@ -77,10 +77,10 @@ def _uniform_result(problem: InterventionProblem, chosen: np.ndarray, step: floa
 
     X_B = X[i_b]
     # pre and post projected in separate calls, as evaluation scores them
-    u_pre = normalize_rows(nnls_project_rows(X_B, latent.H)).codes
+    u_pre = normalize_rows(nnls_project_rows(X_B, latent.H))
     U = nnls_project_rows(X_B + delta[i_b], latent.H)
-    u_tilde = normalize_rows(U).codes
-    w_ref = normalize_rows(latent.W).codes[groups.i_reference]
+    u_tilde = normalize_rows(U)
+    w_ref = normalize_rows(latent.W)[groups.i_reference]
     plan = transport.sinkhorn(transport.TransportProblem.from_supports(u_tilde, w_ref, problem.eta))
 
     coupling = coupling_value(coupling_residual(U, D, X_B, latent.H, levers))

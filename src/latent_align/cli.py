@@ -92,7 +92,7 @@ def _codes_rows(arts: PipelineArtifacts) -> list[dict]:
     groups = arts.groups
     roles = {groups.reference: "reference", groups.target: "target"}
     pre, post = target_codes(arts.problem, arts.result.delta)
-    codes = arts.codes.codes.copy()
+    codes = arts.codes.copy()
     codes[groups.i_target] = pre
     entries = [(i, roles.get(int(groups.labels[i]), "other"), "pre", codes[i]) for i in range(arts.dataset.n)]
     entries += [(i, "target", "post", post[r]) for r, i in enumerate(groups.i_target)]
@@ -264,7 +264,13 @@ def cmd_inspect(path: str) -> int:
 
 def _load_config(args) -> ExperimentConfig:
     if getattr(args, "config", None):
-        config = ExperimentConfig.from_dict(json.loads(Path(args.config).read_text()))
+        try:
+            doc = json.loads(Path(args.config).read_text())
+        except (OSError, ValueError) as exc:  # ValueError covers bad JSON and bad UTF-8
+            raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise ConfigError(f"config {args.config} is not a JSON object")
+        config = ExperimentConfig.from_dict(doc)
     else:
         config = ExperimentConfig()
     overrides = {}

@@ -128,8 +128,8 @@ def target_codes(problem: InterventionProblem, delta: np.ndarray) -> tuple[np.nd
     """
     i_b, H = problem.groups.i_target, problem.latent.H
     X_B = problem.dataset.X[i_b]
-    pre = normalize_rows(nnls_project_rows(X_B, H)).codes
-    post = normalize_rows(nnls_project_rows(X_B + delta[i_b], H)).codes
+    pre = normalize_rows(nnls_project_rows(X_B, H))
+    post = normalize_rows(nnls_project_rows(X_B + delta[i_b], H))
     return pre, post
 
 
@@ -185,7 +185,7 @@ def evaluate_intervention(problem: InterventionProblem, result: InterventionResu
     ratio degenerate and reports it as 0.
     """
     groups, model = problem.groups, problem.surrogate
-    ref = normalize_rows(problem.latent.W).codes[groups.i_reference]
+    ref = normalize_rows(problem.latent.W)[groups.i_reference]
     pre, post = target_codes(problem, result.delta)
 
     conv = conversion_metrics(model, pre, post, model.tau_y)

@@ -70,19 +70,6 @@ class LatentModel:
         )
 
 
-@dataclass
-class NormalizedCodes:
-    """Row-l1-normalized latent codes. Rows whose l1 norm fell below
-    ZERO_ROW_TOL are replaced by the uniform vector 1/k and flagged."""
-
-    codes: np.ndarray
-    zero_mask: np.ndarray
-
-    def __post_init__(self):
-        self.codes.setflags(write=False)
-        self.zero_mask.setflags(write=False)
-
-
 def _check_latent_invariants(W: np.ndarray, H: np.ndarray, k: int) -> None:
     if W.ndim != 2 or H.ndim != 2:
         raise ValueError("W and H must be matrices")
@@ -251,9 +238,9 @@ def _solve_groups(X, H, W, passive, rows) -> None:
             W[np.ix_(members, np.flatnonzero(P))] = z.T
 
 
-def normalize_rows(W: np.ndarray) -> NormalizedCodes:
+def normalize_rows(W: np.ndarray) -> np.ndarray:
     """Divide each row by its l1 norm; rows with norm below ZERO_ROW_TOL
-    become the uniform vector 1/k and are flagged in the mask."""
+    become the uniform vector 1/k. The returned codes are read-only."""
     W = np.asarray(W, dtype=float)
     if W.ndim != 2:
         raise ValueError("W must be a matrix")
@@ -265,4 +252,5 @@ def normalize_rows(W: np.ndarray) -> NormalizedCodes:
     safe = np.where(mask, 1.0, norms)
     codes = W / safe[:, None]
     codes[mask, :] = 1.0 / k
-    return NormalizedCodes(codes=codes, zero_mask=mask)
+    codes.setflags(write=False)
+    return codes

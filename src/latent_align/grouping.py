@@ -12,8 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .factorization import NormalizedCodes
-
 
 @dataclass
 class GroupAssignment:
@@ -101,7 +99,7 @@ def _lloyd(V: np.ndarray, centers: np.ndarray, max_iter: int) -> tuple[np.ndarra
 
 
 def kmeans(
-    codes: NormalizedCodes,
+    codes: np.ndarray,
     n_clusters: int,
     seed: int,
     restarts: int = 10,
@@ -113,13 +111,12 @@ def kmeans(
     generator and the winner is the restart with the lowest within-cluster
     sum of squares, ties broken by restart index.
     """
-    V = codes.codes
-    n = V.shape[0]
+    n = codes.shape[0]
     if n_clusters < 2:
         raise ValueError(f"need at least 2 clusters, got {n_clusters}")
     if n_clusters > n:
         raise ValueError(f"cannot form {n_clusters} clusters from {n} points")
-    if np.unique(V, axis=0).shape[0] < n_clusters:
+    if np.unique(codes, axis=0).shape[0] < n_clusters:
         raise ValueError(f"fewer than {n_clusters} distinct rows")
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
@@ -128,8 +125,8 @@ def kmeans(
     best = None
     for r in range(restarts):
         rng = np.random.default_rng(seeds[r])
-        centers = _plus_plus_init(V, n_clusters, rng)
-        labels, centers, wcss = _lloyd(V, centers, max_iter)
+        centers = _plus_plus_init(codes, n_clusters, rng)
+        labels, centers, wcss = _lloyd(codes, centers, max_iter)
         if best is None or wcss < best[0]:
             best = (wcss, labels, centers)
     return best[1], best[2]

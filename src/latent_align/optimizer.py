@@ -11,13 +11,13 @@ only if the penalized objective strictly decreases.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .factorization import LatentModel, nnls_project_rows, normalize_rows
 from .grouping import GroupAssignment
-from .schema import FeatureSchema, SurveyDataset, validate_row
+from .schema import FeatureSchema, SurveyDataset, validate_rows
 from .surrogate import PriorityWeights, SurrogateModel
 from . import transport
 
@@ -343,7 +343,7 @@ def optimize(problem: InterventionProblem) -> InterventionResult:
     H = latent.H
     n_b = i_b.size
 
-    w_ref = normalize_rows(latent.W).codes[groups.i_reference]
+    w_ref = normalize_rows(latent.W)[groups.i_reference]
     U = nnls_project_rows(X_B, H)
     D = np.zeros((n_b, levers.size))
     rho_lev = problem.priorities.rho_for(levers)
@@ -436,13 +436,12 @@ def _assemble_result(
     delta = np.zeros_like(X)
     delta[np.ix_(i_b, levers)] = D
     rounded = round_report(delta, X, schema, i_b)
-    for i in i_b:
-        bad = validate_row(X[i] + delta[i], schema, mode="optimize")
-        if bad:
-            raise RuntimeError(f"optimizer produced an infeasible row {i}: {bad[0]}")
-        bad = validate_row(X[i] + rounded[i], schema, mode="report")
-        if bad:
-            raise RuntimeError(f"rounding produced an invalid report row {i}: {bad[0]}")
+    bad = validate_rows(X[i_b] + delta[i_b], schema, mode="optimize")
+    if bad:
+        raise RuntimeError(f"optimizer produced an infeasible row {i_b[bad[0].row]}: {replace(bad[0], row=None)}")
+    bad = validate_rows(X[i_b] + rounded[i_b], schema, mode="report")
+    if bad:
+        raise RuntimeError(f"rounding produced an invalid report row {i_b[bad[0].row]}: {replace(bad[0], row=None)}")
 
     norms = np.linalg.norm(D, axis=0)
     omega_lev = problem.priorities.omega_for(levers)

@@ -7,8 +7,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields, replace
 
+import numpy as np
+
 from .evaluation import MetricsReport, evaluate_intervention
-from .factorization import LatentModel, NormalizedCodes, fit_nmf, normalize_rows
+from .factorization import LatentModel, fit_nmf, normalize_rows
 from .grouping import GroupAssignment, anchor_groups, kmeans
 from .optimizer import InterventionProblem, InterventionResult, optimize
 from .schema import (
@@ -83,6 +85,9 @@ class ExperimentConfig:
             raise ConfigError("tau_delta must be >= 0")
         if not self.eps_omega > 0:
             raise ConfigError("eps_omega must be positive")
+        for name in ("max_outer", "nmf_max_iters", "kmeans_restarts"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not self.seeds:
             raise ConfigError("at least one seed required")
         if (self.dataset_csv is None) != (self.schema_json is None):
@@ -129,7 +134,7 @@ class PipelineArtifacts:
     seed: int
     dataset: SurveyDataset
     latent: LatentModel
-    codes: NormalizedCodes
+    codes: np.ndarray
     groups: GroupAssignment
     surrogate: SurrogateModel
     priorities: PriorityWeights
@@ -189,12 +194,10 @@ def run_pipeline(config: ExperimentConfig, seed: int, dataset: SurveyDataset | N
     groups = anchor_groups(labels, dataset.y, config.n_clusters, centroids=centroids)
 
     labels_bin = binarize_outcome(dataset.y, rule=config.binarize_rule, threshold=config.binarize_threshold)
-    surrogate = fit_logistic(
-        codes.codes, labels_bin, l2=config.logistic_l2, seed=seed, tau_y=config.tau_y
-    )
+    surrogate = fit_logistic(codes, labels_bin, l2=config.logistic_l2, seed=seed, tau_y=config.tau_y)
     priorities = build_priorities(
         surrogate,
-        codes.codes,
+        codes,
         groups.i_target,
         latent.H,
         dataset.schema.s_ctrl,

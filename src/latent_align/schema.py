@@ -1,5 +1,6 @@
-"""Mixed-type survey data model: feature schema, row validation, CSV ingestion,
-and deterministic synthetic data generation.
+"""Mixed-type survey data model: feature schema, validation of whole response
+matrices in vectorized passes (`validate_rows`, with `validate_row` as its
+one-row call), CSV ingestion, and deterministic synthetic data generation.
 
 Encoding happens upstream of this package. A dataset is a nonnegative matrix of
 already one-hot-expanded responses plus an outcome column; the schema declares
@@ -10,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
@@ -237,45 +238,63 @@ class FeatureSchema:
         return cls.from_dict(json.loads(Path(path).read_text()))
 
 
-def validate_row(x: np.ndarray, schema: FeatureSchema, mode: str = "optimize") -> list[Violation]:
-    """Check one encoded response vector against the schema.
+def validate_rows(X: np.ndarray, schema: FeatureSchema, mode: str = "optimize") -> list[Violation]:
+    """Check every row of an encoded response matrix against the schema.
 
     In "optimize" mode Likert and binary values may be fractional inside their
     bounds; "report" mode additionally requires Likert integrality and binary
-    values in {0, 1}. One-hot blocks must sum to 1 in both modes.
+    values in {0, 1}. One-hot blocks must sum to 1 in both modes. A non-finite
+    cell is reported as not finite and checked no further. Each violation
+    carries its row; they come in row order, and within a row in schema
+    feature order followed by the blocks.
     """
     if mode not in ("optimize", "report"):
         raise ValueError(f"mode must be 'optimize' or 'report', got {mode!r}")
+    X = np.asarray(X, dtype=float)
+    d = schema.n_features
+    if X.ndim != 2 or X.shape[1] != d:
+        raise ValueError(f"matrix has shape {X.shape}, schema expects (n, {d})")
+    found: list[tuple[int, int, Violation]] = []  # (row, feature or d + block, violation)
+
+    def add(mask, message):
+        for i, j in zip(*np.nonzero(mask)):
+            f = schema.features[j]
+            found.append((i, j, Violation(f.name, message.format(v=X[i, j], f=f), row=int(i))))
+
+    # inf - inf and overflowing block sums are judged by the comparisons below
+    with np.errstate(all="ignore"):
+        finite = np.isfinite(X)
+        add(~finite, "value {v} is not finite")
+        add(finite & (X < schema.lowers - BOUND_TOL), "value {v!r} below lower bound {f.lower}")
+        add(finite & (X > schema.uppers + BOUND_TOL), "value {v!r} above upper bound {f.upper}")
+        if mode == "report":
+            likert, binary = (np.isin(np.arange(d), s) for s in (schema.s_likert, schema.s_binary))
+            fractional = np.abs(X - np.round(X)) > INTEGRALITY_TOL
+            not_01 = np.minimum(np.abs(X), np.abs(X - 1.0)) > INTEGRALITY_TOL
+            add(finite & likert & fractional, "Likert value {v!r} is not an integer level")
+            add(finite & binary & not_01, "binary value {v!r} is not in {{0, 1}}")
+        for b, (block_id, idx) in enumerate(schema.blocks.items()):
+            block = np.take(X, idx, axis=1)  # C order, so each row sums as np.sum sums it alone
+            sums = block.sum(axis=1)
+            off_sum = np.abs(sums - 1.0) > BLOCK_SUM_TOL
+            near_one = np.abs(block - 1.0) <= INTEGRALITY_TOL
+            single = (near_one.sum(axis=1) == 1) & np.all(near_one | (np.abs(block) <= INTEGRALITY_TOL), axis=1)
+            for i in np.flatnonzero(off_sum | (~single & (mode == "report"))):
+                if off_sum[i]:
+                    message = f"one-hot block sums to {float(sums[i])!r}, expected 1"
+                else:
+                    message = f"one-hot block {block[i].tolist()} is not a single-1 assignment"
+                found.append((i, d + b, Violation(block_id, message, row=int(i))))
+    found.sort(key=lambda t: t[:2])  # stable: a bound failure stays before its integrality failure
+    return [v for _, _, v in found]
+
+
+def validate_row(x: np.ndarray, schema: FeatureSchema, mode: str = "optimize") -> list[Violation]:
+    """The one-row call of `validate_rows`; the violations carry no row."""
     x = np.asarray(x, dtype=float)
     if x.shape != (schema.n_features,):
         raise ValueError(f"row has shape {x.shape}, schema expects ({schema.n_features},)")
-    violations: list[Violation] = []
-    for j, f in enumerate(schema.features):
-        v = x[j]
-        if not np.isfinite(v):
-            violations.append(Violation(f.name, f"value {v} is not finite"))
-            continue
-        if v < f.lower - BOUND_TOL:
-            violations.append(Violation(f.name, f"value {v!r} below lower bound {f.lower}"))
-        elif v > f.upper + BOUND_TOL:
-            violations.append(Violation(f.name, f"value {v!r} above upper bound {f.upper}"))
-        if mode == "report":
-            if f.kind is FeatureKind.LIKERT and abs(v - round(v)) > INTEGRALITY_TOL:
-                violations.append(Violation(f.name, f"Likert value {v!r} is not an integer level"))
-            if f.kind is FeatureKind.BINARY and min(abs(v), abs(v - 1.0)) > INTEGRALITY_TOL:
-                violations.append(Violation(f.name, f"binary value {v!r} is not in {{0, 1}}"))
-    for block_id, idx in schema.blocks.items():
-        s = float(np.sum(x[idx]))
-        if abs(s - 1.0) > BLOCK_SUM_TOL:
-            violations.append(Violation(block_id, f"one-hot block sums to {s!r}, expected 1"))
-        elif mode == "report":
-            near_one = np.abs(x[idx] - 1.0) <= INTEGRALITY_TOL
-            near_zero = np.abs(x[idx]) <= INTEGRALITY_TOL
-            if int(near_one.sum()) != 1 or not np.all(near_one | near_zero):
-                violations.append(
-                    Violation(block_id, f"one-hot block {x[idx].tolist()} is not a single-1 assignment")
-                )
-    return violations
+    return [replace(v, row=None) for v in validate_rows(x[None, :], schema, mode)]
 
 
 @dataclass
@@ -308,14 +327,7 @@ class SurveyDataset:
         if not np.all(np.isfinite(y)):
             bad = int(np.flatnonzero(~np.isfinite(y))[0])
             raise DataValidationError([Violation(self.schema.outcome, "missing or non-finite outcome", row=bad)])
-        if np.any(X < -BOUND_TOL):
-            i, j = map(int, np.argwhere(X < -BOUND_TOL)[0])
-            raise DataValidationError(
-                [Violation(self.schema.features[j].name, f"negative value {X[i, j]!r}", row=i)]
-            )
-        violations = []
-        for i in range(n):
-            violations.extend(v.__class__(v.feature, v.message, row=i) for v in validate_row(X[i], self.schema))
+        violations = validate_rows(X, self.schema)
         if violations:
             raise DataValidationError(violations)
         if not self.respondent_ids:
@@ -384,14 +396,7 @@ def load_dataset(csv_path: str | Path, schema_path: str | Path) -> SurveyDataset
             violations.append(Violation(schema.outcome, f"cannot parse {cell!r} as a number", row=i))
     if violations:
         raise DataValidationError(violations)
-
-    for i in range(n):
-        if np.any(X[i] < -BOUND_TOL):
-            j = int(np.flatnonzero(X[i] < -BOUND_TOL)[0])
-            violations.append(Violation(schema.features[j].name, f"negative value {X[i, j]!r}", row=i))
-        violations.extend(
-            Violation(v.feature, v.message, row=i) for v in validate_row(X[i], schema, mode="report")
-        )
+    violations = validate_rows(X, schema, mode="report")
     if violations:
         raise DataValidationError(violations)
     return SurveyDataset(X=X, y=y, schema=schema)

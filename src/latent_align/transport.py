@@ -25,7 +25,6 @@ import numpy as np
 DEFAULT_ETA = 0.05
 DEFAULT_MAX_ITERS = 10_000
 DEFAULT_TOL = 1e-9
-MARGINAL_FEASIBILITY_TOL = 1e-7
 # Largest cost range over eta that runs in the scaling domain. Every kernel
 # entry is then at least e^-300, so a kernel entry times a scaling of the same
 # magnitude (e^-600) is still above the smallest normal double (e^-708).

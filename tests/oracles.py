@@ -3,8 +3,8 @@
 These deliberately use different algorithms from the code under test:
 exhaustive enumeration for NNLS, projected gradient on the primal for
 entropic transport, permutation averaging for Shapley values, bounded scalar
-minimization for the group prox, and central finite differences for
-gradients.
+minimization for the group prox, central finite differences for
+gradients, and a row-at-a-time loop for schema validation.
 """
 
 import itertools
@@ -12,6 +12,8 @@ import math
 
 import numpy as np
 from scipy.optimize import minimize_scalar
+
+from latent_align.schema import BLOCK_SUM_TOL, BOUND_TOL, INTEGRALITY_TOL, FeatureKind, Violation
 
 
 def nnls_enumerate(x, H):
@@ -150,3 +152,36 @@ def random_assignment_wcss(V, n_clusters, trials, seed):
             wcss += float(np.sum((pts - pts.mean(axis=0)) ** 2))
         best = min(best, wcss)
     return best
+
+
+def validate_row_loop(x, schema, mode):
+    """Schema checks on one row, one feature and one block at a time: the
+    reference for the vectorized `validate_rows`."""
+    x = np.asarray(x, dtype=float)
+    violations = []
+    for j, f in enumerate(schema.features):
+        v = x[j]
+        if not np.isfinite(v):
+            violations.append(Violation(f.name, f"value {v} is not finite"))
+            continue
+        if v < f.lower - BOUND_TOL:
+            violations.append(Violation(f.name, f"value {v!r} below lower bound {f.lower}"))
+        elif v > f.upper + BOUND_TOL:
+            violations.append(Violation(f.name, f"value {v!r} above upper bound {f.upper}"))
+        if mode == "report":
+            if f.kind is FeatureKind.LIKERT and abs(v - round(v)) > INTEGRALITY_TOL:
+                violations.append(Violation(f.name, f"Likert value {v!r} is not an integer level"))
+            if f.kind is FeatureKind.BINARY and min(abs(v), abs(v - 1.0)) > INTEGRALITY_TOL:
+                violations.append(Violation(f.name, f"binary value {v!r} is not in {{0, 1}}"))
+    for block_id, idx in schema.blocks.items():
+        s = float(np.sum(x[idx]))
+        if abs(s - 1.0) > BLOCK_SUM_TOL:
+            violations.append(Violation(block_id, f"one-hot block sums to {s!r}, expected 1"))
+        elif mode == "report":
+            near_one = np.abs(x[idx] - 1.0) <= INTEGRALITY_TOL
+            near_zero = np.abs(x[idx]) <= INTEGRALITY_TOL
+            if int(near_one.sum()) != 1 or not np.all(near_one | near_zero):
+                violations.append(
+                    Violation(block_id, f"one-hot block {x[idx].tolist()} is not a single-1 assignment")
+                )
+    return violations

@@ -10,7 +10,7 @@ import latent_align as la
 from latent_align.cli import main
 from latent_align.evaluation import GroupMovementRow, target_codes
 from latent_align.optimizer import TrajectoryRecord
-from latent_align.pipeline import ExperimentConfig, run_pipeline
+from latent_align.pipeline import ConfigError, ExperimentConfig, run_pipeline
 
 from conftest import small_config
 
@@ -55,6 +55,11 @@ class TestConfig:
             ExperimentConfig(n_clusters=1).validate()
         with pytest.raises(Exception, match="eta"):
             ExperimentConfig(eta=0.0).validate()
+
+    @pytest.mark.parametrize("name", ["max_outer", "nmf_max_iters", "kmeans_restarts"])
+    def test_iteration_budgets_below_one_rejected(self, name):
+        with pytest.raises(ConfigError, match=name):
+            ExperimentConfig(**{name: 0}).validate()
 
 
 class TestRun:
@@ -103,6 +108,23 @@ class TestRun:
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ConfigError"
+        assert not out.exists()
+
+    def test_zero_max_outer_fails_before_artifacts(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        argv = ["run", "--config", str(_write_config(tmp_path)), "--max-outer", "0", "--out", str(out)]
+        assert main(argv) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("content", [None, b"{not json", b"[1, 2]", b"\xff\xfe"])
+    def test_bad_config_file_is_a_config_error(self, tmp_path, capsys, content):
+        cfg = tmp_path / "config.json"
+        if content is not None:  # None: the file does not exist
+            cfg.write_bytes(content)
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
         assert not out.exists()
 
     def test_parallel_matches_single(self, tmp_path, monkeypatch):
@@ -213,7 +235,7 @@ class TestArtifactFormat:
         read = {(r["respondent_id"], r["phase"]): [float(r[f"c{c}"]) for c in range(k)] for r in rows}
         ids = arts.dataset.respondent_ids
         pre, post = target_codes(arts.problem, arts.result.delta)
-        codes = arts.codes.codes.copy()
+        codes = arts.codes.copy()
         codes[arts.groups.i_target] = pre
         assert np.array_equal([read[(ids[i], "pre")] for i in range(arts.dataset.n)], codes)
         assert np.array_equal([read[(ids[i], "post")] for i in arts.groups.i_target], post)

@@ -92,8 +92,8 @@ def _projected_one_row_at_a_time(arts):
     i_b, H = arts.groups.i_target, arts.latent.H
     X_B = arts.dataset.X[i_b]
     post_rows = X_B + arts.result.delta[i_b]
-    pre = la.normalize_rows(np.array([nnls_project(x, H) for x in X_B])).codes
-    post = la.normalize_rows(np.array([nnls_project(x, H) for x in post_rows])).codes
+    pre = la.normalize_rows(np.array([nnls_project(x, H) for x in X_B]))
+    post = la.normalize_rows(np.array([nnls_project(x, H) for x in post_rows]))
     return pre, post
 
 
@@ -166,7 +166,7 @@ class TestAlignmentMetrics:
 
     def test_dw_matches_independent_recomputation(self, fixture_arts):
         m = fixture_arts.metrics
-        ref = fixture_arts.codes.codes[fixture_arts.groups.i_reference]
+        ref = fixture_arts.codes[fixture_arts.groups.i_reference]
         pre, post = _projected_one_row_at_a_time(fixture_arts)
         eta = fixture_arts.problem.eta
         before = sinkhorn(TransportProblem.from_supports(pre, ref, eta)).transport_cost

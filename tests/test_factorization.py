@@ -230,18 +230,16 @@ class TestBatchedNNLS:
 class TestNormalizeRows:
     def test_simple_rows(self):
         out = normalize_rows(np.array([[2.0, 2.0], [1.0, 3.0]]))
-        np.testing.assert_allclose(out.codes, [[0.5, 0.5], [0.25, 0.75]])
-        assert not out.zero_mask.any()
+        np.testing.assert_allclose(out, [[0.5, 0.5], [0.25, 0.75]])
 
     def test_zero_row_uniform_and_masked(self):
         out = normalize_rows(np.array([[0.0, 0.0], [1.0, 1.0]]))
-        np.testing.assert_allclose(out.codes[0], [0.5, 0.5])
-        assert out.zero_mask.tolist() == [True, False]
+        np.testing.assert_allclose(out[0], [0.5, 0.5])
 
     def test_row_sums(self):
         rng = np.random.default_rng(3)
         out = normalize_rows(rng.uniform(0.0, 5.0, size=(50, 6)))
-        np.testing.assert_allclose(out.codes.sum(axis=1), 1.0, atol=1e-9)
+        np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-9)
 
 
 class TestSerializationAndImmutability:

@@ -28,15 +28,15 @@ class TestKMeans:
         codes = _codes(np.eye(4) + 0.01)
         labels, centroids = kmeans(codes, 4, seed=0)
         assert sorted(labels.tolist()) == [0, 1, 2, 3]
-        wcss = np.sum((codes.codes - centroids[labels]) ** 2)
+        wcss = np.sum((codes - centroids[labels]) ** 2)
         assert wcss < 1e-20
 
     def test_beats_random_assignment_oracle(self):
         rng = np.random.default_rng(5)
         codes = _codes(rng.uniform(0.1, 2.0, size=(30, 2)))
         labels, centroids = kmeans(codes, 3, seed=2, restarts=10)
-        ours = float(np.sum((codes.codes - centroids[labels]) ** 2))
-        oracle = random_assignment_wcss(codes.codes, 3, trials=10_000, seed=123)
+        ours = float(np.sum((codes - centroids[labels]) ** 2))
+        oracle = random_assignment_wcss(codes, 3, trials=10_000, seed=123)
         assert ours <= oracle + 1e-12
 
     def test_deterministic(self):

@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from latent_align.factorization import LatentModel, nnls_project_rows
 from latent_align.grouping import GroupAssignment
 from latent_align.optimizer import (
     InterventionProblem,
+    _assemble_result,
     coupling_grad_codes,
     coupling_grad_levers,
     coupling_residual,
@@ -283,6 +285,22 @@ class TestOptimize:
         for i in i_b:
             assert la.validate_row(problem.dataset.X[i] + result.delta[i], problem.dataset.schema) == []
 
+    def test_infeasible_lever_block_names_dataset_row(self):
+        problem = _tiny_problem()
+        # target the second cluster so block position 1 is dataset row 4
+        groups = GroupAssignment(
+            labels=problem.groups.labels.copy(),
+            centroids=np.zeros((2, 2)),
+            reference=0,
+            target=1,
+            cluster_means=np.array([1.0, 0.0]),
+        )
+        problem = replace(problem, groups=groups)
+        D = np.zeros((3, 2))
+        D[1, 0] = -100.0
+        with pytest.raises(RuntimeError, match=r"infeasible row 4: feature 'a': value .* below lower bound"):
+            _assemble_result(problem, D, [], "converged", 0, 1.0)
+
     def test_support_constraint_exact(self, fixture_arts):
         result = fixture_arts.result
         schema = fixture_arts.dataset.schema
@@ -310,8 +328,6 @@ class TestOptimize:
         assert fixture_arts.result.active_levers[0].feature == jstar
 
     def test_no_sparsity_final_ot_not_worse(self, fixture_arts):
-        from dataclasses import replace
-
         from latent_align.optimizer import optimize as opt
 
         problem = replace(fixture_arts.problem, sparsity_weight=0.0, max_outer=150)

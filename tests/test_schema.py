@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import latent_align as la
 from latent_align.schema import (
@@ -13,7 +14,10 @@ from latent_align.schema import (
     FeatureSchema,
     FeatureSpec,
     SchemaError,
+    Violation,
 )
+
+from oracles import validate_row_loop
 
 
 def _schema_4():
@@ -264,6 +268,59 @@ def test_validate_row_accepts_any_in_bounds_row(a, b, lik, bin_):
         outcome="score",
     )
     assert la.validate_row(np.array([a, b, float(lik), float(bin_)]), schema, mode="report") == []
+
+
+# Block members are interleaved with other features, and the nine-member block
+# is long enough for numpy's unrolled summation of a row.
+_MIXED_SCHEMA = FeatureSchema(
+    features=(
+        FeatureSpec("c1", FeatureKind.CATEGORICAL, 0.0, 1.0, block="a"),
+        FeatureSpec("num", FeatureKind.NUMERIC, 0.0, 10.0),
+        FeatureSpec("lik", FeatureKind.LIKERT, 1, 5),
+        FeatureSpec("c2", FeatureKind.CATEGORICAL, 0.0, 1.0, block="a"),
+        FeatureSpec("bin", FeatureKind.BINARY, 0.0, 1.0),
+        FeatureSpec("shifted", FeatureKind.NUMERIC, 2.0, 7.0),
+        FeatureSpec("c3", FeatureKind.CATEGORICAL, 0.0, 1.0, block="a"),
+        *(FeatureSpec(f"w{m}", FeatureKind.CATEGORICAL, 0.0, 1.0, block="wide") for m in range(9)),
+        FeatureSpec("lik0", FeatureKind.LIKERT, 0.0, 3.0),
+    ),
+    outcome="y",
+)
+# in-bound levels, fractions, values just inside and just outside each
+# tolerance, huge values whose block sums overflow, and non-finite cells
+_CELLS = st.one_of(
+    st.sampled_from(
+        [0.0, 1.0, 2.0, 3.0, 5.0, 7.0, 0.5, -0.5, 1 + 5e-10, 1 + 2e-9, -5e-10, -2e-9, 10 + 2e-9, 5e-10]
+        + [1e308, -1e308, np.nan, np.inf, -np.inf]
+    ),
+    st.floats(-3.0, 12.0),
+)
+
+
+@st.composite
+def _mixed_matrices(draw):
+    n = draw(st.integers(0, 6))
+    X = draw(arrays(np.float64, (n, _MIXED_SCHEMA.n_features), elements=_CELLS))
+    for idx in _MIXED_SCHEMA.blocks.values():
+        for i in range(n):
+            kind = draw(st.sampled_from(["drawn", "one-hot", "split"]))
+            if kind != "drawn":
+                X[i, idx] = 0.0
+                picks = draw(st.lists(st.sampled_from(idx.tolist()), min_size=2, max_size=2, unique=True))
+                X[i, picks] = [1.0, 0.0] if kind == "one-hot" else [0.5, 0.5]
+    return np.asfortranarray(X) if draw(st.booleans()) else X
+
+
+@settings(max_examples=300, deadline=None)
+@given(X=_mixed_matrices(), mode=st.sampled_from(["optimize", "report"]))
+def test_validate_rows_matches_per_row_oracle(X, mode):
+    with np.errstate(all="ignore"):  # the loop's block sums may overflow or meet inf - inf
+        per_row = [validate_row_loop(x, _MIXED_SCHEMA, mode) for x in X]
+    expected = [Violation(v.feature, v.message, row=i) for i, found in enumerate(per_row) for v in found]
+    # no errstate here: the suite turns any RuntimeWarning into an error
+    assert la.validate_rows(X, _MIXED_SCHEMA, mode) == expected
+    if per_row:
+        assert la.validate_row(X[0], _MIXED_SCHEMA, mode) == per_row[0]
 
 
 def test_schema_json_round_trip(tmp_path):
