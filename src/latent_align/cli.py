@@ -44,6 +44,10 @@ from .surrogate import SurrogateModel
 AGGREGATE_FIELDS = ("n_conv", "r_conv", "mean_dp", "n_lever", "effort")
 
 
+class ArtifactError(ValueError):
+    """An artifact file that cannot be read as JSON."""
+
+
 def _write_json(obj, path: Path, indent: int | None = 2) -> None:
     """Sorted keys and a trailing newline; indent=None is the compact layout
     of the per-seed files."""
@@ -257,7 +261,10 @@ def cmd_synth(n: int, k_true: int, seed: int, out_dir: str) -> int:
 
 
 def cmd_inspect(path: str) -> int:
-    doc = json.loads(Path(path).read_text())
+    try:
+        doc = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:  # ValueError covers bad JSON and bad UTF-8
+        raise ArtifactError(f"cannot read artifact {path}: {exc}") from exc
     print(json.dumps(doc, indent=2, sort_keys=True))
     return 0
 
@@ -354,7 +361,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "inspect":
             return cmd_inspect(args.path)
         parser.error(f"unknown command {args.command!r}")
-    except (ConfigError, SchemaError, DataValidationError) as exc:
+    except (ConfigError, SchemaError, DataValidationError, ArtifactError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
         return 2
     except Exception as exc:

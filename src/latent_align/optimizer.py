@@ -4,9 +4,12 @@ The nonconvex objective (entropic transport discrepancy of the post-change
 target distribution, plus a weighted l2,1 lever penalty) is handled with an
 auxiliary-variable relaxation: latent codes U are free nonnegative variables
 tied to the feature-space change by a quadratic coupling penalty. Each outer
-iteration alternates a projected gradient step on U with a projected
-proximal-gradient step on the intervention matrix, and an iterate is accepted
-only if the penalized objective strictly decreases.
+iteration takes a projected gradient step on U and then a projected
+proximal-gradient step on the intervention's lever block, in the manner of
+proximal alternating linearized minimization (Bolte, Sabach & Teboulle 2014).
+Each block keeps its own step size and backtracks on its own part of the
+penalized objective, so only U trials pay for a transport solve; an iterate
+is accepted only if the whole penalized objective strictly decreases.
 """
 
 from __future__ import annotations
@@ -106,6 +109,10 @@ class InterventionResult:
     n_sinkhorn_calls: int
     beta_used: float
     objective: float
+    # outer iterations entered, and the trial points each block evaluated
+    n_outer: int
+    n_u_trials: int
+    n_delta_trials: int
 
     def __post_init__(self):
         self.delta.setflags(write=False)
@@ -129,6 +136,9 @@ class InterventionResult:
             "n_sinkhorn_calls": self.n_sinkhorn_calls,
             "beta_used": self.beta_used,
             "objective": self.objective,
+            "n_outer": self.n_outer,
+            "n_u_trials": self.n_u_trials,
+            "n_delta_trials": self.n_delta_trials,
         }
 
 
@@ -254,21 +264,23 @@ def ot_grad_wrt_U(U: np.ndarray, W_tilde_ref: np.ndarray, gamma: np.ndarray) -> 
 
 
 class _OTAlignment:
+    """Transport alignment. refresh returns the term's value at the codes and
+    the plan it solved there; grad_u holds that plan fixed. The solver keeps
+    the plan of its current codes, so a rejected trial's plan is never used."""
+
     def __init__(self, w_ref: np.ndarray, eta: float):
         self.w_ref = w_ref
         self.eta = eta
-        self.plan: np.ndarray | None = None
         self.n_calls = 0
 
-    def refresh(self, u_tilde: np.ndarray) -> float:
+    def refresh(self, u_tilde: np.ndarray) -> tuple[float, np.ndarray]:
         problem = transport.TransportProblem.from_supports(u_tilde, self.w_ref, self.eta)
         sol = transport.sinkhorn(problem)
         self.n_calls += 1
-        self.plan = sol.gamma
-        return sol.transport_cost
+        return sol.transport_cost, sol.gamma
 
-    def grad_u(self, U: np.ndarray) -> np.ndarray:
-        return ot_grad_wrt_U(U, self.w_ref, self.plan)
+    def grad_u(self, U: np.ndarray, plan: np.ndarray) -> np.ndarray:
+        return ot_grad_wrt_U(U, self.w_ref, plan)
 
 
 class _MeanMarginAlignment:
@@ -279,10 +291,10 @@ class _MeanMarginAlignment:
         self.bias = bias
         self.n_calls = 0
 
-    def refresh(self, u_tilde: np.ndarray) -> float:
-        return -float(np.mean(u_tilde @ self.beta + self.bias))
+    def refresh(self, u_tilde: np.ndarray) -> tuple[float, None]:
+        return -float(np.mean(u_tilde @ self.beta + self.bias)), None
 
-    def grad_u(self, U: np.ndarray) -> np.ndarray:
+    def grad_u(self, U: np.ndarray, plan: None) -> np.ndarray:
         n_b = U.shape[0]
         g_tilde = np.tile(-self.beta / n_b, (n_b, 1))
         return _chain_through_normalization(g_tilde, U)
@@ -295,11 +307,11 @@ class _CentroidAlignment:
         self.centroid_ref = centroid_ref
         self.n_calls = 0
 
-    def refresh(self, u_tilde: np.ndarray) -> float:
+    def refresh(self, u_tilde: np.ndarray) -> tuple[float, None]:
         diff = u_tilde.mean(axis=0) - self.centroid_ref
-        return float(diff @ diff)
+        return float(diff @ diff), None
 
-    def grad_u(self, U: np.ndarray) -> np.ndarray:
+    def grad_u(self, U: np.ndarray, plan: None) -> np.ndarray:
         u_t, _ = _tilde(U)
         n_b = U.shape[0]
         diff = u_t.mean(axis=0) - self.centroid_ref
@@ -326,12 +338,35 @@ def resolve_beta(problem: InterventionProblem, U0: np.ndarray) -> float:
 def optimize(problem: InterventionProblem) -> InterventionResult:
     """Run the alternating solve and return the final feasible intervention.
 
-    Each outer iteration refreshes the alignment term at the current codes,
-    takes a projected gradient step on U (alignment pull plus coupling), then
-    a proximal step on the lever block of the intervention (coupling gradient,
-    weighted group soft-threshold, feasibility clip). A candidate is accepted
-    only if the penalized objective strictly decreases; otherwise both steps
-    halve and the iteration retries, up to MAX_HALVINGS times.
+    Each outer iteration makes one step per block, each with its own step
+    size and its own backtracking test:
+
+    - U step: a projected gradient step on alignment + beta * coupling with
+      the lever block D held fixed. Every trial refreshes the alignment term
+      (a Sinkhorn solve for the transport alignment); a rejected trial halves
+      the U step. If MAX_HALVINGS halvings bring no decrease, U stays, and so
+      does the transport plan solved at it.
+    - D step: a proximal gradient step on beta * coupling + lambda * sparsity
+      with U held fixed at its new value (coupling gradient, weighted group
+      soft-threshold, feasibility clip). The alignment term does not depend
+      on D, so its trials solve no transport. A trial that leaves D where it
+      is (D = 0 under a large lambda) ends the step without halving, since a
+      shorter step would leave it there too.
+
+    Each accepted block step strictly lowers its part of the objective, so
+    their sum lowers the whole; the iterate is accepted only when the whole
+    objective strictly decreases, and the run ends (plateau, or
+    stalled_at_zero before any accepted iterate) at the first iteration where
+    it does not. A block's step grows by STEP_GROWTH after an iteration in
+    which its first trial was accepted.
+
+    The accepted objective measures alignment by the transport cost
+    <plan, M>, while the U gradient is the fixed-plan (envelope) gradient of
+    the entropic value <plan, M> + eta * entropy. The transport cost is kept:
+    the trajectory, the result's objective and the evaluation's OT
+    discrepancies all report it, and on the acceptance fixture accepting on
+    the entropic value converted the same respondents with the same levers
+    but took 502 Sinkhorn solves against 397.
     """
     dataset, latent, groups = problem.dataset, problem.latent, problem.groups
     schema = dataset.schema
@@ -366,7 +401,7 @@ def optimize(problem: InterventionProblem) -> InterventionResult:
     def mean_gain(u_tilde):
         return float(np.mean(problem.surrogate.predict_proba(u_tilde))) - mean_prob_pre
 
-    align_val = align.refresh(u_t)
+    align_val, plan = align.refresh(u_t)
     R = coupling_residual(U, D, X_B, H, levers)
     coup = coupling_value(R)
     spars = lever_penalty(D, rho_lev)
@@ -374,40 +409,59 @@ def optimize(problem: InterventionProblem) -> InterventionResult:
     trajectory = [TrajectoryRecord(0, J, align_val, coup, spars, mean_gain(u_t))]
 
     status = STATUS_MAX_OUTER
-    accepted_any = False
-    small_streak = 0
+    small_streak = n_outer = n_u_trials = n_delta_trials = 0
     for it in range(1, problem.max_outer + 1):
-        g_u = align.grad_u(U) + beta * coupling_grad_codes(R, H)
-        accepted = False
-        for _ in range(MAX_HALVINGS + 1):
-            U_c = np.maximum(U - t_u * g_u, 0.0)
-            R_mid = coupling_residual(U_c, D, X_B, H, levers)
-            g_d = beta * coupling_grad_levers(R_mid, levers)
-            D_c = prox_weighted_l21(D - t_d * g_d, rho_lev, t_d * lam)
-            D_c = np.clip(D_c, lo, hi)
-
-            u_tc, _ = _tilde(U_c)
-            align_c = align.refresh(u_tc)
-            R_c = coupling_residual(U_c, D_c, X_B, H, levers)
-            coup_c = coupling_value(R_c)
-            spars_c = lever_penalty(D_c, rho_lev)
-            J_c = align_c + beta * coup_c + lam * spars_c
-            if J_c < J:
-                accepted = True
+        n_outer = it
+        g_u = align.grad_u(U, plan) + beta * coupling_grad_codes(R, H)
+        part_u = align_val + beta * coup
+        U_c, u_tc, align_c, plan_c, R_c, coup_c = U, u_t, align_val, plan, R, coup
+        u_first = False
+        for trial in range(MAX_HALVINGS + 1):
+            n_u_trials += 1
+            U_try = np.maximum(U - t_u * g_u, 0.0)
+            u_try, _ = _tilde(U_try)
+            align_try, plan_try = align.refresh(u_try)
+            R_try = coupling_residual(U_try, D, X_B, H, levers)
+            coup_try = coupling_value(R_try)
+            if align_try + beta * coup_try < part_u:
+                U_c, u_tc, align_c, plan_c, R_c, coup_c = U_try, u_try, align_try, plan_try, R_try, coup_try
+                u_first = trial == 0
                 break
             t_u *= 0.5
+
+        g_d = beta * coupling_grad_levers(R_c, levers)
+        part_d = beta * coup_c + lam * spars
+        D_c, spars_c = D, spars
+        d_first = False
+        for trial in range(MAX_HALVINGS + 1):
+            n_delta_trials += 1
+            D_try = np.clip(prox_weighted_l21(D - t_d * g_d, rho_lev, t_d * lam), lo, hi)
+            if np.array_equal(D_try, D):
+                break  # a shorter step leaves D in place too
+            R_try = coupling_residual(U_c, D_try, X_B, H, levers)
+            coup_try = coupling_value(R_try)
+            spars_try = lever_penalty(D_try, rho_lev)
+            if beta * coup_try + lam * spars_try < part_d:
+                D_c, R_c, coup_c, spars_c = D_try, R_try, coup_try, spars_try
+                d_first = trial == 0
+                break
             t_d *= 0.5
-        if not accepted:
-            status = STATUS_PLATEAU if accepted_any else STATUS_STALLED
+
+        # equal to J when neither block moved; rounding could also cancel two
+        # decreases of a few ulps, which must not pass as a decrease
+        J_c = align_c + beta * coup_c + lam * spars_c
+        if not J_c < J:
+            status = STATUS_PLATEAU if len(trajectory) > 1 else STATUS_STALLED
             break
 
         rel = (J - J_c) / max(abs(J), 1e-30)
-        U, D, R, u_t = U_c, D_c, R_c, u_tc
+        U, D, R, u_t, plan = U_c, D_c, R_c, u_tc, plan_c
         J, align_val, coup, spars = J_c, align_c, coup_c, spars_c
         trajectory.append(TrajectoryRecord(it, J, align_val, coup, spars, mean_gain(u_t)))
-        accepted_any = True
-        t_u *= STEP_GROWTH
-        t_d *= STEP_GROWTH
+        if u_first:
+            t_u *= STEP_GROWTH
+        if d_first:
+            t_d *= STEP_GROWTH
         if rel < problem.tol_obj:
             small_streak += 1
             if small_streak >= 3:
@@ -416,7 +470,9 @@ def optimize(problem: InterventionProblem) -> InterventionResult:
         else:
             small_streak = 0
 
-    return _assemble_result(problem, D, trajectory, status, align.n_calls, beta)
+    return _assemble_result(
+        problem, D, trajectory, status, align.n_calls, beta, n_outer, n_u_trials, n_delta_trials
+    )
 
 
 def _assemble_result(
@@ -426,10 +482,14 @@ def _assemble_result(
     status: str,
     n_sinkhorn_calls: int,
     beta_used: float,
+    n_outer: int = 0,
+    n_u_trials: int = 0,
+    n_delta_trials: int = 0,
 ) -> InterventionResult:
     """Scatter the lever block into a full intervention, round it for
     reporting, re-validate every target row, rank the active levers and
-    build the result. The objective is the last trajectory record's."""
+    build the result. The objective is the last trajectory record's; the
+    step counters default to those of a result built without iterating."""
     dataset, i_b = problem.dataset, problem.groups.i_target
     X, schema = dataset.X, dataset.schema
     levers = schema.policy_levers
@@ -461,6 +521,9 @@ def _assemble_result(
         n_sinkhorn_calls=n_sinkhorn_calls,
         beta_used=beta_used,
         objective=trajectory[-1].objective,
+        n_outer=n_outer,
+        n_u_trials=n_u_trials,
+        n_delta_trials=n_delta_trials,
     )
 
 

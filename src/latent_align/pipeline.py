@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -29,6 +30,19 @@ class ConfigError(ValueError):
 # dataclass attribute -> external (JSON / CLI) name, for the few that differ
 _RENAMES = {"n_clusters": "G", "sparsity_weight": "lambda"}
 SWEEPABLE = ("k", "G", "lambda", "eta", "q")
+# field annotation -> accepted value types; an integer is a valid float
+_VALUE_TYPES = {"int": Integral, "float": Real, "str": str}
+
+
+def _has_type(value, annotation: str) -> bool:
+    """Whether a config value fits its field annotation, e.g. "int",
+    "float | None" or "tuple[int, ...]". A bool is not a number here."""
+    kind, _, optional = annotation.partition(" | ")
+    if value is None:
+        return optional == "None"
+    if kind == "tuple[int, ...]":
+        return isinstance(value, tuple) and all(_has_type(v, "int") for v in value)
+    return isinstance(value, _VALUE_TYPES[kind]) and not isinstance(value, bool)
 
 
 @dataclass
@@ -69,6 +83,10 @@ class ExperimentConfig:
         return self.q if self.q is not None else math.ceil(self.k / 2)
 
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not _has_type(value, f.type):
+                raise ConfigError(f"{_RENAMES.get(f.name, f.name)} must be {f.type}, got {value!r}")
         if self.k < 1:
             raise ConfigError(f"k must be >= 1, got {self.k}")
         if self.n_clusters < 2:
@@ -114,7 +132,7 @@ class ExperimentConfig:
             name = reverse.get(key, key)
             if name not in known:
                 raise ConfigError(f"unknown config key {key!r}")
-            kwargs[name] = tuple(val) if name == "seeds" else val
+            kwargs[name] = tuple(val) if name == "seeds" and isinstance(val, list) else val
         return cls(**kwargs)
 
     def with_param(self, param: str, value) -> "ExperimentConfig":

@@ -56,6 +56,18 @@ class TestConfig:
         with pytest.raises(Exception, match="eta"):
             ExperimentConfig(eta=0.0).validate()
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"k": "x"}, {"k": True}, {"eta": "0.1"}, {"q": 2.5}, {"seeds": (1.5,)}, {"dataset_csv": 3}],
+    )
+    def test_wrong_value_type_rejected(self, overrides):
+        (name,) = overrides
+        with pytest.raises(ConfigError, match=f"^{name} must be "):
+            ExperimentConfig(**overrides).validate()
+
+    def test_integer_accepted_for_float(self):
+        ExperimentConfig(eta=1, tau_delta=0).validate()
+
     @pytest.mark.parametrize("name", ["max_outer", "nmf_max_iters", "kmeans_restarts"])
     def test_iteration_budgets_below_one_rejected(self, name):
         with pytest.raises(ConfigError, match=name):
@@ -117,7 +129,9 @@ class TestRun:
         assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
         assert not out.exists()
 
-    @pytest.mark.parametrize("content", [None, b"{not json", b"[1, 2]", b"\xff\xfe"])
+    @pytest.mark.parametrize(
+        "content", [None, b"{not json", b"[1, 2]", b"\xff\xfe", b'{"k": "x"}', b'{"seeds": 5}']
+    )
     def test_bad_config_file_is_a_config_error(self, tmp_path, capsys, content):
         cfg = tmp_path / "config.json"
         if content is not None:  # None: the file does not exist
@@ -255,6 +269,16 @@ class TestSynthAndInspect:
         assert main(["inspect", str(p)]) == 0
         out = capsys.readouterr().out
         assert json.loads(out) == {"a": 2, "b": 1}
+
+    @pytest.mark.parametrize("content", [None, b"{not json", b"\xff\xfe"])
+    def test_inspect_unreadable_exits_2(self, tmp_path, capsys, content):
+        p = tmp_path / "x.json"
+        if content is not None:  # None: the file does not exist
+            p.write_bytes(content)
+        assert main(["inspect", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert json.loads(err)["error"] == "ArtifactError"
 
     def test_flag_overrides(self, tmp_path):
         cfg = _write_config(tmp_path)

@@ -8,11 +8,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import latent_align as la
+from latent_align import optimizer as opt_mod
 from latent_align.factorization import LatentModel, nnls_project_rows
 from latent_align.grouping import GroupAssignment
 from latent_align.optimizer import (
     InterventionProblem,
     _assemble_result,
+    _tilde,
     coupling_grad_codes,
     coupling_grad_levers,
     coupling_residual,
@@ -255,6 +257,42 @@ def _tiny_problem(aligned=True, lam=1e-3):
     )
 
 
+def _random_problem(seed, lam, max_outer=30):
+    """Small random two-group problem: 3 numeric levers, rank 2, 5 target
+    and 5 reference rows lying exactly on the basis."""
+    rng = np.random.default_rng(seed)
+    d, k, n = 3, 2, 10
+    schema = la.FeatureSchema(
+        features=tuple(la.FeatureSpec(f"f{j}", la.FeatureKind.NUMERIC, 0.0, 10.0, controllable=True) for j in range(d)),
+        outcome="y",
+    )
+    H = rng.uniform(0.1, 1.0, size=(k, d))
+    H /= H.sum(axis=1, keepdims=True)
+    W = rng.uniform(0.2, 3.0, size=(n, k))
+    labels = np.repeat([0, 1], n // 2)
+    omega = rng.uniform(0.05, 1.0, size=d)
+    return InterventionProblem(
+        dataset=la.SurveyDataset(X=W @ H, y=labels.astype(float), schema=schema),
+        latent=LatentModel(W=W, H=H, k=k, fit_loss=0.0, seed=0, iters_run=0),
+        groups=GroupAssignment(
+            labels=labels, centroids=np.zeros((2, k)), reference=1, target=0, cluster_means=np.array([0.0, 1.0])
+        ),
+        priorities=PriorityWeights(
+            phi=np.zeros((n, k)),
+            varphi=np.ones(k),
+            top_factors=np.arange(k),
+            omega=omega,
+            rho=1.0 / (omega + 1e-6),
+            s_ctrl=np.arange(d),
+            eps_omega=1e-6,
+        ),
+        surrogate=SurrogateModel(beta=rng.normal(size=k), bias=0.0),
+        eta=0.1,
+        sparsity_weight=lam,
+        max_outer=max_outer,
+    )
+
+
 class TestOptimize:
     def test_aligned_at_start_stalls_at_zero(self):
         result = optimize(_tiny_problem(aligned=True))
@@ -333,6 +371,86 @@ class TestOptimize:
         problem = replace(fixture_arts.problem, sparsity_weight=0.0, max_outer=150)
         result = opt(problem)
         assert result.trajectory[-1].alignment <= result.trajectory[0].alignment
+
+
+class TestStepRule:
+    """Each block keeps its own step and backtracks on its own part of J."""
+
+    def test_counters_in_result_and_artifact(self, fixture_arts):
+        result = fixture_arts.result
+        # one transport solve at the start, then one per U trial; D trials solve none
+        assert result.n_sinkhorn_calls == 1 + result.n_u_trials
+        assert result.n_outer >= len(result.trajectory) - 1
+        assert result.n_u_trials >= result.n_outer
+        assert result.n_delta_trials >= result.n_outer
+        doc = result.to_dict()
+        assert (doc["n_outer"], doc["n_u_trials"], doc["n_delta_trials"]) == (
+            result.n_outer,
+            result.n_u_trials,
+            result.n_delta_trials,
+        )
+
+    def test_unmoved_delta_never_halves(self, fixture_arts, monkeypatch):
+        # a lambda this large keeps D = 0; its prox-and-clip trial leaves D
+        # where it is, which ends the D step at once
+        steps = []
+
+        def recording_prox(block, rho, t_lambda):
+            steps.append(t_lambda)
+            return prox_weighted_l21(block, rho, t_lambda)
+
+        monkeypatch.setattr(opt_mod, "prox_weighted_l21", recording_prox)
+        result = optimize(replace(fixture_arts.problem, sparsity_weight=1.0, max_outer=20))
+        assert np.all(result.delta == 0.0)
+        assert len(result.trajectory) > 2
+        assert result.n_delta_trials == result.n_outer == len(steps)
+        assert steps == [steps[0]] * len(steps)
+
+    def test_kept_codes_keep_their_plan(self, monkeypatch):
+        # with no halvings allowed, every rejected U trial ends the U step;
+        # the next gradient must use the plan solved at the kept codes
+        monkeypatch.setattr(opt_mod, "MAX_HALVINGS", 0)
+        calls = []
+
+        def recording_grad(U, W_tilde_ref, gamma):
+            grad = ot_grad_wrt_U(U, W_tilde_ref, gamma)
+            calls.append((U.copy(), W_tilde_ref, grad))
+            return grad
+
+        monkeypatch.setattr(opt_mod, "ot_grad_wrt_U", recording_grad)
+        problem = _random_problem(3, 1e-3)
+        optimize(problem)
+        kept = [b for a, b in zip(calls, calls[1:]) if np.array_equal(a[0], b[0])]
+        assert kept
+        for U, W_tilde_ref, grad in calls:
+            fresh = sinkhorn(TransportProblem.from_supports(_tilde(U)[0], W_tilde_ref, problem.eta)).gamma
+            assert np.array_equal(grad, ot_grad_wrt_U(U, W_tilde_ref, fresh))
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), lam=st.sampled_from([0.0, 1e-3, 3e-2, 1e-1]))
+def test_every_accepted_iterate_lowers_j_and_each_block_part(seed, lam):
+    problem = _random_problem(seed, lam, max_outer=15)
+    mid = []  # coupling at the new codes and the old lever block, one per iteration
+    original = opt_mod.coupling_grad_levers
+
+    def recording_grad(R, levers):
+        mid.append(coupling_value(R))
+        return original(R, levers)
+
+    opt_mod.coupling_grad_levers = recording_grad
+    try:
+        result = optimize(problem)
+    finally:
+        opt_mod.coupling_grad_levers = original
+    assert result.status in ("converged", "max_outer", "plateau", "stalled_at_zero")
+    beta, traj = result.beta_used, result.trajectory
+    for prev, new, coup_mid in zip(traj, traj[1:], mid):
+        assert new.objective < prev.objective
+        # U block: alignment + beta * coupling with D fixed
+        assert new.alignment + beta * coup_mid <= prev.alignment + beta * prev.coupling
+        # D block: beta * coupling + lambda * sparsity with U fixed
+        assert beta * new.coupling + lam * new.sparsity <= beta * coup_mid + lam * prev.sparsity
 
 
 class TestRoundReport:
