@@ -76,8 +76,8 @@ def _uniform_result(problem: InterventionProblem, chosen: np.ndarray, step: floa
     D = delta[np.ix_(i_b, levers)]
 
     X_B = X[i_b]
-    # pre and post projected in separate calls, as evaluation scores them
-    u_pre = normalize_rows(nnls_project_rows(X_B, latent.H))
+    # post projected in its own call, as evaluation scores it
+    u_pre = normalize_rows(problem.target_projection)
     U = nnls_project_rows(X_B + delta[i_b], latent.H)
     u_tilde = normalize_rows(U)
     w_ref = normalize_rows(latent.W)[groups.i_reference]

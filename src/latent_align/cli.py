@@ -5,8 +5,8 @@ Subcommands: run (full pipeline per seed plus a mean/std aggregate), sweep
 comparison rules, three ablations on identical inputs), synth (emit a
 synthetic dataset), inspect (pretty-print an artifact). All outputs are JSON
 or tidy CSV; reruns with the same config and seed are byte-identical except
-for the timestamp in the run manifest. LATENT_ALIGN_THREADS caps the worker
-count for seeds and sweep cells.
+for the timestamp in the run manifest. LATENT_ALIGN_THREADS, a positive
+integer (default 1), caps the worker count for seeds and sweep cells.
 """
 
 from __future__ import annotations
@@ -62,13 +62,22 @@ def _config_hash(config: ExperimentConfig) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
-def _fan_out(fn, *arg_lists) -> list:
-    """fn over the zipped argument lists, in order; on a process pool when
-    LATENT_ALIGN_THREADS allows more than one worker."""
+def _thread_cap() -> int:
+    """The worker cap LATENT_ALIGN_THREADS sets: a positive integer, 1 when
+    unset. Any other value is a ConfigError."""
+    raw = os.environ.get("LATENT_ALIGN_THREADS", "1")
     try:
-        cap = max(1, int(os.environ.get("LATENT_ALIGN_THREADS", "1")))
+        cap = int(raw)
     except ValueError:
-        cap = 1
+        cap = 0
+    if cap < 1:
+        raise ConfigError(f"LATENT_ALIGN_THREADS must be a positive integer, got {raw!r}")
+    return cap
+
+
+def _fan_out(cap: int, fn, *arg_lists) -> list:
+    """fn over the zipped argument lists, in order; on a process pool when
+    the cap allows more than one worker."""
     workers = min(cap, len(arg_lists[0]))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -164,13 +173,14 @@ def _manifest(config: ExperimentConfig) -> dict:
 
 def cmd_run(config: ExperimentConfig) -> int:
     config.validate()
+    cap = _thread_cap()
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _write_json(_manifest(config), out / "manifest.json")
 
     seeds = list(config.seeds)
     n = len(seeds)
-    rows = _fan_out(_run_one_seed, [config.to_dict()] * n, seeds, [str(out)] * n)
+    rows = _fan_out(cap, _run_one_seed, [config.to_dict()] * n, seeds, [str(out)] * n)
     rows.sort(key=lambda r: r["seed"])
     header = ["seed"] + list(MetricsReport.CSV_FIELDS) + ["objective", "status"]
     _write_rows_csv(rows, header, out / "runs.csv")
@@ -207,6 +217,7 @@ def cmd_sweep(config: ExperimentConfig, param: str, values: list[str]) -> int:
         raise ConfigError(f"sweep parameter must be one of {SWEEPABLE}, got {param!r}")
     if not values:
         raise ConfigError("sweep needs at least one value")
+    cap = _thread_cap()
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _write_json(_manifest(config), out / "manifest.json")
@@ -214,7 +225,7 @@ def cmd_sweep(config: ExperimentConfig, param: str, values: list[str]) -> int:
 
     parsed = [int(v) if param in ("k", "G", "q") else float(v) for v in values]
     n = len(parsed)
-    rows = _fan_out(_sweep_cell, [config.to_dict()] * n, [param] * n, parsed, [seed] * n)
+    rows = _fan_out(cap, _sweep_cell, [config.to_dict()] * n, [param] * n, parsed, [seed] * n)
     header = ["param", "value", "seed"] + list(MetricsReport.CSV_FIELDS) + ["status"]
     _write_rows_csv(rows, header, out / f"sweep_{param}.csv")
     return 0

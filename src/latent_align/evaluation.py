@@ -122,14 +122,14 @@ def effort_and_levers(
 def target_codes(problem: InterventionProblem, delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Normalized codes of the target rows before and after the intervention.
 
-    X_B and X_B + delta_B are projected onto the frozen basis in two separate
-    calls: equal rows then give bit-identical codes, so delta = 0 maps pre and
-    post to the same array.
+    X_B is the problem's own projection (`target_projection`); X_B + delta_B
+    is projected onto the frozen basis in a separate call: equal rows then
+    give bit-identical codes, so delta = 0 maps pre and post to the same
+    array.
     """
-    i_b, H = problem.groups.i_target, problem.latent.H
-    X_B = problem.dataset.X[i_b]
-    pre = normalize_rows(nnls_project_rows(X_B, H))
-    post = normalize_rows(nnls_project_rows(X_B + delta[i_b], H))
+    i_b = problem.groups.i_target
+    pre = normalize_rows(problem.target_projection)
+    post = normalize_rows(nnls_project_rows(problem.dataset.X[i_b] + delta[i_b], problem.latent.H))
     return pre, post
 
 

@@ -2,7 +2,10 @@
 
 The basis is learned once with multiplicative updates, row-normalized to unit
 l1 norm, and then frozen (the returned arrays are read-only) so that observed
-and post-intervention respondents live in the same latent coordinates. New
+and post-intervention respondents live in the same latent coordinates. Each
+update builds its factor in the buffer of its numerator, and the stop test
+reuses the Gram products of the updates instead of forming the n x d
+residual on every iteration. New
 feature vectors are projected onto the frozen basis by one batched NNLS
 solver, block principal pivoting: every row keeps its own passive set, rows
 that share a passive set are solved together by one multi-right-hand-side
@@ -92,6 +95,20 @@ def fit_nmf(X: np.ndarray, k: int, seed: int, max_iters: int = 500, tol: float =
     relative loss decrease drops below tol or max_iters is reached. Afterwards
     each row of H is rescaled to unit l1 norm with the inverse scale absorbed
     into W, leaving the product unchanged up to rounding.
+
+    The stop test reads the loss from the products the H update forms anyway:
+    ||X - WH||^2 = ||X||^2 - 2 <W^T X, H> + <W^T W, H H^T>, and H H^T is the
+    product the next W update needs; no n x d residual is formed. The Gram
+    form cancels, so it can differ from the residual form by up to
+    (2nd + n + d + k(k + d) + 8) * eps * S, S the sum of the three terms'
+    magnitudes: the worst-case rounding bound for sums of nonnegative terms,
+    over both forms. Whenever the test's outcome lies within that bound of
+    flipping (always once the loss nears its rounding floor, and whenever the
+    loss may rise at tol = 0), both losses of the test are recomputed from
+    the residual X - WH, so the fit stops at the iteration the residual form
+    stops at and the factors are those of a residual-form loop bit for bit.
+    `loss_history` holds the losses the test used; `fit_loss` is the residual
+    form.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
@@ -110,19 +127,46 @@ def fit_nmf(X: np.ndarray, k: int, seed: int, max_iters: int = 500, tol: float =
     W = rng.uniform(0.01, 1.01, size=(n, k))
     H = rng.uniform(0.01, 1.01, size=(k, d))
 
-    def loss():
+    def residual_loss(W, H):
         diff = X - W @ H
         return float(np.einsum("ij,ij->", diff, diff))
 
-    history = [loss()]
+    xx = float(np.einsum("ij,ij->", X, X))
+    slack = (2 * n * d + n + d + k * (k + d) + 8) * np.finfo(float).eps
+    history = [residual_loss(W, H)]
+    prev_err = 0.0  # bound on history[-1]'s gap to the residual form
+    HHt = H @ H.T
     iters = 0
     for _ in range(max_iters):
-        W *= (X @ H.T) / (W @ (H @ H.T) + MU_EPS)
-        H *= (W.T @ X) / ((W.T @ W) @ H + MU_EPS)
+        W_prev, H_prev = W, H
+        # W * (X H^T / (W HH^T + eps)) built in the numerator's buffer, and
+        # H likewise: IEEE products commute, so the bits do not change
+        den = W @ HHt
+        den += MU_EPS
+        W = X @ H.T
+        W /= den
+        W *= W_prev
+        WtX, WtW = W.T @ X, W.T @ W
+        den = WtW @ H
+        den += MU_EPS
+        H = WtX / den
+        H *= H_prev
+        HHt = H @ H.T
         iters += 1
-        history.append(loss())
-        prev, cur = history[-2], history[-1]
-        if prev > 0 and (prev - cur) / prev < tol:
+        cross, quad = float(np.vdot(WtX, H)), float(np.vdot(WtW, HHt))
+        prev, cur = history[-1], xx - 2.0 * cross + quad
+        cur_err = slack * (xx + 2.0 * cross + quad)
+        margin = 2.0 * (1.0 + abs(tol)) * (prev_err + cur_err)
+        if prev > prev_err and abs((prev - cur) - tol * prev) > margin:
+            stop = (prev - cur) / prev < tol
+        else:
+            if prev_err:
+                prev = history[-1] = residual_loss(W_prev, H_prev)
+            cur, cur_err = residual_loss(W, H), 0.0
+            stop = prev > 0 and (prev - cur) / prev < tol
+        history.append(cur)
+        prev_err = cur_err
+        if stop:
             break
 
     scale = H.sum(axis=1)
@@ -140,7 +184,7 @@ def fit_nmf(X: np.ndarray, k: int, seed: int, max_iters: int = 500, tol: float =
         W=W,
         H=H,
         k=k,
-        fit_loss=loss(),
+        fit_loss=residual_loss(W, H),
         seed=seed,
         iters_run=iters,
         loss_history=tuple(history),
@@ -226,12 +270,14 @@ def nnls_project_rows(X: np.ndarray, H: np.ndarray) -> np.ndarray:
 
 def _solve_groups(X, H, W, passive, rows) -> None:
     """W[rows] = least-squares w on each row's passive set, zero off it; one
-    lstsq per distinct passive set."""
-    sets, group = np.unique(passive[rows], axis=0, return_inverse=True)
-    group = group.reshape(-1)
-    order = np.argsort(group, kind="stable")
-    bounds = np.cumsum(np.bincount(group, minlength=len(sets)))[:-1]
-    for P, members in zip(sets, np.split(rows[order], bounds)):
+    lstsq per distinct passive set. Rows are grouped by their passive set
+    packed into bytes, and each group keeps its rows in row order."""
+    packed = np.packbits(passive[rows], axis=1)
+    order = np.argsort(packed.view(np.dtype((np.void, packed.shape[1]))).ravel(), kind="stable")
+    packed = packed[order]
+    bounds = np.flatnonzero((packed[1:] != packed[:-1]).any(axis=1)) + 1
+    for members in np.split(rows[order], bounds):
+        P = passive[members[0]]
         W[members] = 0.0
         if P.any():
             z = np.linalg.lstsq(H[P].T, X[members].T, rcond=None)[0]

@@ -14,7 +14,7 @@ is accepted only if the whole penalized objective strictly decreases.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -53,6 +53,10 @@ class InterventionProblem:
     The surrogate rides along for trajectory logging (mean predicted gain per
     accepted iteration) and for the outcome-only alignment variant.
     beta_couple=None selects a data-scaled coupling weight.
+
+    target_projection is nnls_project_rows(X_B, H), the raw codes of the
+    target rows X_B on the frozen basis, projected once here and read-only:
+    the solver starts from it and every pre-intervention score reads it.
     """
 
     dataset: SurveyDataset
@@ -67,6 +71,7 @@ class InterventionProblem:
     tol_obj: float = 1e-5
     alignment: str = ALIGNMENT_OT
     tau_delta: float = DEFAULT_TAU_DELTA
+    target_projection: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.sparsity_weight < 0:
@@ -79,6 +84,8 @@ class InterventionProblem:
             raise ValueError("max_outer must be >= 1")
         if self.alignment not in (ALIGNMENT_OT, ALIGNMENT_MEAN_MARGIN, ALIGNMENT_CENTROID):
             raise ValueError(f"unknown alignment kind {self.alignment!r}")
+        self.target_projection = nnls_project_rows(self.dataset.X[self.groups.i_target], self.latent.H)
+        self.target_projection.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -187,9 +194,9 @@ def prox_weighted_l21(block: np.ndarray, rho: np.ndarray, t_lambda: float) -> np
         raise ValueError("one rho per column required")
     if t_lambda == 0:
         return block.copy()
-    norms = np.linalg.norm(block, axis=0)
-    tiny = (norms == 0) & np.any(block != 0, axis=0)
-    if np.any(tiny):
+    norms = _column_norms(block)
+    tiny = (norms == 0) & (block != 0).any(axis=0)
+    if tiny.any():
         scale = np.max(np.abs(block[:, tiny]), axis=0)
         norms[tiny] = scale * np.linalg.norm(block[:, tiny] / scale, axis=0)
     # only columns that survive get a factor, so t_lambda * rho / norm < 1
@@ -227,7 +234,13 @@ def coupling_grad_levers(R: np.ndarray, levers: np.ndarray) -> np.ndarray:
 
 def lever_penalty(D: np.ndarray, rho: np.ndarray) -> float:
     """Weighted l2,1 norm of the lever block: sum_j rho_j ||D_:j||."""
-    return float(np.sum(rho * np.linalg.norm(D, axis=0)))
+    return float(np.add.reduce(rho * _column_norms(D)))
+
+
+def _column_norms(A: np.ndarray) -> np.ndarray:
+    """Euclidean column norms, computed as np.linalg.norm(A, axis=0) computes
+    them for a real matrix, without its dispatch."""
+    return np.sqrt(np.add.reduce(A * A, 0))
 
 
 def _tilde(U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -236,14 +249,13 @@ def _tilde(U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return U / s[:, None], s
 
 
-def _chain_through_normalization(g_tilde: np.ndarray, U: np.ndarray) -> np.ndarray:
+def _chain_through_normalization(g_tilde: np.ndarray, u_t: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Pull a gradient w.r.t. the normalized codes back to the raw codes.
 
-    With u~ = U_p / (||U_p||_1 + floor), the Jacobian contracts to
-    (g - (g . u~) 1) / s per row.
+    With u~ = U_p / s_p, s_p = ||U_p||_1 + floor (the pair `_tilde` returns),
+    the Jacobian contracts to (g - (g . u~) 1) / s per row.
     """
-    u_t, s = _tilde(U)
-    radial = np.sum(g_tilde * u_t, axis=1, keepdims=True)
+    radial = np.add.reduce(g_tilde * u_t, 1, keepdims=True)
     return (g_tilde - radial) / s[:, None]
 
 
@@ -255,12 +267,12 @@ def ot_grad_wrt_U(U: np.ndarray, W_tilde_ref: np.ndarray, gamma: np.ndarray) -> 
     chains through the row normalization of U.
     """
     U = np.asarray(U, dtype=float)
-    u_t, _ = _tilde(U)
+    u_t, s = _tilde(U)
     if gamma.shape != (U.shape[0], W_tilde_ref.shape[0]):
         raise ValueError("plan shape does not match the supports")
     row_mass = gamma.sum(axis=1)
     g_tilde = 2.0 * (row_mass[:, None] * u_t - gamma @ W_tilde_ref)
-    return _chain_through_normalization(g_tilde, U)
+    return _chain_through_normalization(g_tilde, u_t, s)
 
 
 class _OTAlignment:
@@ -297,7 +309,7 @@ class _MeanMarginAlignment:
     def grad_u(self, U: np.ndarray, plan: None) -> np.ndarray:
         n_b = U.shape[0]
         g_tilde = np.tile(-self.beta / n_b, (n_b, 1))
-        return _chain_through_normalization(g_tilde, U)
+        return _chain_through_normalization(g_tilde, *_tilde(U))
 
 
 class _CentroidAlignment:
@@ -312,11 +324,11 @@ class _CentroidAlignment:
         return float(diff @ diff), None
 
     def grad_u(self, U: np.ndarray, plan: None) -> np.ndarray:
-        u_t, _ = _tilde(U)
+        u_t, s = _tilde(U)
         n_b = U.shape[0]
         diff = u_t.mean(axis=0) - self.centroid_ref
         g_tilde = np.tile(2.0 * diff / n_b, (n_b, 1))
-        return _chain_through_normalization(g_tilde, U)
+        return _chain_through_normalization(g_tilde, u_t, s)
 
 
 def _make_alignment(problem: InterventionProblem, w_ref: np.ndarray):
@@ -379,7 +391,7 @@ def optimize(problem: InterventionProblem) -> InterventionResult:
     n_b = i_b.size
 
     w_ref = normalize_rows(latent.W)[groups.i_reference]
-    U = nnls_project_rows(X_B, H)
+    U = problem.target_projection
     D = np.zeros((n_b, levers.size))
     rho_lev = problem.priorities.rho_for(levers)
     beta = resolve_beta(problem, U)
@@ -433,12 +445,16 @@ def optimize(problem: InterventionProblem) -> InterventionResult:
         part_d = beta * coup_c + lam * spars
         D_c, spars_c = D, spars
         d_first = False
+        gap_c = None  # X_B - U_c H, formed at the first trial that moves D
         for trial in range(MAX_HALVINGS + 1):
             n_delta_trials += 1
-            D_try = np.clip(prox_weighted_l21(D - t_d * g_d, rho_lev, t_d * lam), lo, hi)
-            if np.array_equal(D_try, D):
+            D_try = np.minimum(np.maximum(prox_weighted_l21(D - t_d * g_d, rho_lev, t_d * lam), lo), hi)
+            if (D_try == D).all():
                 break  # a shorter step leaves D in place too
-            R_try = coupling_residual(U_c, D_try, X_B, H, levers)
+            if gap_c is None:
+                gap_c = X_B - U_c @ H
+            R_try = gap_c.copy()
+            R_try[:, levers] += D_try
             coup_try = coupling_value(R_try)
             spars_try = lever_penalty(D_try, rho_lev)
             if beta * coup_try + lam * spars_try < part_d:

@@ -19,13 +19,10 @@ MAX_GD_ITERS = 5000
 
 
 def _sigmoid(m: np.ndarray) -> np.ndarray:
-    """Logistic function, split on the sign of m so exp never overflows."""
-    out = np.empty_like(m)
-    pos = m >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-m[pos]))
-    e = np.exp(m[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    """Logistic function from e = exp(-|m|), so exp never overflows:
+    1 / (1 + e) for m >= 0 and e / (1 + e) below."""
+    e = np.exp(-np.abs(m))
+    return np.where(m >= 0, 1.0, e) / (1.0 + e)
 
 
 @dataclass

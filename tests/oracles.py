@@ -5,6 +5,12 @@ exhaustive enumeration for NNLS, projected gradient on the primal for
 entropic transport, permutation averaging for Shapley values, bounded scalar
 minimization for the group prox, central finite differences for
 gradients, and a row-at-a-time loop for schema validation.
+
+Three more are the plain forms of hot loops that the package runs in a leaner
+form with the same floating-point operations: the two-branch sigmoid, the
+scaling-domain Sinkhorn loop that allocates its vectors every iteration, and
+the NMF loop that takes its stop-test loss from the residual X - WH. The
+package must match them bit for bit.
 """
 
 import itertools
@@ -13,6 +19,8 @@ import math
 import numpy as np
 from scipy.optimize import minimize_scalar
 
+from latent_align import transport
+from latent_align.factorization import MU_EPS
 from latent_align.schema import BLOCK_SUM_TOL, BOUND_TOL, INTEGRALITY_TOL, FeatureKind, Violation
 
 
@@ -185,3 +193,90 @@ def validate_row_loop(x, schema, mode):
                     Violation(block_id, f"one-hot block {x[idx].tolist()} is not a single-1 assignment")
                 )
     return violations
+
+
+def sigmoid_two_branch(m):
+    """Logistic function split on the sign of m by boolean indexing."""
+    out = np.empty_like(m)
+    pos = m >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-m[pos]))
+    e = np.exp(m[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
+def sinkhorn_allocating(problem, max_iters=transport.DEFAULT_MAX_ITERS, tol=transport.DEFAULT_TOL):
+    """`transport.sinkhorn` with a scaling-domain loop that allocates every
+    vector afresh each iteration; the log domain is the package's."""
+    lo, hi = float(problem.cost.min()), float(problem.cost.max())
+    if (hi - lo) / problem.eta <= transport.SCALING_MAX_RANGE:
+        plan = _scaling_allocating(problem, lo, max_iters, tol)
+        if plan is not None:
+            return plan
+    return transport._log_sinkhorn(problem, max_iters, tol)
+
+
+def _scaling_allocating(problem, shift, max_iters, tol):
+    M, a, b, eta = problem.cost, problem.source_weights, problem.target_weights, problem.eta
+    K = np.exp((shift - M) / eta)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        Ktu = K.sum(axis=0)
+        for iters in range(1, max_iters + 1):
+            v = b / Ktu
+            u = a / (K @ v)
+            Ktu = K.T @ u
+            col = v * Ktu
+            err = float(np.max(np.abs(col - b)))
+            if not math.isfinite(err):
+                return None
+            if err < tol:
+                break
+    if err >= tol:
+        raise transport.ConvergenceError(iters, err, tol)
+    gamma = u[:, None] * K * v[None, :]
+    transport_cost = float(np.einsum("pq,pq->", gamma, M))
+    mass = float(col.sum())
+    entropy_term = (
+        float(a @ np.log(u) + col @ np.log(v)) + (shift * mass - transport_cost) / eta - mass
+    )
+    return transport.TransportPlan(
+        gamma=gamma,
+        transport_cost=transport_cost,
+        entropic_value=transport_cost + eta * entropy_term,
+        iters=iters,
+        marginal_err=err,
+    )
+
+
+def nmf_residual_loss(X, k, seed, max_iters, tol):
+    """`factorization.fit_nmf`'s updates with the stop-test loss taken from
+    the residual on every iteration. Returns (W, H, iters) after the same
+    unit-l1 rescaling of H."""
+    X = np.asarray(X, dtype=float)
+    n, d = X.shape
+    rng = np.random.default_rng(seed)
+    W = rng.uniform(0.01, 1.01, size=(n, k))
+    H = rng.uniform(0.01, 1.01, size=(k, d))
+
+    def loss():
+        diff = X - W @ H
+        return float(np.einsum("ij,ij->", diff, diff))
+
+    history = [loss()]
+    iters = 0
+    for _ in range(max_iters):
+        W *= (X @ H.T) / (W @ (H @ H.T) + MU_EPS)
+        H *= (W.T @ X) / ((W.T @ W) @ H + MU_EPS)
+        iters += 1
+        history.append(loss())
+        prev, cur = history[-2], history[-1]
+        if prev > 0 and (prev - cur) / prev < tol:
+            break
+    scale = H.sum(axis=1)
+    dead = scale < 1e-15
+    scale_safe = np.where(dead, 1.0, scale)
+    H = H / scale_safe[:, None]
+    W = W * scale_safe[None, :]
+    H[dead, :] = 1.0 / d
+    W[:, dead] = 0.0
+    return W, H, iters

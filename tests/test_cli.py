@@ -150,6 +150,18 @@ class TestRun:
         assert main(["run", "--config", str(cfg), "--out", str(out2)]) == 0
         assert _tree_bytes(out1) == _tree_bytes(out2)
 
+    @pytest.mark.parametrize("value", ["abc", "0", "-3", "1.5", ""])
+    def test_bad_thread_count_is_a_config_error(self, tmp_path, capsys, monkeypatch, value):
+        cfg = _write_config(tmp_path)
+        monkeypatch.setenv("LATENT_ALIGN_THREADS", value)
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        doc = json.loads(err)
+        assert doc["error"] == "ConfigError" and "LATENT_ALIGN_THREADS" in doc["message"]
+        assert not out.exists()
+
 
 class TestSweep:
     def test_k_sweep_completes_including_weak_cells(self, tmp_path):
@@ -161,6 +173,16 @@ class TestSweep:
         rows = (out / "sweep_k.csv").read_text().strip().splitlines()
         assert len(rows) == 3
         assert all("ok" in r for r in rows[1:])
+
+    def test_bad_thread_count_fails_before_output(self, tmp_path, capsys, monkeypatch):
+        cfg = _write_config(tmp_path)
+        monkeypatch.setenv("LATENT_ALIGN_THREADS", "0")
+        out = tmp_path / "o"
+        assert main(
+            ["sweep", "--config", str(cfg), "--out", str(out), "--param", "k", "--values", "3"]
+        ) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+        assert not out.exists()
 
     def test_empty_values_usage_error(self, tmp_path, capsys):
         cfg = _write_config(tmp_path)

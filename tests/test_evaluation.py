@@ -12,7 +12,7 @@ from latent_align.evaluation import (
     evaluate_intervention,
     group_movement_report,
 )
-from latent_align.factorization import nnls_project
+from latent_align.factorization import nnls_project, nnls_project_rows
 from latent_align.grouping import GroupAssignment
 from latent_align.pipeline import ExperimentConfig, run_pipeline
 from latent_align.surrogate import SurrogateModel
@@ -118,6 +118,7 @@ def _evaluate(pre, ref, post, eta):
         surrogate=SurrogateModel(beta=np.ones(k), bias=0.0),
         eta=eta,
         tau_delta=1e-6,
+        target_projection=nnls_project_rows(pre, np.eye(k)),
     )
     delta = np.zeros_like(W)
     delta[groups.i_target] = post - pre

@@ -18,7 +18,7 @@ from latent_align.factorization import (
     normalize_rows,
 )
 
-from oracles import nnls_enumerate
+from oracles import nmf_residual_loss, nnls_enumerate
 
 
 def _rand_nonneg(rng, n, d):
@@ -88,6 +88,42 @@ class TestFitNMF:
         model = fit_nmf(_rand_nonneg(rng, 10, 5), k=2, seed=0, max_iters=20)
         with pytest.raises(ValueError):
             model.H[0, 0] = 1.0
+
+
+def _nmf_input(seed, n, d, k, exact):
+    rng = np.random.default_rng(seed)
+    if exact:
+        return rng.uniform(0.1, 2.0, size=(n, k)) @ rng.uniform(0.1, 2.0, size=(k, d))
+    return rng.uniform(0.0, 2.0, size=(n, d))
+
+
+# (seed, n, d, k, exact product). On the exact products the loss falls to
+# its rounding floor, where the Gram-form loss alone stops the fit hundreds
+# of iterations early or late at every tol; on the first random input it
+# does so at tol = 0.
+NMF_ORACLE_INPUTS = [
+    (17, 30, 10, 2, True),
+    (1, 12, 6, 3, True),
+    (8, 6, 9, 3, True),
+    (0, 20, 8, 2, False),
+    (2, 25, 8, 3, False),
+]
+
+
+class TestFitNMFMatchesResidualLoop:
+    """fit_nmf reads its stop-test loss from the Gram products; it must stop
+    where the residual-loss loop stops, with the same factors bit for bit."""
+
+    @pytest.mark.parametrize("tol", [0.0, 1e-9, 1e-6])
+    @pytest.mark.parametrize("seed, n, d, k, exact", NMF_ORACLE_INPUTS)
+    def test_same_stop_and_factors(self, seed, n, d, k, exact, tol):
+        X = _nmf_input(seed, n, d, k, exact)
+        W, H, iters = nmf_residual_loss(X, k, seed, 3000, tol)
+        model = fit_nmf(X, k=k, seed=seed, max_iters=3000, tol=tol)
+        assert model.iters_run == iters
+        assert np.array_equal(model.W, W) and np.array_equal(model.H, H)
+        diff = X - W @ H
+        assert model.fit_loss == float(np.einsum("ij,ij->", diff, diff))
 
 
 class TestNNLSProject:

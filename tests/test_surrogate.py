@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from latent_align.surrogate import (
     PriorityWeights,
     SurrogateModel,
+    _sigmoid,
     aggregate_relevance,
     binarize_outcome,
     feature_priorities,
@@ -16,7 +17,7 @@ from latent_align.surrogate import (
     shapley_latent,
 )
 
-from oracles import central_difference, shapley_permutations
+from oracles import central_difference, shapley_permutations, sigmoid_two_branch
 
 
 class TestBinarize:
@@ -189,3 +190,19 @@ def test_scaling_varphi_keeps_selection_and_ranking(scale):
     omega1, _ = feature_priorities(base_sel, varphi, H, np.arange(3), 1e-6)
     omega2, _ = feature_priorities(scaled_sel, scale * varphi, H, np.arange(3), 1e-6)
     assert np.argsort(omega1).tolist() == np.argsort(omega2).tolist()
+
+
+def _assert_same_floats(a, b):
+    """Equal values, NaN where NaN, and the same sign on every zero."""
+    assert np.array_equal(a, b, equal_nan=True)
+    assert np.array_equal(np.signbit(a[~np.isnan(a)]), np.signbit(b[~np.isnan(b)]))
+
+
+SIGMOID_EDGES = [0.0, -0.0, 800.0, -800.0, np.inf, -np.inf, 36.7, -36.7, 745.2, -745.2, 5e-324, -5e-324]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=1, max_size=40))
+def test_sigmoid_is_the_two_branch_form_bit_for_bit(values):
+    m = np.array(values + SIGMOID_EDGES)
+    _assert_same_floats(_sigmoid(m), sigmoid_two_branch(m))

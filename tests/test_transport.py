@@ -17,7 +17,7 @@ from latent_align.transport import (
     sinkhorn,
 )
 
-from oracles import entropic_ot_pg
+from oracles import entropic_ot_pg, sinkhorn_allocating
 
 
 def _separated_corners():
@@ -228,6 +228,65 @@ class TestSinkhorn:
         g = plan.gamma
         ent = np.sum(g[g > 0] * (np.log(g[g > 0]) - 1.0))
         assert abs(plan.entropic_value - (plan.transport_cost + 0.5 * ent)) < 1e-12
+
+
+class TestLeanScalingLoop:
+    """The scaling loop writes into vectors allocated once per solve; it must
+    give the plan of the loop that allocates them every iteration, bit for
+    bit, and fall back to the log domain at the same point."""
+
+    @staticmethod
+    def _assert_same_plan(plan, ref):
+        assert np.array_equal(plan.gamma, ref.gamma)
+        assert plan.transport_cost == ref.transport_cost
+        assert plan.entropic_value == ref.entropic_value
+        assert plan.iters == ref.iters
+        assert plan.marginal_err == ref.marginal_err
+
+    # eta = 0.002 sends these supports to the log domain; the 167 x 167
+    # fixture-size plan is solved in the scaling domain only, since the log
+    # domain does not converge there at eta = 0.002
+    @pytest.mark.parametrize(
+        "shape, eta",
+        [(s, e) for s in [(1, 5, 3), (7, 3, 2), (40, 25, 4)] for e in (0.2, 0.05, 0.01, 0.002)]
+        + [((167, 167, 6), e) for e in (0.2, 0.05, 0.01)],
+    )
+    def test_random_supports_both_domains(self, shape, eta):
+        nb, na, k = shape
+        rng = np.random.default_rng(nb * 1000 + na)
+        problem = TransportProblem.from_supports(
+            rng.dirichlet(np.ones(k), size=nb), rng.dirichlet(np.ones(k), size=na), eta
+        )
+        self._assert_same_plan(sinkhorn(problem), sinkhorn_allocating(problem))
+
+    def test_both_domains_are_covered(self):
+        rng = np.random.default_rng(40025)
+        U, V = rng.dirichlet(np.ones(4), size=40), rng.dirichlet(np.ones(4), size=25)
+        ranges = [np.ptp(TransportProblem.from_supports(U, V, eta).cost) / eta for eta in (0.05, 0.002)]
+        assert ranges[0] <= transport.SCALING_MAX_RANGE < ranges[1]
+
+    def test_nonfinite_fallback(self, monkeypatch):
+        # a source atom far from every target: its kernel row underflows to 0
+        # once the routing bound is lifted, so the scaling goes non-finite
+        monkeypatch.setattr(transport, "SCALING_MAX_RANGE", math.inf)
+        rng = np.random.default_rng(3)
+        target = rng.dirichlet(np.ones(3), size=12) * 0.1 + np.array([0.0, 0.0, 0.9])
+        source = np.vstack([[1.0, 0.0, 0.0], rng.dirichlet(np.ones(3), size=9)])
+        problem = TransportProblem.from_supports(source, target, 0.002)
+        shift = float(problem.cost.min())
+        assert transport._scaling_sinkhorn(problem, shift, DEFAULT_MAX_ITERS, DEFAULT_TOL) is None
+        self._assert_same_plan(sinkhorn(problem), sinkhorn_allocating(problem))
+
+    def test_budget_exhaustion_reports_the_same_error(self):
+        rng = np.random.default_rng(5)
+        problem = TransportProblem.from_supports(
+            rng.dirichlet(np.ones(3), size=20), rng.dirichlet(np.ones(3), size=15), 0.01
+        )
+        with pytest.raises(ConvergenceError) as lean:
+            sinkhorn(problem, max_iters=3)
+        with pytest.raises(ConvergenceError) as ref:
+            sinkhorn_allocating(problem, max_iters=3)
+        assert (lean.value.iters, lean.value.marginal_err) == (ref.value.iters, ref.value.marginal_err)
 
 
 class TestFromSupports:
