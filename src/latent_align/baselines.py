@@ -76,7 +76,7 @@ def _uniform_result(problem: InterventionProblem, chosen: np.ndarray, step: floa
     D = delta[np.ix_(i_b, levers)]
 
     X_B = X[i_b]
-    # post projected in its own call, as evaluation scores it
+    # post projected in its own call, as evaluation scores it; the result keeps it
     u_pre = normalize_rows(problem.target_projection)
     U = nnls_project_rows(X_B + delta[i_b], latent.H)
     u_tilde = normalize_rows(U)
@@ -89,7 +89,10 @@ def _uniform_result(problem: InterventionProblem, chosen: np.ndarray, step: floa
     mean_post = float(np.mean(problem.surrogate.predict_proba(u_tilde)))
     objective = plan.transport_cost + problem.sparsity_weight * sparsity
     record = TrajectoryRecord(0, objective, plan.transport_cost, coupling, sparsity, mean_post - mean_pre)
-    return _assemble_result(problem, D, [record], STATUS_CONSTRUCTED, 1, 0.0)
+    result = _assemble_result(problem, D, [record], STATUS_CONSTRUCTED, 1, 0.0, n_sinkhorn_iters=plan.iters)
+    U.setflags(write=False)
+    result.post_projection = U
+    return result
 
 
 def run_baseline(spec: BaselineSpec, problem: InterventionProblem) -> InterventionResult:
@@ -106,7 +109,7 @@ def run_baseline(spec: BaselineSpec, problem: InterventionProblem) -> Interventi
         raise ValueError(f"k_levers={spec.k_levers} exceeds the {levers.size} eligible levers")
 
     if spec.kind == KIND_OUTCOME_ONLY:
-        return optimize(replace(problem, alignment=ALIGNMENT_MEAN_MARGIN))
+        return optimize(problem.with_knobs(alignment=ALIGNMENT_MEAN_MARGIN))
 
     omega = problem.priorities.omega_for(levers)
     if spec.kind == KIND_TOP_SINGLE:
@@ -133,9 +136,9 @@ def uniform_priorities(priorities: PriorityWeights) -> PriorityWeights:
 def run_ablation(which: str, problem: InterventionProblem) -> InterventionResult:
     """Run the full solver with one component removed."""
     if which == ABLATION_NO_SHAPLEY:
-        return optimize(replace(problem, priorities=uniform_priorities(problem.priorities)))
+        return optimize(problem.with_knobs(priorities=uniform_priorities(problem.priorities)))
     if which == ABLATION_NO_SPARSITY:
-        return optimize(replace(problem, sparsity_weight=0.0))
+        return optimize(problem.with_knobs(sparsity_weight=0.0))
     if which == ABLATION_NO_OT:
-        return optimize(replace(problem, alignment=ALIGNMENT_CENTROID))
+        return optimize(problem.with_knobs(alignment=ALIGNMENT_CENTROID))
     raise ValueError(f"unknown ablation {which!r}")

@@ -104,7 +104,7 @@ def _codes_rows(arts: PipelineArtifacts) -> list[dict]:
     metrics score; the other rows carry the model codes."""
     groups = arts.groups
     roles = {groups.reference: "reference", groups.target: "target"}
-    pre, post = target_codes(arts.problem, arts.result.delta)
+    pre, post = target_codes(arts.problem, arts.result)
     codes = arts.codes.copy()
     codes[groups.i_target] = pre
     entries = [(i, roles.get(int(groups.labels[i]), "other"), "pre", codes[i]) for i in range(arts.dataset.n)]

@@ -119,18 +119,20 @@ def effort_and_levers(
     return effort, n_lever
 
 
-def target_codes(problem: InterventionProblem, delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def target_codes(problem: InterventionProblem, result: InterventionResult) -> tuple[np.ndarray, np.ndarray]:
     """Normalized codes of the target rows before and after the intervention.
 
     X_B is the problem's own projection (`target_projection`); X_B + delta_B
-    is projected onto the frozen basis in a separate call: equal rows then
-    give bit-identical codes, so delta = 0 maps pre and post to the same
-    array.
+    is projected onto the frozen basis in a separate call, once per result,
+    and kept as `result.post_projection`. Equal rows give bit-identical
+    codes, so delta = 0 maps pre and post to the same array.
     """
-    i_b = problem.groups.i_target
-    pre = normalize_rows(problem.target_projection)
-    post = normalize_rows(nnls_project_rows(problem.dataset.X[i_b] + delta[i_b], problem.latent.H))
-    return pre, post
+    if result.post_projection is None:
+        i_b = problem.groups.i_target
+        post = nnls_project_rows(problem.dataset.X[i_b] + result.delta[i_b], problem.latent.H)
+        post.setflags(write=False)
+        result.post_projection = post
+    return normalize_rows(problem.target_projection), normalize_rows(result.post_projection)
 
 
 def group_movement_report(
@@ -186,7 +188,7 @@ def evaluate_intervention(problem: InterventionProblem, result: InterventionResu
     """
     groups, model = problem.groups, problem.surrogate
     ref = normalize_rows(problem.latent.W)[groups.i_reference]
-    pre, post = target_codes(problem, result.delta)
+    pre, post = target_codes(problem, result)
 
     conv = conversion_metrics(model, pre, post, model.tau_y)
     effort, n_lever = effort_and_levers(result.delta, problem.dataset.schema.s_ctrl, problem.tau_delta)

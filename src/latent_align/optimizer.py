@@ -14,7 +14,8 @@ is accepted only if the whole penalized objective strictly decreases.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+import copy
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -57,6 +58,7 @@ class InterventionProblem:
     target_projection is nnls_project_rows(X_B, H), the raw codes of the
     target rows X_B on the frozen basis, projected once here and read-only:
     the solver starts from it and every pre-intervention score reads it.
+    `with_knobs` copies a problem with other knobs and shares it.
     """
 
     dataset: SurveyDataset
@@ -74,6 +76,23 @@ class InterventionProblem:
     target_projection: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        self._check_knobs()
+        self.target_projection = nnls_project_rows(self.dataset.X[self.groups.i_target], self.latent.H)
+        self.target_projection.setflags(write=False)
+
+    def with_knobs(self, **changes) -> "InterventionProblem":
+        """A copy with solver knobs changed. The dataset, basis and groups
+        stay, so the copy shares target_projection instead of projecting X_B
+        again; use dataclasses.replace to change those."""
+        knobs = {f.name for f in fields(self) if f.init} - {"dataset", "latent", "groups"}
+        if not changes.keys() <= knobs:
+            raise ValueError(f"with_knobs changes only {sorted(knobs)}, got {sorted(changes.keys() - knobs)}")
+        new = copy.copy(self)
+        new.__dict__.update(changes)
+        new._check_knobs()
+        return new
+
+    def _check_knobs(self) -> None:
         if self.sparsity_weight < 0:
             raise ValueError("sparsity_weight must be >= 0")
         if self.beta_couple is not None and not self.beta_couple > 0:
@@ -84,8 +103,6 @@ class InterventionProblem:
             raise ValueError("max_outer must be >= 1")
         if self.alignment not in (ALIGNMENT_OT, ALIGNMENT_MEAN_MARGIN, ALIGNMENT_CENTROID):
             raise ValueError(f"unknown alignment kind {self.alignment!r}")
-        self.target_projection = nnls_project_rows(self.dataset.X[self.groups.i_target], self.latent.H)
-        self.target_projection.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -108,6 +125,14 @@ class LeverActivation:
 
 @dataclass
 class InterventionResult:
+    """The intervention a solve or a baseline produced, with its counters.
+
+    post_projection holds nnls_project_rows(X_B + delta_B, H), the raw codes
+    of the post rows on the frozen basis, once something has projected them:
+    a uniform baseline when it builds the result, otherwise the first
+    evaluation (`evaluation.target_codes`). Every later post score reads it.
+    """
+
     delta: np.ndarray
     trajectory: tuple[TrajectoryRecord, ...]
     active_levers: tuple[LeverActivation, ...]
@@ -120,6 +145,9 @@ class InterventionResult:
     n_outer: int
     n_u_trials: int
     n_delta_trials: int
+    # Sinkhorn iterations summed over the n_sinkhorn_calls solves
+    n_sinkhorn_iters: int
+    post_projection: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.delta.setflags(write=False)
@@ -146,6 +174,7 @@ class InterventionResult:
             "n_outer": self.n_outer,
             "n_u_trials": self.n_u_trials,
             "n_delta_trials": self.n_delta_trials,
+            "n_sinkhorn_iters": self.n_sinkhorn_iters,
         }
 
 
@@ -259,40 +288,46 @@ def _chain_through_normalization(g_tilde: np.ndarray, u_t: np.ndarray, s: np.nda
     return (g_tilde - radial) / s[:, None]
 
 
-def ot_grad_wrt_U(U: np.ndarray, W_tilde_ref: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+def ot_grad_wrt_U(U: np.ndarray, gamma_w: np.ndarray, row_mass) -> np.ndarray:
     """Gradient of the fixed-plan transport cost w.r.t. the raw codes.
 
-    The plan is held fixed (envelope-style update), so the entropy term is
-    constant and only sum_pq gamma_pq ||u~_p - w~_q||^2 varies; the gradient
-    chains through the row normalization of U.
+    The plan gamma is held fixed (envelope-style update), so the entropy term
+    is constant and only sum_pq gamma_pq ||u~_p - w~_q||^2 varies. Its
+    gradient in u~_p is 2 (r_p u~_p - (gamma W~_ref)_p), with r_p the plan's
+    row mass, so the plan enters only through gamma_w = gamma @ W~_ref and
+    row_mass: a float when the rows carry uniform mass, as the solver's do
+    (1 / n_b), or a column of row sums. The gradient chains through the row
+    normalization of U.
     """
     U = np.asarray(U, dtype=float)
+    if gamma_w.shape != U.shape:
+        raise ValueError("plan image shape does not match the codes")
     u_t, s = _tilde(U)
-    if gamma.shape != (U.shape[0], W_tilde_ref.shape[0]):
-        raise ValueError("plan shape does not match the supports")
-    row_mass = gamma.sum(axis=1)
-    g_tilde = 2.0 * (row_mass[:, None] * u_t - gamma @ W_tilde_ref)
+    g_tilde = 2.0 * (row_mass * u_t - gamma_w)
     return _chain_through_normalization(g_tilde, u_t, s)
 
 
 class _OTAlignment:
     """Transport alignment. refresh returns the term's value at the codes and
-    the plan it solved there; grad_u holds that plan fixed. The solver keeps
-    the plan of its current codes, so a rejected trial's plan is never used."""
+    the plan it solved there, held as gamma @ W~_ref (a kernel-first solve
+    forms neither the cost matrix nor gamma); grad_u holds that plan fixed.
+    The solver keeps the plan of its current codes, so a rejected trial's
+    plan is never used."""
 
     def __init__(self, w_ref: np.ndarray, eta: float):
         self.w_ref = w_ref
         self.eta = eta
         self.n_calls = 0
+        self.n_iters = 0
 
     def refresh(self, u_tilde: np.ndarray) -> tuple[float, np.ndarray]:
-        problem = transport.TransportProblem.from_supports(u_tilde, self.w_ref, self.eta)
-        sol = transport.sinkhorn(problem)
+        sol = transport.sinkhorn_supports(u_tilde, self.w_ref, self.eta)
         self.n_calls += 1
-        return sol.transport_cost, sol.gamma
+        self.n_iters += sol.iters
+        return sol.transport_cost, sol.gamma_target
 
     def grad_u(self, U: np.ndarray, plan: np.ndarray) -> np.ndarray:
-        return ot_grad_wrt_U(U, self.w_ref, plan)
+        return ot_grad_wrt_U(U, plan, 1.0 / U.shape[0])
 
 
 class _MeanMarginAlignment:
@@ -301,7 +336,7 @@ class _MeanMarginAlignment:
     def __init__(self, beta: np.ndarray, bias: float):
         self.beta = beta
         self.bias = bias
-        self.n_calls = 0
+        self.n_calls = self.n_iters = 0
 
     def refresh(self, u_tilde: np.ndarray) -> tuple[float, None]:
         return -float(np.mean(u_tilde @ self.beta + self.bias)), None
@@ -317,7 +352,7 @@ class _CentroidAlignment:
 
     def __init__(self, centroid_ref: np.ndarray):
         self.centroid_ref = centroid_ref
-        self.n_calls = 0
+        self.n_calls = self.n_iters = 0
 
     def refresh(self, u_tilde: np.ndarray) -> tuple[float, None]:
         diff = u_tilde.mean(axis=0) - self.centroid_ref
@@ -354,10 +389,13 @@ def optimize(problem: InterventionProblem) -> InterventionResult:
     size and its own backtracking test:
 
     - U step: a projected gradient step on alignment + beta * coupling with
-      the lever block D held fixed. Every trial refreshes the alignment term
-      (a Sinkhorn solve for the transport alignment); a rejected trial halves
-      the U step. If MAX_HALVINGS halvings bring no decrease, U stays, and so
-      does the transport plan solved at it.
+      the lever block D held fixed. Every trial refreshes the alignment term;
+      for the transport alignment that is one kernel-first Sinkhorn solve
+      (`transport.sinkhorn_supports`), which yields the transport cost and
+      the plan applied to the reference codes, gamma @ W~_ref, the only parts
+      of the plan the gradient reads, without forming the cost matrix or the
+      plan. A rejected trial halves the U step. If MAX_HALVINGS halvings
+      bring no decrease, U stays, and so does the plan solved at it.
     - D step: a proximal gradient step on beta * coupling + lambda * sparsity
       with U held fixed at its new value (coupling gradient, weighted group
       soft-threshold, feasibility clip). The alignment term does not depend
@@ -379,6 +417,10 @@ def optimize(problem: InterventionProblem) -> InterventionResult:
     discrepancies all report it, and on the acceptance fixture accepting on
     the entropic value converted the same respondents with the same levers
     but took 502 Sinkhorn solves against 397.
+
+    The result counts the transport solves (n_sinkhorn_calls: one at the
+    start, then one per U trial) and their Sinkhorn iterations summed
+    (n_sinkhorn_iters); both are 0 for the transport-free alignments.
     """
     dataset, latent, groups = problem.dataset, problem.latent, problem.groups
     schema = dataset.schema
@@ -487,7 +529,7 @@ def optimize(problem: InterventionProblem) -> InterventionResult:
             small_streak = 0
 
     return _assemble_result(
-        problem, D, trajectory, status, align.n_calls, beta, n_outer, n_u_trials, n_delta_trials
+        problem, D, trajectory, status, align.n_calls, beta, n_outer, n_u_trials, n_delta_trials, align.n_iters
     )
 
 
@@ -501,6 +543,7 @@ def _assemble_result(
     n_outer: int = 0,
     n_u_trials: int = 0,
     n_delta_trials: int = 0,
+    n_sinkhorn_iters: int = 0,
 ) -> InterventionResult:
     """Scatter the lever block into a full intervention, round it for
     reporting, re-validate every target row, rank the active levers and
@@ -540,6 +583,7 @@ def _assemble_result(
         n_outer=n_outer,
         n_u_trials=n_u_trials,
         n_delta_trials=n_delta_trials,
+        n_sinkhorn_iters=n_sinkhorn_iters,
     )
 
 

@@ -12,8 +12,22 @@ over the regularization, R = (max M - min M) / eta:
   the potentials are updated by logsumexp, which stays stable for small
   regularization where the scaling factors underflow.
 
+One scaling loop (`_scaling_loop`) serves two front-ends:
+
+- `sinkhorn(problem)` solves a TransportProblem with its cost matrix M and
+  returns the full plan gamma. Evaluation and the baselines use it.
+- `sinkhorn_supports(source, target, eta)` is the solver's kernel-first
+  solve between uniform weights on two supports. It builds -M / eta with one
+  GEMM on augmented supports, exponentiates it in place into the kernel, and
+  forms neither M nor gamma. It returns gamma @ target = u * (K (v * target))
+  and the transport cost from the supports identity
+  <gamma, M> = sum_p a_p |s_p|^2 + sum_q c_q |t_q|^2 - 2 sum_p s_p . (gamma @ target)_p,
+  where c holds the plan's column sums. When R exceeds SCALING_MAX_RANGE or
+  a scaling goes non-finite, it falls back to `sinkhorn` on the assembled
+  problem and takes gamma @ target from that plan.
+
 The reported discrepancy used by the rest of the package is the transport-cost
-part <Gamma, M>; the full entropic objective is carried alongside.
+part <Gamma, M>; `sinkhorn` carries the full entropic objective alongside.
 """
 
 from __future__ import annotations
@@ -144,6 +158,73 @@ def sinkhorn(
     return _log_sinkhorn(problem, max_iters, tol)
 
 
+@dataclass(frozen=True)
+class SupportsPlan:
+    """What a kernel-first solve keeps of the plan gamma between two
+    supports: gamma applied to the target support, and <gamma, M>."""
+
+    gamma_target: np.ndarray  # gamma @ target, one row per source atom
+    transport_cost: float
+    iters: int
+    marginal_err: float
+
+    def __post_init__(self):
+        self.gamma_target.setflags(write=False)
+
+
+def sinkhorn_supports(
+    source: np.ndarray,
+    target: np.ndarray,
+    eta: float,
+    max_iters: int = DEFAULT_MAX_ITERS,
+    tol: float = DEFAULT_TOL,
+) -> SupportsPlan:
+    """Entropic OT between uniform weights on the rows of two supports,
+    without forming the cost matrix M or the plan gamma (see the module
+    docstring for the kernel GEMM, the supports identity and the fallback).
+
+    The identity takes the plan's row sums as the source weights a, which
+    they equal up to rounding, since the row scaling is updated last. Raises
+    ConvergenceError when the budget runs out, as `sinkhorn` does.
+    """
+    source = np.asarray(source, dtype=float)
+    target = np.asarray(target, dtype=float)
+    if source.ndim != 2 or target.ndim != 2 or source.shape[1] != target.shape[1]:
+        raise ValueError(f"support dimensions disagree: {source.shape} vs {target.shape}")
+    if not eta > 0:
+        raise ValueError(f"eta must be positive, got {eta}")
+    if max_iters < 1:
+        raise ValueError(f"max_iters must be >= 1, got {max_iters}")
+    (nb, k), na = source.shape, target.shape[0]
+    s2 = np.einsum("pk,pk->p", source, source)
+    t2 = np.einsum("qk,qk->q", target, target)
+    # [2s/eta, -|s|^2/eta, -1] . [t, 1, |t|^2/eta] = (2 s.t - |s|^2 - |t|^2) / eta;
+    # the right factor is built transposed, so the GEMM reads both row-major
+    lhs = np.empty((nb, k + 2))
+    np.multiply(source, 2.0 / eta, out=lhs[:, :k])
+    np.divide(s2, -eta, out=lhs[:, k])
+    lhs[:, k + 1] = -1.0
+    rhs = np.empty((k + 2, na))
+    rhs[:k] = target.T
+    rhs[k] = 1.0
+    np.divide(t2, eta, out=rhs[k + 1])
+    K = lhs @ rhs
+    hi = float(K.max())
+    if hi - float(K.min()) <= SCALING_MAX_RANGE:
+        K -= hi
+        np.exp(K, out=K)
+        a, b = np.full(nb, 1.0 / nb), np.full(na, 1.0 / na)
+        scalings = _scaling_loop(K, a, b, max_iters, tol)
+        if scalings is not None:
+            u, v, col, iters, err = scalings
+            gamma_target = K @ (v[:, None] * target)
+            gamma_target *= u[:, None]
+            transport_cost = float(a @ s2 + col @ t2) - 2.0 * float(np.einsum("pk,pk->", source, gamma_target))
+            return SupportsPlan(gamma_target, transport_cost, iters, err)
+    plan = sinkhorn(TransportProblem.from_supports(source, target, eta), max_iters, tol)
+    return SupportsPlan(plan.gamma @ target, plan.transport_cost, plan.iters, plan.marginal_err)
+
+
 def _scaling_sinkhorn(
     problem: TransportProblem, shift: float, max_iters: int, tol: float
 ) -> TransportPlan | None:
@@ -153,24 +234,10 @@ def _scaling_sinkhorn(
     K = np.subtract(shift, M)
     K /= eta
     np.exp(K, out=K)
-    v, col, gap = np.empty_like(b), np.empty_like(b), np.empty_like(b)
-    u, Kv = np.empty_like(a), np.empty_like(a)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        Ktu = K.sum(axis=0)  # K^T u at u = 1
-        for iters in range(1, max_iters + 1):
-            np.divide(b, Ktu, out=v)
-            np.dot(K, v, out=Kv)
-            np.divide(a, Kv, out=u)
-            np.dot(u, K, out=Ktu)  # K^T u
-            np.multiply(v, Ktu, out=col)
-            np.subtract(col, b, out=gap)
-            err = float(np.maximum.reduce(np.abs(gap, out=gap)))
-            if not math.isfinite(err):
-                return None
-            if err < tol:
-                break
-    if err >= tol:
-        raise ConvergenceError(iters, err, tol)
+    scalings = _scaling_loop(K, a, b, max_iters, tol)
+    if scalings is None:
+        return None
+    u, v, col, iters, err = scalings
 
     gamma = K  # diag(u) K diag(v), built in place of the kernel
     gamma *= u[:, None]
@@ -189,6 +256,36 @@ def _scaling_sinkhorn(
         iters=iters,
         marginal_err=err,
     )
+
+
+def _scaling_loop(
+    K: np.ndarray, a: np.ndarray, b: np.ndarray, max_iters: int, tol: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, float] | None:
+    """The scaling iterations on a kernel K, shared by both front-ends.
+
+    Returns (u, v, col, iters, err), where col = v * (K^T u) holds the plan's
+    column sums at the last iteration; None when a scaling goes non-finite.
+    Raises ConvergenceError when the budget runs out first.
+    """
+    v, col, gap = np.empty_like(b), np.empty_like(b), np.empty_like(b)
+    u, Kv = np.empty_like(a), np.empty_like(a)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        Ktu = K.sum(axis=0)  # K^T u at u = 1
+        for iters in range(1, max_iters + 1):
+            np.divide(b, Ktu, out=v)
+            np.dot(K, v, out=Kv)
+            np.divide(a, Kv, out=u)
+            np.dot(u, K, out=Ktu)  # K^T u
+            np.multiply(v, Ktu, out=col)
+            np.subtract(col, b, out=gap)
+            err = float(np.maximum.reduce(np.abs(gap, out=gap)))
+            if not math.isfinite(err):
+                return None
+            if err < tol:
+                break
+    if err >= tol:
+        raise ConvergenceError(iters, err, tol)
+    return u, v, col, iters, err
 
 
 def _log_sinkhorn(problem: TransportProblem, max_iters: int, tol: float) -> TransportPlan:

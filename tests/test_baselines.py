@@ -14,7 +14,9 @@ from latent_align.baselines import (
     uniform_priorities,
 )
 from latent_align.evaluation import evaluate_intervention
+from latent_align.factorization import nnls_project_rows
 from latent_align.optimizer import project_feasible
+from latent_align.transport import TransportProblem, sinkhorn
 
 
 @pytest.fixture(scope="module")
@@ -58,6 +60,18 @@ class TestUniformBaselines:
         active = [a.feature for a in result.active_levers]
         assert active == [expected]
 
+    def test_result_keeps_its_post_projection_and_solve(self, fixture_arts, baseline_results):
+        # evaluation reads the projection the baseline made; the counters
+        # report the baseline's one transport solve
+        problem = fixture_arts.problem
+        i_b = problem.groups.i_target
+        w_ref = la.normalize_rows(problem.latent.W)[problem.groups.i_reference]
+        for result in baseline_results.values():
+            post = nnls_project_rows(problem.dataset.X[i_b] + result.delta[i_b], problem.latent.H)
+            assert np.array_equal(result.post_projection, post)
+            plan = sinkhorn(TransportProblem.from_supports(la.normalize_rows(post), w_ref, problem.eta))
+            assert (result.n_sinkhorn_calls, result.n_sinkhorn_iters) == (1, plan.iters)
+
     def test_feasible_after_projection(self, fixture_arts, baseline_results):
         for result in baseline_results.values():
             ds = fixture_arts.dataset
@@ -97,7 +111,7 @@ class TestOutcomeOnly:
     def test_no_sinkhorn_and_runs(self, fixture_arts):
         spec = BaselineSpec(kind="outcome_only_sparse", k_levers=5, step_magnitude=0.2)
         result = run_baseline(spec, fixture_arts.problem)
-        assert result.n_sinkhorn_calls == 0
+        assert result.n_sinkhorn_calls == result.n_sinkhorn_iters == 0
         objs = [t.objective for t in result.trajectory]
         assert all(b < a for a, b in zip(objs, objs[1:]))
 
@@ -111,7 +125,7 @@ class TestAblations:
 
     def test_no_ot_makes_no_sinkhorn_calls(self, fixture_arts):
         result = run_ablation(ABLATION_NO_OT, fixture_arts.problem)
-        assert result.n_sinkhorn_calls == 0
+        assert result.n_sinkhorn_calls == result.n_sinkhorn_iters == 0
 
     def test_no_sparsity_activates_at_least_full(self, fixture_arts):
         result = run_ablation(ABLATION_NO_SPARSITY, fixture_arts.problem)

@@ -219,6 +219,21 @@ class TestBaselinesCommand:
         sizes = {r.split(",")[n_target_col] for r in rows[1:]}
         assert len(sizes) == 1
 
+    def test_projects_the_target_rows_once_per_result(self, tmp_path, monkeypatch):
+        # X_B once for all eight rows, then X_B + delta_B once per result
+        from latent_align import baselines, evaluation, optimizer
+
+        calls = []
+        for mod in (optimizer, evaluation, baselines):
+            def counted(X, H, _project=mod.nnls_project_rows):
+                calls.append(X.shape)
+                return _project(X, H)
+
+            monkeypatch.setattr(mod, "nnls_project_rows", counted)
+        cfg = _write_config(tmp_path, max_outer=30)
+        assert main(["baselines", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        assert len(calls) == 1 + 8
+
 
 class TestArtifactFormat:
     """The file formats of the run outputs: RFC 4180 CSV with CRLF line ends,
@@ -270,7 +285,7 @@ class TestArtifactFormat:
         k = arts.latent.k
         read = {(r["respondent_id"], r["phase"]): [float(r[f"c{c}"]) for c in range(k)] for r in rows}
         ids = arts.dataset.respondent_ids
-        pre, post = target_codes(arts.problem, arts.result.delta)
+        pre, post = target_codes(arts.problem, arts.result)
         codes = arts.codes.copy()
         codes[arts.groups.i_target] = pre
         assert np.array_equal([read[(ids[i], "pre")] for i in range(arts.dataset.n)], codes)

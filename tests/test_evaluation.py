@@ -122,7 +122,7 @@ def _evaluate(pre, ref, post, eta):
     )
     delta = np.zeros_like(W)
     delta[groups.i_target] = post - pre
-    result = SimpleNamespace(delta=delta)
+    result = SimpleNamespace(delta=delta, post_projection=None)
     return evaluate_intervention(problem, result)
 
 

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import latent_align as la
-from latent_align import optimizer as opt_mod
+from latent_align import optimizer as opt_mod, transport
 from latent_align.factorization import LatentModel, nnls_project_rows
 from latent_align.grouping import GroupAssignment
 from latent_align.optimizer import (
@@ -189,7 +189,8 @@ class TestOTGrad:
             W_ref = rng.dirichlet(np.ones(3), size=5)
             problem = TransportProblem.from_supports(U / U.sum(axis=1, keepdims=True), W_ref, 0.3)
             gamma = sinkhorn(problem).gamma
-            grad = ot_grad_wrt_U(U, W_ref, gamma)
+            # the uniform row mass the solver passes
+            grad = ot_grad_wrt_U(U, gamma @ W_ref, 1.0 / U.shape[0])
             fd = central_difference(lambda V: self._fixed_plan_cost(V, W_ref, gamma), U)
             assert np.max(np.abs(grad - fd)) / max(1.0, np.max(np.abs(fd))) < 1e-5
 
@@ -197,7 +198,7 @@ class TestOTGrad:
         W_ref = np.array([[0.2, 0.3, 0.5]])
         U = np.vstack([W_ref[0] * 3.0, W_ref[0] * 0.7])
         gamma = np.full((2, 1), 0.5)
-        grad = ot_grad_wrt_U(U, W_ref, gamma)
+        grad = ot_grad_wrt_U(U, gamma @ W_ref, 0.5)
         assert np.max(np.abs(grad)) < 1e-8
 
     def test_radial_direction_has_no_effect(self):
@@ -205,7 +206,7 @@ class TestOTGrad:
         U = rng.uniform(0.5, 2.0, size=(3, 4))
         W_ref = rng.dirichlet(np.ones(4), size=4)
         gamma = np.full((3, 4), 1.0 / 12)
-        grad = ot_grad_wrt_U(U, W_ref, gamma)
+        grad = ot_grad_wrt_U(U, gamma @ W_ref, 1.0 / 3)
         radial = np.abs(np.sum(grad * U, axis=1))
         assert np.max(radial) < 1e-8
 
@@ -373,6 +374,24 @@ class TestOptimize:
         assert result.trajectory[-1].alignment <= result.trajectory[0].alignment
 
 
+class TestWithKnobs:
+    def test_shares_the_target_projection(self, fixture_arts):
+        problem = fixture_arts.problem
+        copy = problem.with_knobs(sparsity_weight=0.0, alignment="centroid")
+        assert copy.target_projection is problem.target_projection
+        assert (copy.sparsity_weight, copy.alignment) == (0.0, "centroid")
+        assert (problem.sparsity_weight, problem.alignment) == (3e-5, "ot")
+
+    @pytest.mark.parametrize("change", [{"groups": None}, {"dataset": None}, {"target_projection": None}, {"bogus": 1}])
+    def test_rejects_what_the_projection_depends_on(self, fixture_arts, change):
+        with pytest.raises(ValueError, match="with_knobs"):
+            fixture_arts.problem.with_knobs(**change)
+
+    def test_checks_the_new_knobs(self, fixture_arts):
+        with pytest.raises(ValueError, match="sparsity_weight"):
+            fixture_arts.problem.with_knobs(sparsity_weight=-1.0)
+
+
 class TestStepRule:
     """Each block keeps its own step and backtracks on its own part of J."""
 
@@ -383,12 +402,36 @@ class TestStepRule:
         assert result.n_outer >= len(result.trajectory) - 1
         assert result.n_u_trials >= result.n_outer
         assert result.n_delta_trials >= result.n_outer
+        # every solve runs at least one Sinkhorn iteration
+        assert result.n_sinkhorn_iters >= result.n_sinkhorn_calls
         doc = result.to_dict()
-        assert (doc["n_outer"], doc["n_u_trials"], doc["n_delta_trials"]) == (
+        assert (doc["n_outer"], doc["n_u_trials"], doc["n_delta_trials"], doc["n_sinkhorn_iters"]) == (
             result.n_outer,
             result.n_u_trials,
             result.n_delta_trials,
+            result.n_sinkhorn_iters,
         )
+
+    def test_solves_kernel_first_at_the_default_eta(self, fixture_arts, monkeypatch):
+        # the solver forms neither the cost matrix nor a plan; its iteration
+        # counter sums the iterations of the solves it made
+        def forbidden(*args, **kwargs):
+            raise AssertionError("optimize formed a cost matrix or a full plan")
+
+        solve, iters = transport.sinkhorn_supports, []
+
+        def recording_solve(*args, **kwargs):
+            sol = solve(*args, **kwargs)
+            iters.append(sol.iters)
+            return sol
+
+        monkeypatch.setattr(transport, "cost_matrix", forbidden)
+        monkeypatch.setattr(transport, "sinkhorn", forbidden)
+        monkeypatch.setattr(transport, "sinkhorn_supports", recording_solve)
+        problem = fixture_arts.problem.with_knobs(max_outer=20)
+        assert problem.eta == transport.DEFAULT_ETA
+        result = optimize(problem)
+        assert len(iters) == result.n_sinkhorn_calls and sum(iters) == result.n_sinkhorn_iters
 
     def test_unmoved_delta_never_halves(self, fixture_arts, monkeypatch):
         # a lambda this large keeps D = 0; its prox-and-clip trial leaves D
@@ -412,19 +455,20 @@ class TestStepRule:
         monkeypatch.setattr(opt_mod, "MAX_HALVINGS", 0)
         calls = []
 
-        def recording_grad(U, W_tilde_ref, gamma):
-            grad = ot_grad_wrt_U(U, W_tilde_ref, gamma)
-            calls.append((U.copy(), W_tilde_ref, grad))
+        def recording_grad(U, gamma_w, row_mass):
+            grad = ot_grad_wrt_U(U, gamma_w, row_mass)
+            calls.append((U.copy(), row_mass, grad))
             return grad
 
         monkeypatch.setattr(opt_mod, "ot_grad_wrt_U", recording_grad)
         problem = _random_problem(3, 1e-3)
+        w_ref = la.normalize_rows(problem.latent.W)[problem.groups.i_reference]
         optimize(problem)
         kept = [b for a, b in zip(calls, calls[1:]) if np.array_equal(a[0], b[0])]
         assert kept
-        for U, W_tilde_ref, grad in calls:
-            fresh = sinkhorn(TransportProblem.from_supports(_tilde(U)[0], W_tilde_ref, problem.eta)).gamma
-            assert np.array_equal(grad, ot_grad_wrt_U(U, W_tilde_ref, fresh))
+        for U, row_mass, grad in calls:
+            fresh = transport.sinkhorn_supports(_tilde(U)[0], w_ref, problem.eta).gamma_target
+            assert np.array_equal(grad, ot_grad_wrt_U(U, fresh, row_mass))
 
 
 @settings(max_examples=25, deadline=None)

@@ -15,6 +15,7 @@ from latent_align.transport import (
     TransportProblem,
     cost_matrix,
     sinkhorn,
+    sinkhorn_supports,
 )
 
 from oracles import entropic_ot_pg, sinkhorn_allocating
@@ -287,6 +288,115 @@ class TestLeanScalingLoop:
         with pytest.raises(ConvergenceError) as ref:
             sinkhorn_allocating(problem, max_iters=3)
         assert (lean.value.iters, lean.value.marginal_err) == (ref.value.iters, ref.value.marginal_err)
+
+
+def _simplex_rows(n, k):
+    return arrays(np.float64, (n, k), elements=st.floats(0.01, 1.0)).map(
+        lambda A: A / A.sum(axis=1, keepdims=True)
+    )
+
+
+class TestKernelFirst:
+    """sinkhorn_supports solves the problem sinkhorn solves on
+    TransportProblem.from_supports, without forming M or gamma."""
+
+    @staticmethod
+    def _assert_same_solve(sol, plan, target):
+        assert sol.iters == plan.iters
+        # the supports identity cancels terms of size sum a|s|^2 + sum b|t|^2
+        # (at most 2 on the simplex), so a cost near 0 is held to that scale
+        assert abs(sol.transport_cost - plan.transport_cost) <= 1e-12 * max(plan.transport_cost, 1.0)
+        np.testing.assert_allclose(sol.gamma_target, plan.gamma @ target, rtol=0, atol=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        data=st.data(),
+        k=st.integers(1, 6),
+        nb=st.integers(1, 30),
+        na=st.integers(1, 30),
+        eta=st.sampled_from([0.2, 0.05, 0.01, 0.002]),
+    )
+    def test_agrees_with_sinkhorn_on_random_supports(self, data, k, nb, na, eta):
+        source, target = data.draw(_simplex_rows(nb, k)), data.draw(_simplex_rows(na, k))
+        try:
+            plan = sinkhorn(TransportProblem.from_supports(source, target, eta))
+        except ConvergenceError:
+            with pytest.raises(ConvergenceError):
+                sinkhorn_supports(source, target, eta)
+            return
+        self._assert_same_solve(sinkhorn_supports(source, target, eta), plan, target)
+
+    @pytest.mark.parametrize("shape", [(167, 167, 6), (40, 25, 4)])
+    @pytest.mark.parametrize("eta", [0.2, 0.05, 0.01])
+    def test_agrees_with_sinkhorn_in_the_scaling_domain(self, shape, eta):
+        nb, na, k = shape
+        rng = np.random.default_rng(nb * 1000 + na)
+        source, target = rng.dirichlet(np.ones(k), size=nb), rng.dirichlet(np.ones(k), size=na)
+        problem = TransportProblem.from_supports(source, target, eta)
+        assert np.ptp(problem.cost) / eta <= transport.SCALING_MAX_RANGE
+        self._assert_same_solve(sinkhorn_supports(source, target, eta), sinkhorn(problem), target)
+
+    def test_range_over_the_limit_falls_back_to_the_log_domain(self, monkeypatch):
+        pts = _separated_corners()
+        assert np.ptp(cost_matrix(pts, pts)) / 1e-3 > transport.SCALING_MAX_RANGE
+
+        def no_scaling(*args):
+            raise AssertionError("scaling loop run beyond the routing bound")
+
+        monkeypatch.setattr(transport, "_scaling_loop", no_scaling)
+        sol = sinkhorn_supports(pts, pts, 1e-3)
+        plan = sinkhorn(TransportProblem.from_supports(pts, pts, 1e-3))
+        assert sol.transport_cost == plan.transport_cost and sol.iters == plan.iters
+        assert np.array_equal(sol.gamma_target, plan.gamma @ pts)
+
+    def test_nonfinite_scaling_falls_back_to_sinkhorn(self, monkeypatch):
+        # the supports of TestLeanScalingLoop.test_nonfinite_fallback: with the
+        # routing bound lifted, a kernel row underflows and its scaling with it
+        monkeypatch.setattr(transport, "SCALING_MAX_RANGE", math.inf)
+        rng = np.random.default_rng(3)
+        target = rng.dirichlet(np.ones(3), size=12) * 0.1 + np.array([0.0, 0.0, 0.9])
+        source = np.vstack([[1.0, 0.0, 0.0], rng.dirichlet(np.ones(3), size=9)])
+        solved = []
+
+        def recording_sinkhorn(problem, *args):
+            solved.append(sinkhorn(problem, *args))
+            return solved[-1]
+
+        monkeypatch.setattr(transport, "sinkhorn", recording_sinkhorn)
+        sol = sinkhorn_supports(source, target, 0.002)
+        (plan,) = solved
+        assert sol.transport_cost == plan.transport_cost and sol.iters == plan.iters
+        assert np.array_equal(sol.gamma_target, plan.gamma @ target)
+
+    def test_budget_exhaustion_raises(self):
+        rng = np.random.default_rng(5)
+        source, target = rng.dirichlet(np.ones(3), size=20), rng.dirichlet(np.ones(3), size=15)
+        iters = sinkhorn_supports(source, target, 0.01).iters
+        assert iters > 1
+        with pytest.raises(ConvergenceError) as err:
+            sinkhorn_supports(source, target, 0.01, max_iters=iters - 1)
+        assert err.value.iters == iters - 1
+
+    def test_peak_memory_is_the_kernel(self):
+        # no cost matrix beside the kernel, and no plan: one n_b x n_a block
+        rng = np.random.default_rng(13)
+        source, target = rng.dirichlet(np.ones(10), size=500), rng.dirichlet(np.ones(10), size=1000)
+        tracemalloc.start()
+        try:
+            sinkhorn_supports(source, target, 0.05)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 500 * 1000 * 8
+
+    def test_invalid_input_rejected(self):
+        U = np.full((2, 3), 1.0 / 3)
+        with pytest.raises(ValueError, match="dimensions"):
+            sinkhorn_supports(U, np.ones((2, 4)) / 4, 0.1)
+        with pytest.raises(ValueError, match="eta"):
+            sinkhorn_supports(U, U, 0.0)
+        with pytest.raises(ValueError, match="max_iters"):
+            sinkhorn_supports(U, U, 0.1, max_iters=0)
 
 
 class TestFromSupports:
