@@ -157,8 +157,14 @@ def _run_one_seed(config_dict: dict, seed: int, out_root: str) -> dict:
     return row
 
 
-def _manifest(config: ExperimentConfig) -> dict:
-    return {
+def _open_run_dir(config: ExperimentConfig) -> Path:
+    """Make config.out_dir and write its manifest.json; returns the directory.
+
+    Every check that can reject the run (the config, the worker cap, the
+    sweep values) comes before this call, so a rejected run writes nothing.
+    """
+    out = Path(config.out_dir)
+    manifest = {
         "config": config.to_dict(),
         "config_hash": _config_hash(config),
         "seeds": list(config.seeds),
@@ -169,14 +175,14 @@ def _manifest(config: ExperimentConfig) -> dict:
         },
         "created_at": datetime.now(timezone.utc).isoformat(),
     }
+    _write_json(manifest, out / "manifest.json")
+    return out
 
 
 def cmd_run(config: ExperimentConfig) -> int:
     config.validate()
     cap = _thread_cap()
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_json(_manifest(config), out / "manifest.json")
+    out = _open_run_dir(config)
 
     seeds = list(config.seeds)
     n = len(seeds)
@@ -199,9 +205,10 @@ def cmd_run(config: ExperimentConfig) -> int:
     return 0
 
 
-def _sweep_cell(config_dict: dict, param: str, value, seed: int) -> dict:
-    config = ExperimentConfig.from_dict(config_dict).with_param(param, value)
-    base = {"param": param, "value": value, "seed": seed}
+def _sweep_cell(config_dict: dict, param: str) -> dict:
+    config = ExperimentConfig.from_dict(config_dict)
+    seed = config.seeds[0]
+    base = {"param": param, "value": config_dict[param], "seed": seed}
     try:
         arts = run_pipeline(config, seed)
         row = arts.metrics.csv_row()
@@ -213,19 +220,11 @@ def _sweep_cell(config_dict: dict, param: str, value, seed: int) -> dict:
 
 def cmd_sweep(config: ExperimentConfig, param: str, values: list[str]) -> int:
     config.validate()
-    if param not in SWEEPABLE:
-        raise ConfigError(f"sweep parameter must be one of {SWEEPABLE}, got {param!r}")
-    if not values:
-        raise ConfigError("sweep needs at least one value")
+    cells = [config.with_param(param, v).to_dict() for v in values]
     cap = _thread_cap()
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_json(_manifest(config), out / "manifest.json")
-    seed = config.seeds[0]
+    out = _open_run_dir(config)
 
-    parsed = [int(v) if param in ("k", "G", "q") else float(v) for v in values]
-    n = len(parsed)
-    rows = _fan_out(cap, _sweep_cell, [config.to_dict()] * n, [param] * n, parsed, [seed] * n)
+    rows = _fan_out(cap, _sweep_cell, cells, [param] * len(cells))
     header = ["param", "value", "seed"] + list(MetricsReport.CSV_FIELDS) + ["status"]
     _write_rows_csv(rows, header, out / f"sweep_{param}.csv")
     return 0
@@ -233,9 +232,7 @@ def cmd_sweep(config: ExperimentConfig, param: str, values: list[str]) -> int:
 
 def cmd_baselines(config: ExperimentConfig) -> int:
     config.validate()
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_json(_manifest(config), out / "manifest.json")
+    out = _open_run_dir(config)
     seed = config.seeds[0]
 
     arts = run_pipeline(config, seed)
@@ -281,7 +278,7 @@ def cmd_inspect(path: str) -> int:
 
 
 def _load_config(args) -> ExperimentConfig:
-    if getattr(args, "config", None):
+    if args.config:
         try:
             doc = json.loads(Path(args.config).read_text())
         except (OSError, ValueError) as exc:  # ValueError covers bad JSON and bad UTF-8
@@ -291,40 +288,28 @@ def _load_config(args) -> ExperimentConfig:
         config = ExperimentConfig.from_dict(doc)
     else:
         config = ExperimentConfig()
-    overrides = {}
-    if getattr(args, "dataset", None):
-        overrides["dataset_csv"] = args.dataset
-    if getattr(args, "schema", None):
-        overrides["schema_json"] = args.schema
-    if getattr(args, "out", None):
-        overrides["out_dir"] = args.out
-    if getattr(args, "seed", None):
-        overrides["seeds"] = tuple(int(s) for s in args.seed.split(","))
-    for name in ("k", "q", "max_outer"):
-        if getattr(args, name, None) is not None:
-            overrides[name] = getattr(args, name)
-    if getattr(args, "g", None) is not None:
-        overrides["n_clusters"] = args.g
-    if getattr(args, "lambda_", None) is not None:
-        overrides["sparsity_weight"] = args.lambda_
-    if getattr(args, "eta", None) is not None:
-        overrides["eta"] = args.eta
-    if getattr(args, "beta_couple", None) is not None:
-        overrides["beta_couple"] = args.beta_couple
-    return replace(config, **overrides) if overrides else config
+    overrides = {f.name: v for f in fields(ExperimentConfig) if (v := getattr(args, f.name, None)) is not None}
+    return replace(config, **overrides)
+
+
+def _seed_list(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(s) for s in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON config file; flags override its fields")
-    p.add_argument("--dataset", help="dataset CSV path")
-    p.add_argument("--schema", help="schema JSON path")
-    p.add_argument("--out", help="output directory")
-    p.add_argument("--seed", help="comma-separated seed list, e.g. 42,43,44")
-    p.add_argument("--k", type=int, help="latent rank")
-    p.add_argument("--g", type=int, help="number of clusters")
-    p.add_argument("--q", type=int, help="top factors kept for priorities")
-    p.add_argument("--eta", type=float, help="entropic regularization")
-    p.add_argument("--lambda", dest="lambda_", type=float, help="sparsity weight")
+    p.add_argument("--dataset", dest="dataset_csv", help="dataset CSV path")
+    p.add_argument("--schema", dest="schema_json", help="schema JSON path")
+    p.add_argument("--out", dest="out_dir", help="output directory")
+    p.add_argument("--seed", dest="seeds", type=_seed_list, help="comma-separated seed list, e.g. 42,43,44")
+    p.add_argument("--k", dest="k", type=int, help="latent rank")
+    p.add_argument("--g", dest="n_clusters", type=int, help="number of clusters")
+    p.add_argument("--q", dest="q", type=int, help="top factors kept for priorities")
+    p.add_argument("--eta", dest="eta", type=float, help="entropic regularization")
+    p.add_argument("--lambda", dest="sparsity_weight", type=float, help="sparsity weight")
     p.add_argument("--beta-couple", dest="beta_couple", type=float, help="coupling weight (default: data-scaled)")
     p.add_argument("--max-outer", dest="max_outer", type=int, help="outer iteration budget")
 
@@ -363,8 +348,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "run":
             return cmd_run(_load_config(args))
         if args.command == "sweep":
-            values = [v for v in args.values.split(",") if v != ""]
-            return cmd_sweep(_load_config(args), args.param, values)
+            return cmd_sweep(_load_config(args), args.param, args.values.split(","))
         if args.command == "baselines":
             return cmd_baselines(_load_config(args))
         if args.command == "synth":

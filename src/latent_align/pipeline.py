@@ -29,7 +29,9 @@ class ConfigError(ValueError):
 
 # dataclass attribute -> external (JSON / CLI) name, for the few that differ
 _RENAMES = {"n_clusters": "G", "sparsity_weight": "lambda"}
-SWEEPABLE = ("k", "G", "lambda", "eta", "q")
+_FIELD_NAMES = {v: k for k, v in _RENAMES.items()}
+# sweep name (the field's external name) -> type its value strings parse to
+SWEEPABLE = {"k": int, "G": int, "lambda": float, "eta": float, "q": int}
 # field annotation -> accepted value types; an integer is a valid float
 _VALUE_TYPES = {"int": Integral, "float": Real, "str": str}
 
@@ -85,8 +87,11 @@ class ExperimentConfig:
     def validate(self) -> None:
         for f in fields(self):
             value = getattr(self, f.name)
+            name = _RENAMES.get(f.name, f.name)
             if not _has_type(value, f.type):
-                raise ConfigError(f"{_RENAMES.get(f.name, f.name)} must be {f.type}, got {value!r}")
+                raise ConfigError(f"{name} must be {f.type}, got {value!r}")
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value!r}")
         if self.k < 1:
             raise ConfigError(f"k must be >= 1, got {self.k}")
         if self.n_clusters < 2:
@@ -108,6 +113,11 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not self.seeds:
             raise ConfigError("at least one seed required")
+        if min(self.seeds) < 0 or len(set(self.seeds)) < len(self.seeds):
+            raise ConfigError(f"seeds must be distinct non-negative integers, got {list(self.seeds)}")
+        for name in ("dataset_csv", "schema_json", "out_dir"):
+            if getattr(self, name) == "":
+                raise ConfigError(f"{name} must be a non-empty path")
         if (self.dataset_csv is None) != (self.schema_json is None):
             raise ConfigError("dataset_csv and schema_json must be given together")
         if self.binarize_rule not in ("median", "fixed"):
@@ -125,26 +135,27 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        reverse = {v: k for k, v in _RENAMES.items()}
         known = {f.name for f in fields(cls)}
         kwargs = {}
         for key, val in d.items():
-            name = reverse.get(key, key)
+            name = _FIELD_NAMES.get(key, key)
             if name not in known:
                 raise ConfigError(f"unknown config key {key!r}")
             kwargs[name] = tuple(val) if name == "seeds" and isinstance(val, list) else val
         return cls(**kwargs)
 
     def with_param(self, param: str, value) -> "ExperimentConfig":
+        """This config with sweep parameter param set to value. A string
+        value is parsed to the parameter's SWEEPABLE type; a bad literal is
+        a ConfigError."""
         if param not in SWEEPABLE:
-            raise ConfigError(f"sweep parameter must be one of {SWEEPABLE}, got {param!r}")
-        reverse = {v: k for k, v in _RENAMES.items()}
-        name = reverse.get(param, param)
-        if param in ("k", "G", "q"):
-            value = int(value)
-        else:
-            value = float(value)
-        return replace(self, **{name: value})
+            raise ConfigError(f"sweep parameter must be one of {tuple(SWEEPABLE)}, got {param!r}")
+        if isinstance(value, str):
+            try:
+                value = SWEEPABLE[param](value)
+            except ValueError:
+                raise ConfigError(f"{param} value must be {SWEEPABLE[param].__name__}, got {value!r}") from None
+        return replace(self, **{_FIELD_NAMES.get(param, param): value})
 
 
 @dataclass

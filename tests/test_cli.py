@@ -58,7 +58,20 @@ class TestConfig:
 
     @pytest.mark.parametrize(
         "overrides",
-        [{"k": "x"}, {"k": True}, {"eta": "0.1"}, {"q": 2.5}, {"seeds": (1.5,)}, {"dataset_csv": 3}],
+        [
+            {"k": "x"},
+            {"k": True},
+            {"eta": "0.1"},
+            {"q": 2.5},
+            {"seeds": (1.5,)},
+            {"dataset_csv": 3},
+            {"tau_delta": float("nan")},
+            {"beta_couple": float("inf")},
+            {"seeds": (3, 3)},
+            {"seeds": (-1,)},
+            {"dataset_csv": ""},
+            {"out_dir": ""},
+        ],
     )
     def test_wrong_value_type_rejected(self, overrides):
         (name,) = overrides
@@ -67,6 +80,31 @@ class TestConfig:
 
     def test_integer_accepted_for_float(self):
         ExperimentConfig(eta=1, tau_delta=0).validate()
+
+    @pytest.mark.parametrize(
+        "param, text, field, value",
+        [
+            ("k", "3", "k", 3),
+            ("G", "4", "n_clusters", 4),
+            ("q", "2", "q", 2),
+            ("lambda", "1e-3", "sparsity_weight", 1e-3),
+            ("eta", "0.1", "eta", 0.1),
+        ],
+    )
+    def test_with_param_parses_strings_to_the_field_type(self, param, text, field, value):
+        got = getattr(ExperimentConfig().with_param(param, text), field)
+        assert got == value and type(got) is type(value)
+
+    @pytest.mark.parametrize(
+        "param, text", [("k", "2.5"), ("G", "x"), ("q", "1.0"), ("q", ""), ("lambda", "abc"), ("eta", "")]
+    )
+    def test_with_param_rejects_bad_literals(self, param, text):
+        with pytest.raises(ConfigError, match=f"^{param} value must be "):
+            ExperimentConfig().with_param(param, text)
+
+    def test_with_param_rejects_unsweepable_names(self):
+        with pytest.raises(ConfigError, match="sweep parameter"):
+            ExperimentConfig().with_param("tau_y", "0.4")
 
     @pytest.mark.parametrize("name", ["max_outer", "nmf_max_iters", "kmeans_restarts"])
     def test_iteration_budgets_below_one_rejected(self, name):
@@ -141,6 +179,22 @@ class TestRun:
         assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
         assert not out.exists()
 
+    @pytest.mark.parametrize("seed", ["abc", "1,,2", ""])
+    def test_malformed_seed_list_is_a_usage_error(self, tmp_path, capsys, seed):
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--config", str(_write_config(tmp_path)), "--seed", seed, "--out", str(out)])
+        assert exc.value.code == 2
+        assert "argument --seed" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_repeated_seed_fails_before_artifacts(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(_write_config(tmp_path)), "--seed", "3,3", "--out", str(out)]) == 2
+        doc = json.loads(capsys.readouterr().err)
+        assert doc["error"] == "ConfigError" and "seeds" in doc["message"]
+        assert not out.exists()
+
     def test_parallel_matches_single(self, tmp_path, monkeypatch):
         cfg = _write_config(tmp_path, seeds=(7, 8))
         out1, out2 = tmp_path / "single", tmp_path / "multi"
@@ -188,6 +242,18 @@ class TestSweep:
         cfg = _write_config(tmp_path)
         rc = main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o"), "--param", "k", "--values", ""])
         assert rc == 2
+
+    @pytest.mark.parametrize(
+        "param, values", [("k", "2.5"), ("G", "x"), ("q", "1.5"), ("k", "3,,4"), ("eta", "abc"), ("lambda", "abc")]
+    )
+    def test_malformed_value_fails_before_output(self, tmp_path, capsys, param, values):
+        out = tmp_path / "o"
+        argv = ["sweep", "--config", str(_write_config(tmp_path)), "--out", str(out), "--param", param, "--values", values]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert json.loads(err)["error"] == "ConfigError"
+        assert not out.exists()
 
     def test_bad_param_rejected_by_parser(self, tmp_path):
         cfg = _write_config(tmp_path)
@@ -328,3 +394,33 @@ class TestSynthAndInspect:
         assert manifest["config"]["lambda"] == 0.5
         assert manifest["seeds"] == [9]
         assert (out / "seed_9").exists()
+
+
+# each flag of run, sweep and baselines -> the config keys it sets; every case
+# also passes --config (whose tau_y=0.4 is the --config case) and --out
+FLAG_CASES = {
+    "config": ([], {"tau_y": 0.4}),
+    "out": ([], {"out_dir": "o"}),
+    "dataset,schema": (
+        ["--dataset", "data/dataset.csv", "--schema", "data/schema.json"],
+        {"dataset_csv": "data/dataset.csv", "schema_json": "data/schema.json"},
+    ),
+    "seed": (["--seed", "5,6"], {"seeds": [5, 6]}),
+    "k": (["--k", "3"], {"k": 3}),
+    "g": (["--g", "2"], {"G": 2}),
+    "q": (["--q", "1"], {"q": 1}),
+    "eta": (["--eta", "0.07"], {"eta": 0.07}),
+    "lambda": (["--lambda", "0.002"], {"lambda": 0.002}),
+    "beta-couple": (["--beta-couple", "0.5"], {"beta_couple": 0.5}),
+    "max-outer": (["--max-outer", "4"], {"max_outer": 4}),
+}
+
+
+@pytest.mark.parametrize("flags, expected", FLAG_CASES.values(), ids=FLAG_CASES.keys())
+def test_each_flag_lands_on_its_config_key(tmp_path, monkeypatch, flags, expected):
+    monkeypatch.chdir(tmp_path)
+    assert main(["synth", "--n", "60", "--k-true", "3", "--out", "data"]) == 0
+    cfg = _write_config(tmp_path, max_outer=5, tau_y=0.4)
+    assert main(["run", "--config", str(cfg), "--out", "o", *flags]) == 0
+    config = json.loads(Path("o/manifest.json").read_text())["config"]
+    assert {key: config[key] for key in expected} == expected
