@@ -36,9 +36,11 @@ from .pipeline import (
     ExperimentConfig,
     PipelineArtifacts,
     SWEEPABLE,
+    load_or_generate,
     run_pipeline,
 )
-from .schema import DataValidationError, SchemaError, default_synthetic_schema, generate_synthetic, save_dataset
+from .schema import DataValidationError, SchemaError, SurveyDataset
+from .schema import default_synthetic_schema, generate_synthetic, save_dataset
 from .surrogate import SurrogateModel
 
 AGGREGATE_FIELDS = ("n_conv", "r_conv", "mean_dp", "n_lever", "effort")
@@ -146,9 +148,9 @@ def _write_seed_artifacts(arts: PipelineArtifacts, seed_dir: Path) -> None:
     SurrogateModel.from_dict(read["surrogate.json"])
 
 
-def _run_one_seed(config_dict: dict, seed: int, out_root: str) -> dict:
+def _run_one_seed(config_dict: dict, seed: int, out_root: str, dataset: SurveyDataset) -> dict:
     config = ExperimentConfig.from_dict(config_dict)
-    arts = run_pipeline(config, seed)
+    arts = run_pipeline(config, seed, dataset)
     _write_seed_artifacts(arts, Path(out_root) / f"seed_{seed}")
     row = arts.metrics.csv_row()
     row["seed"] = seed
@@ -161,7 +163,8 @@ def _open_run_dir(config: ExperimentConfig) -> Path:
     """Make config.out_dir and write its manifest.json; returns the directory.
 
     Every check that can reject the run (the config, the worker cap, the
-    sweep values) comes before this call, so a rejected run writes nothing.
+    sweep values, the dataset) comes before this call, so a rejected run
+    writes nothing.
     """
     out = Path(config.out_dir)
     manifest = {
@@ -182,11 +185,12 @@ def _open_run_dir(config: ExperimentConfig) -> Path:
 def cmd_run(config: ExperimentConfig) -> int:
     config.validate()
     cap = _thread_cap()
+    dataset = load_or_generate(config)
     out = _open_run_dir(config)
 
     seeds = list(config.seeds)
     n = len(seeds)
-    rows = _fan_out(cap, _run_one_seed, [config.to_dict()] * n, seeds, [str(out)] * n)
+    rows = _fan_out(cap, _run_one_seed, [config.to_dict()] * n, seeds, [str(out)] * n, [dataset] * n)
     rows.sort(key=lambda r: r["seed"])
     header = ["seed"] + list(MetricsReport.CSV_FIELDS) + ["objective", "status"]
     _write_rows_csv(rows, header, out / "runs.csv")
@@ -205,12 +209,12 @@ def cmd_run(config: ExperimentConfig) -> int:
     return 0
 
 
-def _sweep_cell(config_dict: dict, param: str) -> dict:
+def _sweep_cell(config_dict: dict, param: str, dataset: SurveyDataset) -> dict:
     config = ExperimentConfig.from_dict(config_dict)
     seed = config.seeds[0]
     base = {"param": param, "value": config_dict[param], "seed": seed}
     try:
-        arts = run_pipeline(config, seed)
+        arts = run_pipeline(config, seed, dataset)
         row = arts.metrics.csv_row()
         return {**base, **row, "status": "ok"}
     except Exception as exc:  # sweep keeps going; the cell is marked failed
@@ -222,9 +226,10 @@ def cmd_sweep(config: ExperimentConfig, param: str, values: list[str]) -> int:
     config.validate()
     cells = [config.with_param(param, v).to_dict() for v in values]
     cap = _thread_cap()
+    dataset = load_or_generate(config)  # no sweepable parameter changes the data
     out = _open_run_dir(config)
 
-    rows = _fan_out(cap, _sweep_cell, cells, [param] * len(cells))
+    rows = _fan_out(cap, _sweep_cell, cells, [param] * len(cells), [dataset] * len(cells))
     header = ["param", "value", "seed"] + list(MetricsReport.CSV_FIELDS) + ["status"]
     _write_rows_csv(rows, header, out / f"sweep_{param}.csv")
     return 0
@@ -232,10 +237,11 @@ def cmd_sweep(config: ExperimentConfig, param: str, values: list[str]) -> int:
 
 def cmd_baselines(config: ExperimentConfig) -> int:
     config.validate()
+    dataset = load_or_generate(config)
     out = _open_run_dir(config)
     seed = config.seeds[0]
 
-    arts = run_pipeline(config, seed)
+    arts = run_pipeline(config, seed, dataset)
     _write_seed_artifacts(arts, out / f"seed_{seed}")
 
     rows = [("full_method", arts.metrics, arts.result)]

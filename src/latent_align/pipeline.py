@@ -4,6 +4,7 @@ the artifact bundle the CLI serializes.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, fields, replace
 from numbers import Integral, Real
@@ -174,7 +175,10 @@ class PipelineArtifacts:
 
 def load_or_generate(config: ExperimentConfig) -> SurveyDataset:
     if config.dataset_csv is not None:
-        return load_dataset(config.dataset_csv, config.schema_json)
+        try:
+            return load_dataset(config.dataset_csv, config.schema_json)
+        except (OSError, UnicodeError, json.JSONDecodeError) as exc:  # an unreadable file is a usage error
+            raise ConfigError(f"cannot read dataset {config.dataset_csv} or schema {config.schema_json}: {exc}") from exc
     return generate_synthetic(
         n=config.synthetic_n,
         schema=default_synthetic_schema(),

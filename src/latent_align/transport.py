@@ -1,30 +1,29 @@
 """Entropic optimal transport between empirical latent measures.
 
-Sinkhorn runs in one of two domains, chosen per problem from its cost range
-over the regularization, R = (max M - min M) / eta:
+One Sinkhorn loop in the scaling domain (Cuturi 2013) serves every
+regularization eta by eta-scaling (Schmitzer 2019). A solve runs stages at
+eta_s = eta_0, eta_0 / 2, ... down to eta, where
+eta_0 = max(eta, (max M - min M) / SCALING_MAX_RANGE). Each stage iterates two
+matrix-vector products, written into vectors allocated once per stage, with
+the kernel K = exp((min M + f_p + g_q - M_pq) / eta_s). The potentials f, g
+start at 0, and each stage's scalings are absorbed into them,
+f += eta_s log u and g += eta_s log v, so the next kernel is the last plan,
+sharpened. Stages above eta stop at STAGE_TOL and the last at tol, and
+max_iters is one budget for all of them. Codes lie on the simplex, so M <= 2,
+and the default eta = 0.05 runs one stage.
 
-- Scaling domain (Cuturi 2013) when R <= SCALING_MAX_RANGE: one exp builds
-  the kernel K = exp(-(M - min M) / eta), and each iteration is two
-  matrix-vector products. The products, the scalings and the marginal check
-  write into vectors allocated once per solve. Codes lie on the simplex, so
-  M <= 2 and the default eta = 0.05 gives R <= 40.
-- Log domain (Schmitzer 2019) otherwise, or when a scaling goes non-finite:
-  the potentials are updated by logsumexp, which stays stable for small
-  regularization where the scaling factors underflow.
-
-One scaling loop (`_scaling_loop`) serves two front-ends:
+Two front-ends build the stage kernels for the shared `_staged_loop`:
 
 - `sinkhorn(problem)` solves a TransportProblem with its cost matrix M and
   returns the full plan gamma. Evaluation and the baselines use it.
 - `sinkhorn_supports(source, target, eta)` is the solver's kernel-first
-  solve between uniform weights on two supports. It builds -M / eta with one
-  GEMM on augmented supports, exponentiates it in place into the kernel, and
-  forms neither M nor gamma. It returns gamma @ target = u * (K (v * target))
-  and the transport cost from the supports identity
+  solve between uniform weights on two supports. It builds each stage's
+  exponent with one GEMM on augmented supports, exponentiates it in place
+  into the kernel, and forms neither M nor gamma. It returns
+  gamma @ target = u * (K (v * target)) and the transport cost from the
+  supports identity
   <gamma, M> = sum_p a_p |s_p|^2 + sum_q c_q |t_q|^2 - 2 sum_p s_p . (gamma @ target)_p,
-  where c holds the plan's column sums. When R exceeds SCALING_MAX_RANGE or
-  a scaling goes non-finite, it falls back to `sinkhorn` on the assembled
-  problem and takes gamma @ target from that plan.
+  where c holds the plan's column sums.
 
 The reported discrepancy used by the rest of the package is the transport-cost
 part <Gamma, M>; `sinkhorn` carries the full entropic objective alongside.
@@ -40,10 +39,14 @@ import numpy as np
 DEFAULT_ETA = 0.05
 DEFAULT_MAX_ITERS = 10_000
 DEFAULT_TOL = 1e-9
-# Largest cost range over eta that runs in the scaling domain. Every kernel
-# entry is then at least e^-300, so a kernel entry times a scaling of the same
+# Largest cost range over eta of a solve's first stage. Every kernel entry is
+# then at least e^-300, so a kernel entry times a scaling of the same
 # magnitude (e^-600) is still above the smallest normal double (e^-708).
 SCALING_MAX_RANGE = 300.0
+# Marginal error at which a stage above eta hands its potentials on. Only the
+# last stage's plan is returned; an earlier one only warm-starts the next, so
+# solving it to tol would spend iterations on a plan that is then discarded.
+STAGE_TOL = 1e-4
 
 
 class ConvergenceError(RuntimeError):
@@ -140,22 +143,47 @@ def sinkhorn(
     Each iteration updates the column scaling, then the row scaling, so the
     plan's rows match the source weights by construction and the column
     violation is the marginal error. It is checked every iteration, from the
-    column sums that the next column update needs anyway, and the solve stops
-    at the first iteration below tol. Raises ConvergenceError (with the final
-    marginal error) if the budget is exhausted first.
-
-    Runs in the scaling domain when the cost range over eta is at most
-    SCALING_MAX_RANGE, and in the log domain otherwise or when a scaling goes
-    non-finite; both give the same plan up to rounding.
+    column sums that the next column update needs anyway, and a stage stops
+    at the first iteration below its tolerance. Raises ConvergenceError (with
+    the final marginal error) if the budget runs out or a scaling goes
+    non-finite.
     """
     if max_iters < 1:
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")
-    lo, hi = float(problem.cost.min()), float(problem.cost.max())
-    if (hi - lo) / problem.eta <= SCALING_MAX_RANGE:
-        plan = _scaling_sinkhorn(problem, lo, max_iters, tol)
-        if plan is not None:
-            return plan
-    return _log_sinkhorn(problem, max_iters, tol)
+    M, a, b, eta = problem.cost, problem.source_weights, problem.target_weights, problem.eta
+    shift = float(M.min())
+
+    def kernel(eta_s, f=None, g=None, out=None):
+        # exp((shift + f_p + g_q - M_pq) / eta_s); the first stage has no potentials
+        K = np.subtract(shift, M, out=out)
+        if f is not None:
+            K += f[:, None]
+            K += g
+        K /= eta_s
+        return np.exp(K, out=K)
+
+    eta0 = eta * max(1.0, (float(M.max()) - shift) / eta / SCALING_MAX_RANGE)
+    K, u, v, col, f, g, iters, err = _staged_loop(kernel(eta0), eta0, kernel, a, b, eta, max_iters, tol)
+
+    gamma = K  # diag(u) K diag(v), built in place of the kernel
+    gamma *= u[:, None]
+    gamma *= v[None, :]
+    transport_cost = float(np.einsum("pq,pq->", gamma, M))
+    # sum gamma (log gamma - 1) with log gamma = log u + log v + (shift + f + g - M) / eta,
+    # rows summing to a and columns to col
+    mass = float(col.sum())
+    entropy_term = (
+        float(a @ np.log(u) + col @ np.log(v))
+        + (shift * mass + float(a @ f + col @ g) - transport_cost) / eta
+        - mass
+    )
+    return TransportPlan(
+        gamma=gamma,
+        transport_cost=transport_cost,
+        entropic_value=transport_cost + eta * entropy_term,
+        iters=iters,
+        marginal_err=err,
+    )
 
 
 @dataclass(frozen=True)
@@ -181,11 +209,11 @@ def sinkhorn_supports(
 ) -> SupportsPlan:
     """Entropic OT between uniform weights on the rows of two supports,
     without forming the cost matrix M or the plan gamma (see the module
-    docstring for the kernel GEMM, the supports identity and the fallback).
+    docstring for the kernel GEMM and the supports identity).
 
     The identity takes the plan's row sums as the source weights a, which
     they equal up to rounding, since the row scaling is updated last. Raises
-    ConvergenceError when the budget runs out, as `sinkhorn` does.
+    ConvergenceError as `sinkhorn` does.
     """
     source = np.asarray(source, dtype=float)
     target = np.asarray(target, dtype=float)
@@ -198,74 +226,72 @@ def sinkhorn_supports(
     (nb, k), na = source.shape, target.shape[0]
     s2 = np.einsum("pk,pk->p", source, source)
     t2 = np.einsum("qk,qk->q", target, target)
-    # [2s/eta, -|s|^2/eta, -1] . [t, 1, |t|^2/eta] = (2 s.t - |s|^2 - |t|^2) / eta;
-    # the right factor is built transposed, so the GEMM reads both row-major
-    lhs = np.empty((nb, k + 2))
-    np.multiply(source, 2.0 / eta, out=lhs[:, :k])
-    np.divide(s2, -eta, out=lhs[:, k])
-    lhs[:, k + 1] = -1.0
-    rhs = np.empty((k + 2, na))
-    rhs[:k] = target.T
-    rhs[k] = 1.0
-    np.divide(t2, eta, out=rhs[k + 1])
-    K = lhs @ rhs
+    lhs = np.full((nb, k + 2), -1.0)
+    rhs = np.vstack([target.T, np.ones((2, na))])
+
+    def exponent(eta_s, f, g, out=None):
+        # [2s, f - |s|^2, -1] . [t, 1, |t|^2 - g] / eta_s = (f_p + g_q - M_pq) / eta_s;
+        # the right factor is built transposed, so the GEMM reads both row-major
+        np.multiply(source, 2.0 / eta_s, out=lhs[:, :k])
+        np.subtract(f, s2, out=lhs[:, k])
+        lhs[:, k] /= eta_s
+        np.subtract(t2, g, out=rhs[k + 1])
+        rhs[k + 1] /= eta_s
+        return np.matmul(lhs, rhs, out=out)
+
+    K = exponent(eta, 0.0, 0.0)  # -M / eta
     hi = float(K.max())
-    if hi - float(K.min()) <= SCALING_MAX_RANGE:
-        K -= hi
-        np.exp(K, out=K)
-        a, b = np.full(nb, 1.0 / nb), np.full(na, 1.0 / na)
-        scalings = _scaling_loop(K, a, b, max_iters, tol)
-        if scalings is not None:
-            u, v, col, iters, err = scalings
-            gamma_target = K @ (v[:, None] * target)
-            gamma_target *= u[:, None]
-            transport_cost = float(a @ s2 + col @ t2) - 2.0 * float(np.einsum("pk,pk->", source, gamma_target))
-            return SupportsPlan(gamma_target, transport_cost, iters, err)
-    plan = sinkhorn(TransportProblem.from_supports(source, target, eta), max_iters, tol)
-    return SupportsPlan(plan.gamma @ target, plan.transport_cost, plan.iters, plan.marginal_err)
-
-
-def _scaling_sinkhorn(
-    problem: TransportProblem, shift: float, max_iters: int, tol: float
-) -> TransportPlan | None:
-    """Sinkhorn on K = exp((shift - M) / eta); None when a scaling goes
-    non-finite, so the caller can fall back to the log domain."""
-    M, a, b, eta = problem.cost, problem.source_weights, problem.target_weights, problem.eta
-    K = np.subtract(shift, M)
-    K /= eta
+    eta0 = eta * max(1.0, (hi - float(K.min())) / SCALING_MAX_RANGE)
+    if eta0 > eta:
+        K *= eta / eta0
+        hi *= eta / eta0
+    K -= hi
     np.exp(K, out=K)
-    scalings = _scaling_loop(K, a, b, max_iters, tol)
-    if scalings is None:
-        return None
-    u, v, col, iters, err = scalings
+    shift = -hi * eta0  # the first kernel is exp((shift - M) / eta0)
 
-    gamma = K  # diag(u) K diag(v), built in place of the kernel
-    gamma *= u[:, None]
-    gamma *= v[None, :]
-    transport_cost = float(np.einsum("pq,pq->", gamma, M))
-    # sum gamma (log gamma - 1) with log gamma = log u + log v + (shift - M) / eta,
-    # rows summing to a and columns to col
-    mass = float(col.sum())
-    entropy_term = (
-        float(a @ np.log(u) + col @ np.log(v)) + (shift * mass - transport_cost) / eta - mass
-    )
-    return TransportPlan(
-        gamma=gamma,
-        transport_cost=transport_cost,
-        entropic_value=transport_cost + eta * entropy_term,
-        iters=iters,
-        marginal_err=err,
-    )
+    def kernel(eta_s, f, g, out):
+        K = exponent(eta_s, shift + f, g, out)
+        return np.exp(K, out=K)
+
+    a, b = np.full(nb, 1.0 / nb), np.full(na, 1.0 / na)
+    K, u, v, col, _, _, iters, err = _staged_loop(K, eta0, kernel, a, b, eta, max_iters, tol)
+    gamma_target = K @ (v[:, None] * target)
+    gamma_target *= u[:, None]
+    transport_cost = float(a @ s2 + col @ t2) - 2.0 * float(np.einsum("pk,pk->", source, gamma_target))
+    return SupportsPlan(gamma_target, transport_cost, iters, err)
 
 
-def _scaling_loop(
-    K: np.ndarray, a: np.ndarray, b: np.ndarray, max_iters: int, tol: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, float] | None:
-    """The scaling iterations on a kernel K, shared by both front-ends.
+def _staged_loop(K, eta_s, kernel, a, b, eta, max_iters, tol):
+    """Sinkhorn at eta through stages eta_s, eta_s / 2, ... down to eta,
+    from the first stage's kernel K; kernel(eta_s, f, g, K) overwrites K with
+    a later stage's. Returns (K, u, v, col, f, g, iters, err) of the last
+    stage, with iters summed over all stages, as ConvergenceError reports it.
+    """
+    f, g = np.zeros_like(a), np.zeros_like(b)
+    done = 0
+    while True:
+        stage_tol = tol if eta_s == eta else max(tol, STAGE_TOL)
+        try:
+            u, v, col, iters, err = _scaling_loop(K, a, b, max_iters - done, stage_tol)
+        except ConvergenceError as exc:
+            raise ConvergenceError(done + exc.iters, exc.marginal_err, stage_tol) from None
+        done += iters
+        if eta_s == eta:
+            return K, u, v, col, f, g, done, err
+        if done == max_iters:
+            raise ConvergenceError(done, err, tol)
+        f += eta_s * np.log(u)
+        g += eta_s * np.log(v)
+        eta_s = max(eta_s / 2, eta)
+        K = kernel(eta_s, f, g, K)
+
+
+def _scaling_loop(K, a, b, max_iters, tol):
+    """The scaling iterations on one stage's kernel K.
 
     Returns (u, v, col, iters, err), where col = v * (K^T u) holds the plan's
-    column sums at the last iteration; None when a scaling goes non-finite.
-    Raises ConvergenceError when the budget runs out first.
+    column sums at the last iteration. Raises ConvergenceError when the
+    budget runs out first or a scaling goes non-finite.
     """
     v, col, gap = np.empty_like(b), np.empty_like(b), np.empty_like(b)
     u, Kv = np.empty_like(a), np.empty_like(a)
@@ -280,47 +306,9 @@ def _scaling_loop(
             np.subtract(col, b, out=gap)
             err = float(np.maximum.reduce(np.abs(gap, out=gap)))
             if not math.isfinite(err):
-                return None
+                raise ConvergenceError(iters, err, tol)
             if err < tol:
                 break
     if err >= tol:
         raise ConvergenceError(iters, err, tol)
     return u, v, col, iters, err
-
-
-def _log_sinkhorn(problem: TransportProblem, max_iters: int, tol: float) -> TransportPlan:
-    """Sinkhorn on the log scalings f = log u, g = log v, updated by
-    logsumexp."""
-    M, a, b, eta = problem.cost, problem.source_weights, problem.target_weights, problem.eta
-    log_a = np.log(a)
-    log_b = np.log(b)
-    logK = -M / eta
-    col_lse = _logsumexp(logK, axis=0)  # at f = 0
-    for iters in range(1, max_iters + 1):
-        g = log_b - col_lse
-        f = log_a - _logsumexp(logK + g[None, :], axis=1)
-        col_lse = _logsumexp(logK + f[:, None], axis=0)
-        err = float(np.max(np.abs(np.exp(g + col_lse) - b)))
-        if err < tol:
-            break
-    if err >= tol:
-        raise ConvergenceError(iters, err, tol)
-
-    logT = logK + f[:, None] + g[None, :]
-    gamma = np.exp(logT)
-    transport_cost = float(np.einsum("pq,pq->", gamma, M))
-    mask = gamma > 0
-    entropy_term = float(np.sum(gamma[mask] * (logT[mask] - 1.0)))
-    return TransportPlan(
-        gamma=gamma,
-        transport_cost=transport_cost,
-        entropic_value=transport_cost + eta * entropy_term,
-        iters=iters,
-        marginal_err=err,
-    )
-
-
-def _logsumexp(A: np.ndarray, axis: int) -> np.ndarray:
-    m = np.max(A, axis=axis, keepdims=True)
-    out = m + np.log(np.sum(np.exp(A - m), axis=axis, keepdims=True))
-    return np.squeeze(out, axis=axis)

@@ -1,14 +1,14 @@
 """Independent reference implementations used to verify the package kernels.
 
 These deliberately use different algorithms from the code under test:
-exhaustive enumeration for NNLS, projected gradient on the primal for
-entropic transport, permutation averaging for Shapley values, bounded scalar
-minimization for the group prox, central finite differences for
-gradients, and a row-at-a-time loop for schema validation.
+exhaustive enumeration for NNLS, projected gradient on the primal and
+log-domain Sinkhorn for entropic transport, permutation averaging for Shapley
+values, bounded scalar minimization for the group prox, central finite
+differences for gradients, and a row-at-a-time loop for schema validation.
 
 Three more are the plain forms of hot loops that the package runs in a leaner
 form with the same floating-point operations: the two-branch sigmoid, the
-scaling-domain Sinkhorn loop that allocates its vectors every iteration, and
+staged Sinkhorn loop that allocates its vectors every iteration, and
 the NMF loop that takes its stop-test loss from the residual X - WH. The
 package must match them bit for bit.
 """
@@ -206,19 +206,47 @@ def sigmoid_two_branch(m):
 
 
 def sinkhorn_allocating(problem, max_iters=transport.DEFAULT_MAX_ITERS, tol=transport.DEFAULT_TOL):
-    """`transport.sinkhorn` with a scaling-domain loop that allocates every
-    vector afresh each iteration; the log domain is the package's."""
-    lo, hi = float(problem.cost.min()), float(problem.cost.max())
-    if (hi - lo) / problem.eta <= transport.SCALING_MAX_RANGE:
-        plan = _scaling_allocating(problem, lo, max_iters, tol)
-        if plan is not None:
-            return plan
-    return transport._log_sinkhorn(problem, max_iters, tol)
-
-
-def _scaling_allocating(problem, shift, max_iters, tol):
+    """`transport.sinkhorn` with a scaling loop that allocates every vector
+    afresh each iteration, run on the package's stage schedule."""
     M, a, b, eta = problem.cost, problem.source_weights, problem.target_weights, problem.eta
-    K = np.exp((shift - M) / eta)
+    shift = float(M.min())
+    eta_s = eta * max(1.0, (float(M.max()) - shift) / eta / transport.SCALING_MAX_RANGE)
+    f, g = np.zeros_like(a), np.zeros_like(b)
+    K = np.exp((shift - M) / eta_s)
+    done = 0
+    while True:
+        stage_tol = tol if eta_s == eta else max(tol, transport.STAGE_TOL)
+        try:
+            u, v, col, iters, err = _scaling_allocating(K, a, b, max_iters - done, stage_tol)
+        except transport.ConvergenceError as exc:
+            raise transport.ConvergenceError(done + exc.iters, exc.marginal_err, stage_tol) from None
+        done += iters
+        if eta_s == eta:
+            break
+        if done == max_iters:
+            raise transport.ConvergenceError(done, err, tol)
+        f = f + eta_s * np.log(u)
+        g = g + eta_s * np.log(v)
+        eta_s = max(eta_s / 2, eta)
+        K = np.exp((shift - M + f[:, None] + g[None, :]) / eta_s)
+    gamma = u[:, None] * K * v[None, :]
+    transport_cost = float(np.einsum("pq,pq->", gamma, M))
+    mass = float(col.sum())
+    entropy_term = (
+        float(a @ np.log(u) + col @ np.log(v))
+        + (shift * mass + float(a @ f + col @ g) - transport_cost) / eta
+        - mass
+    )
+    return transport.TransportPlan(
+        gamma=gamma,
+        transport_cost=transport_cost,
+        entropic_value=transport_cost + eta * entropy_term,
+        iters=done,
+        marginal_err=err,
+    )
+
+
+def _scaling_allocating(K, a, b, max_iters, tol):
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         Ktu = K.sum(axis=0)
         for iters in range(1, max_iters + 1):
@@ -228,17 +256,37 @@ def _scaling_allocating(problem, shift, max_iters, tol):
             col = v * Ktu
             err = float(np.max(np.abs(col - b)))
             if not math.isfinite(err):
-                return None
+                raise transport.ConvergenceError(iters, err, tol)
             if err < tol:
                 break
     if err >= tol:
         raise transport.ConvergenceError(iters, err, tol)
-    gamma = u[:, None] * K * v[None, :]
+    return u, v, col, iters, err
+
+
+def log_sinkhorn(problem, max_iters, tol):
+    """Sinkhorn on the log scalings f = log u, g = log v, updated by
+    logsumexp: stable at any regularization, and slow."""
+    M, a, b, eta = problem.cost, problem.source_weights, problem.target_weights, problem.eta
+    log_a = np.log(a)
+    log_b = np.log(b)
+    logK = -M / eta
+    col_lse = _logsumexp(logK, axis=0)  # at f = 0
+    for iters in range(1, max_iters + 1):
+        g = log_b - col_lse
+        f = log_a - _logsumexp(logK + g[None, :], axis=1)
+        col_lse = _logsumexp(logK + f[:, None], axis=0)
+        err = float(np.max(np.abs(np.exp(g + col_lse) - b)))
+        if err < tol:
+            break
+    if err >= tol:
+        raise transport.ConvergenceError(iters, err, tol)
+
+    logT = logK + f[:, None] + g[None, :]
+    gamma = np.exp(logT)
     transport_cost = float(np.einsum("pq,pq->", gamma, M))
-    mass = float(col.sum())
-    entropy_term = (
-        float(a @ np.log(u) + col @ np.log(v)) + (shift * mass - transport_cost) / eta - mass
-    )
+    mask = gamma > 0
+    entropy_term = float(np.sum(gamma[mask] * (logT[mask] - 1.0)))
     return transport.TransportPlan(
         gamma=gamma,
         transport_cost=transport_cost,
@@ -246,6 +294,12 @@ def _scaling_allocating(problem, shift, max_iters, tol):
         iters=iters,
         marginal_err=err,
     )
+
+
+def _logsumexp(A, axis):
+    m = np.max(A, axis=axis, keepdims=True)
+    out = m + np.log(np.sum(np.exp(A - m), axis=axis, keepdims=True))
+    return np.squeeze(out, axis=axis)
 
 
 def nmf_residual_loss(X, k, seed, max_iters, tol):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import latent_align as la
+from latent_align import pipeline
 from latent_align.cli import main
 from latent_align.evaluation import GroupMovementRow, target_codes
 from latent_align.optimizer import TrajectoryRecord
@@ -357,6 +358,46 @@ class TestArtifactFormat:
         assert np.array_equal([read[(ids[i], "pre")] for i in range(arts.dataset.n)], codes)
         assert np.array_equal([read[(ids[i], "post")] for i in arts.groups.i_target], post)
         assert len(rows) == arts.dataset.n + arts.groups.i_target.size
+
+
+class TestDatasetFiles:
+    """Each command reads its dataset once, before it writes anything."""
+
+    @staticmethod
+    def _data(tmp_path):
+        assert main(["synth", "--n", "60", "--out", str(tmp_path / "data")]) == 0
+        return tmp_path / "data" / "dataset.csv", tmp_path / "data" / "schema.json"
+
+    @pytest.mark.parametrize("command", [["run"], ["baselines"], ["sweep", "--param", "k", "--values", "3"]])
+    @pytest.mark.parametrize("broken", ["missing_csv", "schema_not_json"])
+    def test_unreadable_file_fails_before_output(self, tmp_path, capsys, command, broken):
+        csv_path, schema_path = self._data(tmp_path)
+        if broken == "missing_csv":
+            csv_path = tmp_path / "nope.csv"
+        else:
+            schema_path.write_text("{not json")
+        out = tmp_path / "o"
+        files = ["--dataset", str(csv_path), "--schema", str(schema_path)]
+        assert main(command + ["--config", str(_write_config(tmp_path)), *files, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert json.loads(err)["error"] == "ConfigError"
+        assert not out.exists()
+
+    def test_seeds_share_one_read(self, tmp_path, monkeypatch):
+        csv_path, schema_path = self._data(tmp_path)
+        load, calls = pipeline.load_dataset, []
+
+        def counted(*args):
+            calls.append(args)
+            return load(*args)
+
+        monkeypatch.setattr(pipeline, "load_dataset", counted)
+        files = ["--dataset", str(csv_path), "--schema", str(schema_path)]
+        argv = ["run", "--config", str(_write_config(tmp_path)), *files, "--seed", "1,2,3", "--out", str(tmp_path / "o")]
+        assert main(argv) == 0
+        assert len(calls) == 1
+        assert (tmp_path / "o" / "runs.csv").read_text().count("\n") == 4
 
 
 class TestSynthAndInspect:

@@ -18,12 +18,20 @@ from latent_align.transport import (
     sinkhorn_supports,
 )
 
-from oracles import entropic_ot_pg, sinkhorn_allocating
+from oracles import entropic_ot_pg, log_sinkhorn, sinkhorn_allocating
 
 
 def _separated_corners():
     pts = np.eye(4) * 0.9 + 0.025  # well separated simplex corners
     return pts / pts.sum(axis=1, keepdims=True)
+
+
+def _far_atom_supports():
+    # source atom 0 lies far from every target atom
+    rng = np.random.default_rng(3)
+    target = rng.dirichlet(np.ones(3), size=12) * 0.1 + np.array([0.0, 0.0, 0.9])
+    source = np.vstack([[1.0, 0.0, 0.0], rng.dirichlet(np.ones(3), size=9)])
+    return source, target
 
 
 def _uniform_problem(M, eta):
@@ -126,16 +134,11 @@ class TestSinkhorn:
         assert np.max(np.abs(plan.gamma.sum(axis=1) - 1.0 / 8)) < 1e-7
         assert np.max(np.abs(plan.gamma.sum(axis=0) - 1.0 / 6)) < 1e-7
 
-    def test_identical_separated_supports_near_zero_cost(self, monkeypatch):
+    def test_identical_separated_supports_near_zero_cost(self):
         pts = _separated_corners()
         problem = TransportProblem.from_supports(pts, pts, eta=1e-3)
-        # the cost range over eta is beyond the routing bound: log domain only
+        # the cost range over eta is beyond the first stage's bound: several stages
         assert np.ptp(problem.cost) / problem.eta > transport.SCALING_MAX_RANGE
-
-        def no_scaling(*args):
-            raise AssertionError("scaling domain used beyond the routing bound")
-
-        monkeypatch.setattr(transport, "_scaling_sinkhorn", no_scaling)
         plan = sinkhorn(problem)
         assert plan.transport_cost < 1e-6
         assert np.max(np.abs(plan.gamma.sum(axis=1) - 0.25)) < DEFAULT_TOL
@@ -147,21 +150,67 @@ class TestSinkhorn:
         U = rng.dirichlet(np.ones(4), size=30)
         V = rng.dirichlet(np.ones(4), size=25)
         problem = TransportProblem.from_supports(U, V, eta)
-        shift = float(problem.cost.min())
-        scaled = transport._scaling_sinkhorn(problem, shift, DEFAULT_MAX_ITERS, DEFAULT_TOL)
-        logged = transport._log_sinkhorn(problem, DEFAULT_MAX_ITERS, DEFAULT_TOL)
+        scaled = sinkhorn(problem)
+        logged = log_sinkhorn(problem, DEFAULT_MAX_ITERS, DEFAULT_TOL)
         np.testing.assert_allclose(scaled.gamma, logged.gamma, rtol=0, atol=1e-9)
         assert abs(scaled.transport_cost - logged.transport_cost) < 1e-9
         assert abs(scaled.entropic_value - logged.entropic_value) < 1e-9
 
-    def test_nonfinite_scaling_falls_back_to_log_domain(self, monkeypatch):
-        # with the routing bound lifted, row 0 of K = exp(-2/eta) underflows
-        # to 0 and its scaling to inf
-        monkeypatch.setattr(transport, "SCALING_MAX_RANGE", math.inf)
-        problem = _uniform_problem(np.array([[2.0], [0.0]]), eta=1e-3)
-        plan = sinkhorn(problem)
+    @pytest.mark.parametrize(
+        "shape, eta", [((6, 5, 3), e) for e in (2e-3, 5e-4, 1e-4)] + [((10, 8, 3), e) for e in (2e-3, 5e-4)]
+    )
+    def test_stages_agree_with_log_domain_oracle(self, shape, eta):
+        nb, na, k = shape
+        rng = np.random.default_rng(nb * 1000 + na)
+        problem = TransportProblem.from_supports(
+            rng.dirichlet(np.ones(k), size=nb), rng.dirichlet(np.ones(k), size=na), eta
+        )
+        assert np.ptp(problem.cost) / eta > transport.SCALING_MAX_RANGE
+        staged = sinkhorn(problem)
+        logged = log_sinkhorn(problem, DEFAULT_MAX_ITERS, DEFAULT_TOL)
+        # Both solves stop once their column error is below DEFAULT_TOL = 1e-9,
+        # from different starts. Each plan then sits that error, amplified by
+        # the conditioning of the fixed point, from the exact plan, and the
+        # conditioning grows as eta falls: the two differ by up to 5.6e-9 in
+        # an entry and 3.2e-10 in cost here, so they are held to 2e-8 and 2e-9.
+        np.testing.assert_allclose(staged.gamma, logged.gamma, rtol=0, atol=2e-8)
+        assert abs(staged.transport_cost - logged.transport_cost) < 2e-9
+        assert abs(staged.entropic_value - logged.entropic_value) < 2e-9
+
+    def test_far_atom_solved_in_stages(self):
+        # exp(-2 / eta) underflows at eta = 1e-3; the first stage at eta = 2/300
+        # keeps it, and later stages carry it in the potentials
+        plan = sinkhorn(_uniform_problem(np.array([[2.0], [0.0]]), eta=1e-3))
         np.testing.assert_allclose(plan.gamma, [[0.5], [0.5]], rtol=0, atol=1e-12)
         assert plan.transport_cost == pytest.approx(1.0)
+
+    def test_nonfinite_scaling_raises(self, monkeypatch):
+        # with the first stage's bound lifted, row 0 of K = exp(-2/eta)
+        # underflows to 0 and its scaling to inf
+        monkeypatch.setattr(transport, "SCALING_MAX_RANGE", math.inf)
+        with pytest.raises(ConvergenceError, match="marginal error nan"):
+            sinkhorn(_uniform_problem(np.array([[2.0], [0.0]]), eta=1e-3))
+
+    def test_budget_is_shared_by_all_stages(self, monkeypatch):
+        rng = np.random.default_rng(2)
+        U, V = rng.dirichlet(np.ones(3), size=10), rng.dirichlet(np.ones(3), size=8)
+        problem = TransportProblem.from_supports(U, V, 0.002)
+        loop, stages = transport._scaling_loop, []
+
+        def recording_loop(*args):
+            scalings = loop(*args)
+            stages.append(scalings[3])
+            return scalings
+
+        monkeypatch.setattr(transport, "_scaling_loop", recording_loop)
+        plan = sinkhorn(problem)
+        monkeypatch.undo()
+        assert len(stages) > 1 and plan.iters == sum(stages)
+        # out of budget in the last stage, and just as the first stage ends
+        for max_iters in (plan.iters - 1, stages[0]):
+            with pytest.raises(ConvergenceError) as err:
+                sinkhorn(problem, max_iters=max_iters)
+            assert err.value.iters == max_iters
 
     @pytest.mark.parametrize("domain", ["scaling", "log"])
     def test_stops_at_first_converged_iteration(self, domain):
@@ -232,9 +281,9 @@ class TestSinkhorn:
 
 
 class TestLeanScalingLoop:
-    """The scaling loop writes into vectors allocated once per solve; it must
-    give the plan of the loop that allocates them every iteration, bit for
-    bit, and fall back to the log domain at the same point."""
+    """The scaling loop writes into vectors allocated once per stage; on the
+    same stage schedule it must give the plan of the loop that allocates them
+    every iteration, bit for bit, and fail at the same point."""
 
     @staticmethod
     def _assert_same_plan(plan, ref):
@@ -244,9 +293,9 @@ class TestLeanScalingLoop:
         assert plan.iters == ref.iters
         assert plan.marginal_err == ref.marginal_err
 
-    # eta = 0.002 sends these supports to the log domain; the 167 x 167
-    # fixture-size plan is solved in the scaling domain only, since the log
-    # domain does not converge there at eta = 0.002
+    # eta = 0.002 solves these supports in several stages; the 167 x 167
+    # fixture-size plan is solved at larger eta only, since it does not
+    # converge at eta = 0.002
     @pytest.mark.parametrize(
         "shape, eta",
         [(s, e) for s in [(1, 5, 3), (7, 3, 2), (40, 25, 4)] for e in (0.2, 0.05, 0.01, 0.002)]
@@ -266,28 +315,29 @@ class TestLeanScalingLoop:
         ranges = [np.ptp(TransportProblem.from_supports(U, V, eta).cost) / eta for eta in (0.05, 0.002)]
         assert ranges[0] <= transport.SCALING_MAX_RANGE < ranges[1]
 
-    def test_nonfinite_fallback(self, monkeypatch):
+    def test_nonfinite_scaling_raises_the_same_error(self, monkeypatch):
         # a source atom far from every target: its kernel row underflows to 0
-        # once the routing bound is lifted, so the scaling goes non-finite
+        # once the first stage's bound is lifted, so the scaling goes non-finite
         monkeypatch.setattr(transport, "SCALING_MAX_RANGE", math.inf)
-        rng = np.random.default_rng(3)
-        target = rng.dirichlet(np.ones(3), size=12) * 0.1 + np.array([0.0, 0.0, 0.9])
-        source = np.vstack([[1.0, 0.0, 0.0], rng.dirichlet(np.ones(3), size=9)])
-        problem = TransportProblem.from_supports(source, target, 0.002)
-        shift = float(problem.cost.min())
-        assert transport._scaling_sinkhorn(problem, shift, DEFAULT_MAX_ITERS, DEFAULT_TOL) is None
-        self._assert_same_plan(sinkhorn(problem), sinkhorn_allocating(problem))
+        problem = TransportProblem.from_supports(*_far_atom_supports(), 0.002)
+        with pytest.raises(ConvergenceError) as lean:
+            sinkhorn(problem)
+        with pytest.raises(ConvergenceError) as ref:
+            sinkhorn_allocating(problem)
+        assert lean.value.iters == ref.value.iters
+        assert math.isnan(lean.value.marginal_err) and math.isnan(ref.value.marginal_err)
 
     def test_budget_exhaustion_reports_the_same_error(self):
         rng = np.random.default_rng(5)
-        problem = TransportProblem.from_supports(
-            rng.dirichlet(np.ones(3), size=20), rng.dirichlet(np.ones(3), size=15), 0.01
-        )
-        with pytest.raises(ConvergenceError) as lean:
-            sinkhorn(problem, max_iters=3)
-        with pytest.raises(ConvergenceError) as ref:
-            sinkhorn_allocating(problem, max_iters=3)
-        assert (lean.value.iters, lean.value.marginal_err) == (ref.value.iters, ref.value.marginal_err)
+        U, V = rng.dirichlet(np.ones(3), size=20), rng.dirichlet(np.ones(3), size=15)
+        staged = TransportProblem.from_supports(U[:10], V[:8], 0.002)
+        # out of budget in the one stage at eta = 0.01, and in the last of several at 0.002
+        for problem, max_iters in [(TransportProblem.from_supports(U, V, 0.01), 3), (staged, sinkhorn(staged).iters - 1)]:
+            with pytest.raises(ConvergenceError) as lean:
+                sinkhorn(problem, max_iters=max_iters)
+            with pytest.raises(ConvergenceError) as ref:
+                sinkhorn_allocating(problem, max_iters=max_iters)
+            assert (lean.value.iters, lean.value.marginal_err) == (ref.value.iters, ref.value.marginal_err)
 
 
 def _simplex_rows(n, k):
@@ -336,37 +386,26 @@ class TestKernelFirst:
         assert np.ptp(problem.cost) / eta <= transport.SCALING_MAX_RANGE
         self._assert_same_solve(sinkhorn_supports(source, target, eta), sinkhorn(problem), target)
 
-    def test_range_over_the_limit_falls_back_to_the_log_domain(self, monkeypatch):
-        pts = _separated_corners()
-        assert np.ptp(cost_matrix(pts, pts)) / 1e-3 > transport.SCALING_MAX_RANGE
+    @pytest.mark.parametrize(
+        "supports", [(_separated_corners(),) * 2, _far_atom_supports()], ids=["separated_corners", "far_atom"]
+    )
+    def test_range_over_the_limit_runs_in_stages(self, supports, monkeypatch):
+        source, target = supports
+        assert np.ptp(cost_matrix(source, target)) / 1e-3 > transport.SCALING_MAX_RANGE
+        plan = sinkhorn(TransportProblem.from_supports(source, target, 1e-3))
 
-        def no_scaling(*args):
-            raise AssertionError("scaling loop run beyond the routing bound")
+        def no_plan(*args):
+            raise AssertionError("kernel-first solve assembled the full problem")
 
-        monkeypatch.setattr(transport, "_scaling_loop", no_scaling)
-        sol = sinkhorn_supports(pts, pts, 1e-3)
-        plan = sinkhorn(TransportProblem.from_supports(pts, pts, 1e-3))
-        assert sol.transport_cost == plan.transport_cost and sol.iters == plan.iters
-        assert np.array_equal(sol.gamma_target, plan.gamma @ pts)
+        monkeypatch.setattr(transport, "sinkhorn", no_plan)
+        self._assert_same_solve(sinkhorn_supports(source, target, 1e-3), plan, target)
 
-    def test_nonfinite_scaling_falls_back_to_sinkhorn(self, monkeypatch):
-        # the supports of TestLeanScalingLoop.test_nonfinite_fallback: with the
-        # routing bound lifted, a kernel row underflows and its scaling with it
+    def test_nonfinite_scaling_raises(self, monkeypatch):
+        # with the first stage's bound lifted, a kernel row underflows and its
+        # scaling with it
         monkeypatch.setattr(transport, "SCALING_MAX_RANGE", math.inf)
-        rng = np.random.default_rng(3)
-        target = rng.dirichlet(np.ones(3), size=12) * 0.1 + np.array([0.0, 0.0, 0.9])
-        source = np.vstack([[1.0, 0.0, 0.0], rng.dirichlet(np.ones(3), size=9)])
-        solved = []
-
-        def recording_sinkhorn(problem, *args):
-            solved.append(sinkhorn(problem, *args))
-            return solved[-1]
-
-        monkeypatch.setattr(transport, "sinkhorn", recording_sinkhorn)
-        sol = sinkhorn_supports(source, target, 0.002)
-        (plan,) = solved
-        assert sol.transport_cost == plan.transport_cost and sol.iters == plan.iters
-        assert np.array_equal(sol.gamma_target, plan.gamma @ target)
+        with pytest.raises(ConvergenceError, match="marginal error nan"):
+            sinkhorn_supports(*_far_atom_supports(), 0.002)
 
     def test_budget_exhaustion_raises(self):
         rng = np.random.default_rng(5)
@@ -384,6 +423,24 @@ class TestKernelFirst:
         tracemalloc.start()
         try:
             sinkhorn_supports(source, target, 0.05)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 500 * 1000 * 8
+
+    def test_peak_memory_in_stages(self):
+        # the same bound when eta puts the range over the first stage's bound:
+        # each stage's kernel is built in the last one's block
+        rng = np.random.default_rng(13)
+        corners = np.eye(10) * 0.9 + 0.01
+        source = corners[np.arange(500) % 10] + 0.05 * rng.dirichlet(np.ones(10), size=500)
+        target = corners[np.arange(1000) % 10] + 0.05 * rng.dirichlet(np.ones(10), size=1000)
+        source /= source.sum(axis=1, keepdims=True)
+        target /= target.sum(axis=1, keepdims=True)
+        assert np.ptp(cost_matrix(source, target)) / 1e-3 > transport.SCALING_MAX_RANGE
+        tracemalloc.start()
+        try:
+            sinkhorn_supports(source, target, 1e-3)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
