@@ -124,13 +124,18 @@ def target_codes(problem: InterventionProblem, result: InterventionResult) -> tu
 
     X_B is the problem's own projection (`target_projection`); X_B + delta_B
     is projected onto the frozen basis in a separate call, once per result,
-    and kept as `result.post_projection`. Equal rows give bit-identical
-    codes, so delta = 0 maps pre and post to the same array.
+    and kept as `result.post_projection`. When delta_B = 0 the post rows are
+    X_B, and `target_projection` is kept instead: a separate call would give
+    the same bits, since equal rows give bit-identical codes.
     """
     if result.post_projection is None:
         i_b = problem.groups.i_target
-        post = nnls_project_rows(problem.dataset.X[i_b] + result.delta[i_b], problem.latent.H)
-        post.setflags(write=False)
+        delta_b = result.delta[i_b]
+        if delta_b.any():
+            post = nnls_project_rows(problem.dataset.X[i_b] + delta_b, problem.latent.H)
+            post.setflags(write=False)
+        else:
+            post = problem.target_projection
         result.post_projection = post
     return normalize_rows(problem.target_projection), normalize_rows(result.post_projection)
 
@@ -146,7 +151,9 @@ def group_movement_report(
 
     The reference row reports zero distance and zero discrepancy to itself by
     convention. Distances are between group centroids in normalized latent
-    space; discrepancies are entropic transport costs to the reference.
+    space; discrepancies are entropic transport costs to the reference, and
+    post codes equal to the pre codes reuse the pre discrepancy instead of
+    solving the same problem again.
     """
     ref, pre, post = (np.asarray(a, dtype=float) for a in (ref, pre, post))
     if post.shape != pre.shape:
@@ -157,6 +164,7 @@ def group_movement_report(
         problem = transport.TransportProblem.from_supports(supp, ref, eta)
         return transport.sinkhorn(problem).transport_cost
 
+    w_pre = ot_to_ref(pre)
     rows = [
         GroupMovementRow("reference", ref.shape[0], float(np.mean(model.predict_proba(ref))), 0.0, 0.0),
         GroupMovementRow(
@@ -164,14 +172,14 @@ def group_movement_report(
             pre.shape[0],
             float(np.mean(model.predict_proba(pre))),
             float(np.linalg.norm(pre.mean(axis=0) - c_ref)),
-            ot_to_ref(pre),
+            w_pre,
         ),
         GroupMovementRow(
             "target_post",
             post.shape[0],
             float(np.mean(model.predict_proba(post))),
             float(np.linalg.norm(post.mean(axis=0) - c_ref)),
-            ot_to_ref(post),
+            w_pre if np.array_equal(post, pre) else ot_to_ref(post),
         ),
     ]
     return tuple(rows)

@@ -35,6 +35,9 @@ class LatentModel:
     W : (n, k) nonnegative coefficients, one row per respondent.
     H : (k, d) nonnegative basis, each row summing to 1.
     fit_loss : final squared Frobenius residual ||X - WH||_F^2.
+    iters_run : multiplicative-update iterations run.
+    hit_cap : True when the fit stopped at its iteration cap without meeting
+        its stop test.
     loss_history : per-iteration loss values (index 0 is the initial loss).
     """
 
@@ -44,6 +47,7 @@ class LatentModel:
     fit_loss: float
     seed: int
     iters_run: int
+    hit_cap: bool = False
     loss_history: tuple[float, ...] = field(default=(), repr=False)
 
     def __post_init__(self):
@@ -59,6 +63,7 @@ class LatentModel:
             "fit_loss": float(self.fit_loss),
             "seed": self.seed,
             "iters_run": self.iters_run,
+            "hit_cap": self.hit_cap,
         }
 
     @classmethod
@@ -70,6 +75,7 @@ class LatentModel:
             fit_loss=float(d["fit_loss"]),
             seed=int(d["seed"]),
             iters_run=int(d["iters_run"]),
+            hit_cap=bool(d["hit_cap"]),
         )
 
 
@@ -187,6 +193,7 @@ def fit_nmf(X: np.ndarray, k: int, seed: int, max_iters: int = 500, tol: float =
         fit_loss=residual_loss(W, H),
         seed=seed,
         iters_run=iters,
+        hit_cap=not stop,
         loss_history=tuple(history),
     )
 

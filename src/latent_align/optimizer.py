@@ -130,7 +130,8 @@ class InterventionResult:
     post_projection holds nnls_project_rows(X_B + delta_B, H), the raw codes
     of the post rows on the frozen basis, once something has projected them:
     a uniform baseline when it builds the result, otherwise the first
-    evaluation (`evaluation.target_codes`). Every later post score reads it.
+    evaluation (`evaluation.target_codes`), which keeps the problem's
+    target_projection when delta_B = 0. Every later post score reads it.
     """
 
     delta: np.ndarray
@@ -309,10 +310,15 @@ def ot_grad_wrt_U(U: np.ndarray, gamma_w: np.ndarray, row_mass) -> np.ndarray:
 
 class _OTAlignment:
     """Transport alignment. refresh returns the term's value at the codes and
-    the plan it solved there, held as gamma @ W~_ref (a kernel-first solve
-    forms neither the cost matrix nor gamma); grad_u holds that plan fixed.
-    The solver keeps the plan of its current codes, so a rejected trial's
-    plan is never used."""
+    the kernel-first solve there (a SupportsPlan: gamma @ W~_ref and the
+    final column scaling, never the cost matrix or gamma); grad_u holds that
+    plan fixed. The solver keeps the plan of its current codes, so a
+    rejected trial's plan never enters a gradient.
+
+    refresh(u_tilde, kept) warm-starts the solve from the column scaling of
+    the plan kept at the current codes, and refresh(u_tilde, kept, rejected)
+    from the element-wise geometric mean of the kept and the rejected
+    trial's scalings: a retrial's codes lie about halfway between theirs."""
 
     def __init__(self, w_ref: np.ndarray, eta: float):
         self.w_ref = w_ref
@@ -320,14 +326,20 @@ class _OTAlignment:
         self.n_calls = 0
         self.n_iters = 0
 
-    def refresh(self, u_tilde: np.ndarray) -> tuple[float, np.ndarray]:
-        sol = transport.sinkhorn_supports(u_tilde, self.w_ref, self.eta)
+    def refresh(self, u_tilde: np.ndarray, kept=None, rejected=None) -> tuple[float, transport.SupportsPlan]:
+        if kept is None:
+            v0 = None
+        elif rejected is None:
+            v0 = kept.v
+        else:
+            v0 = np.sqrt(kept.v) * np.sqrt(rejected.v)
+        sol = transport.sinkhorn_supports(u_tilde, self.w_ref, self.eta, v0=v0)
         self.n_calls += 1
         self.n_iters += sol.iters
-        return sol.transport_cost, sol.gamma_target
+        return sol.transport_cost, sol
 
-    def grad_u(self, U: np.ndarray, plan: np.ndarray) -> np.ndarray:
-        return ot_grad_wrt_U(U, plan, 1.0 / U.shape[0])
+    def grad_u(self, U: np.ndarray, plan: transport.SupportsPlan) -> np.ndarray:
+        return ot_grad_wrt_U(U, plan.gamma_target, 1.0 / U.shape[0])
 
 
 class _MeanMarginAlignment:
@@ -338,7 +350,7 @@ class _MeanMarginAlignment:
         self.bias = bias
         self.n_calls = self.n_iters = 0
 
-    def refresh(self, u_tilde: np.ndarray) -> tuple[float, None]:
+    def refresh(self, u_tilde: np.ndarray, kept=None, rejected=None) -> tuple[float, None]:
         return -float(np.mean(u_tilde @ self.beta + self.bias)), None
 
     def grad_u(self, U: np.ndarray, plan: None) -> np.ndarray:
@@ -354,7 +366,7 @@ class _CentroidAlignment:
         self.centroid_ref = centroid_ref
         self.n_calls = self.n_iters = 0
 
-    def refresh(self, u_tilde: np.ndarray) -> tuple[float, None]:
+    def refresh(self, u_tilde: np.ndarray, kept=None, rejected=None) -> tuple[float, None]:
         diff = u_tilde.mean(axis=0) - self.centroid_ref
         return float(diff @ diff), None
 
@@ -395,7 +407,12 @@ def optimize(problem: InterventionProblem) -> InterventionResult:
       the plan applied to the reference codes, gamma @ W~_ref, the only parts
       of the plan the gradient reads, without forming the cost matrix or the
       plan. A rejected trial halves the U step. If MAX_HALVINGS halvings
-      bring no decrease, U stays, and so does the plan solved at it.
+      bring no decrease, U stays, and so does the plan solved at it. Each
+      solve is warm-started (`transport.sinkhorn_supports` with v0): the
+      first trial of an iteration starts from the column scaling of the plan
+      kept at U, and a retrial from the geometric mean of that scaling and
+      the rejected trial's, whose codes lie about twice as far from U. On
+      the acceptance fixture this halves the Sinkhorn iterations.
     - D step: a proximal gradient step on beta * coupling + lambda * sparsity
       with U held fixed at its new value (coupling gradient, weighted group
       soft-threshold, feasibility clip). The alignment term does not depend
@@ -470,11 +487,12 @@ def optimize(problem: InterventionProblem) -> InterventionResult:
         part_u = align_val + beta * coup
         U_c, u_tc, align_c, plan_c, R_c, coup_c = U, u_t, align_val, plan, R, coup
         u_first = False
+        plan_try = None  # the last rejected trial's plan
         for trial in range(MAX_HALVINGS + 1):
             n_u_trials += 1
             U_try = np.maximum(U - t_u * g_u, 0.0)
             u_try, _ = _tilde(U_try)
-            align_try, plan_try = align.refresh(u_try)
+            align_try, plan_try = align.refresh(u_try, plan, plan_try)
             R_try = coupling_residual(U_try, D, X_B, H, levers)
             coup_try = coupling_value(R_try)
             if align_try + beta * coup_try < part_u:

@@ -25,6 +25,15 @@ Two front-ends build the stage kernels for the shared `_staged_loop`:
   <gamma, M> = sum_p a_p |s_p|^2 + sum_q c_q |t_q|^2 - 2 sum_p s_p . (gamma @ target)_p,
   where c holds the plan's column sums.
 
+A one-stage `sinkhorn_supports` solve can be warm-started: given v0, the
+final column scaling v of a solve between nearby supports (which every
+SupportsPlan returns), its loop starts from v0 instead of the cold column
+update b / (K^T 1). A solve in several stages starts cold. Sinkhorn converges
+from any positive start (Franklin & Lorenz 1989), but the iterations it needs
+grow with the start's distance from the solution, so a start from an unrelated
+v0 can cost more iterations than a cold one, or exhaust the budget on a plan
+close to a permutation.
+
 The reported discrepancy used by the rest of the package is the transport-cost
 part <Gamma, M>; `sinkhorn` carries the full entropic objective alongside.
 """
@@ -195,9 +204,11 @@ class SupportsPlan:
     transport_cost: float
     iters: int
     marginal_err: float
+    v: np.ndarray  # the final column scaling, which can warm-start a nearby solve
 
     def __post_init__(self):
         self.gamma_target.setflags(write=False)
+        self.v.setflags(write=False)
 
 
 def sinkhorn_supports(
@@ -206,13 +217,17 @@ def sinkhorn_supports(
     eta: float,
     max_iters: int = DEFAULT_MAX_ITERS,
     tol: float = DEFAULT_TOL,
+    v0: np.ndarray | None = None,
 ) -> SupportsPlan:
     """Entropic OT between uniform weights on the rows of two supports,
     without forming the cost matrix M or the plan gamma (see the module
     docstring for the kernel GEMM and the supports identity).
 
-    The identity takes the plan's row sums as the source weights a, which
-    they equal up to rounding, since the row scaling is updated last. Raises
+    v0, one positive finite entry per target atom, warm-starts a solve that
+    runs one stage: the first row update reads v0 in place of the cold
+    start's column scaling. A solve in several stages ignores it. The
+    identity takes the plan's row sums as the source weights a, which they
+    equal up to rounding, since the row scaling is updated last. Raises
     ConvergenceError as `sinkhorn` does.
     """
     source = np.asarray(source, dtype=float)
@@ -224,6 +239,12 @@ def sinkhorn_supports(
     if max_iters < 1:
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")
     (nb, k), na = source.shape, target.shape[0]
+    if v0 is not None:
+        v0 = np.asarray(v0, dtype=float)
+        if v0.shape != (na,):
+            raise ValueError(f"v0 must have shape ({na},), got {v0.shape}")
+        if not np.all((v0 > 0) & (v0 < math.inf)):
+            raise ValueError("v0 must be positive and finite")
     s2 = np.einsum("pk,pk->p", source, source)
     t2 = np.einsum("qk,qk->q", target, target)
     lhs = np.full((nb, k + 2), -1.0)
@@ -245,6 +266,12 @@ def sinkhorn_supports(
     if eta0 > eta:
         K *= eta / eta0
         hi *= eta / eta0
+        v0 = None
+    elif v0 is not None:
+        # a constant factor in v0 is absorbed by the row update; a power of
+        # two brings its largest entry into [1/2, 1) exactly, so the first
+        # row update sees a kernel entry of at least e^-300 times 1/2
+        v0 = np.ldexp(v0, -np.frexp(v0.max())[1])
     K -= hi
     np.exp(K, out=K)
     shift = -hi * eta0  # the first kernel is exp((shift - M) / eta0)
@@ -254,25 +281,27 @@ def sinkhorn_supports(
         return np.exp(K, out=K)
 
     a, b = np.full(nb, 1.0 / nb), np.full(na, 1.0 / na)
-    K, u, v, col, _, _, iters, err = _staged_loop(K, eta0, kernel, a, b, eta, max_iters, tol)
+    K, u, v, col, _, _, iters, err = _staged_loop(K, eta0, kernel, a, b, eta, max_iters, tol, v0)
     gamma_target = K @ (v[:, None] * target)
     gamma_target *= u[:, None]
     transport_cost = float(a @ s2 + col @ t2) - 2.0 * float(np.einsum("pk,pk->", source, gamma_target))
-    return SupportsPlan(gamma_target, transport_cost, iters, err)
+    return SupportsPlan(gamma_target, transport_cost, iters, err, v)
 
 
-def _staged_loop(K, eta_s, kernel, a, b, eta, max_iters, tol):
+def _staged_loop(K, eta_s, kernel, a, b, eta, max_iters, tol, v0=None):
     """Sinkhorn at eta through stages eta_s, eta_s / 2, ... down to eta,
     from the first stage's kernel K; kernel(eta_s, f, g, K) overwrites K with
-    a later stage's. Returns (K, u, v, col, f, g, iters, err) of the last
-    stage, with iters summed over all stages, as ConvergenceError reports it.
+    a later stage's. v0, if given, starts every stage, so callers pass it
+    only to a one-stage solve. Returns (K, u, v, col, f, g, iters, err) of
+    the last stage, with iters summed over all stages, as ConvergenceError
+    reports it.
     """
     f, g = np.zeros_like(a), np.zeros_like(b)
     done = 0
     while True:
         stage_tol = tol if eta_s == eta else max(tol, STAGE_TOL)
         try:
-            u, v, col, iters, err = _scaling_loop(K, a, b, max_iters - done, stage_tol)
+            u, v, col, iters, err = _scaling_loop(K, a, b, max_iters - done, stage_tol, v0)
         except ConvergenceError as exc:
             raise ConvergenceError(done + exc.iters, exc.marginal_err, stage_tol) from None
         done += iters
@@ -286,19 +315,22 @@ def _staged_loop(K, eta_s, kernel, a, b, eta, max_iters, tol):
         K = kernel(eta_s, f, g, K)
 
 
-def _scaling_loop(K, a, b, max_iters, tol):
-    """The scaling iterations on one stage's kernel K.
+def _scaling_loop(K, a, b, max_iters, tol, v0=None):
+    """The scaling iterations on one stage's kernel K, from the column
+    scaling v0, or cold from b / (K^T 1), the column update at u = 1.
 
     Returns (u, v, col, iters, err), where col = v * (K^T u) holds the plan's
     column sums at the last iteration. Raises ConvergenceError when the
     budget runs out first or a scaling goes non-finite.
     """
-    v, col, gap = np.empty_like(b), np.empty_like(b), np.empty_like(b)
+    v, col, gap, Ktu = np.empty_like(b), np.empty_like(b), np.empty_like(b), np.empty_like(b)
     u, Kv = np.empty_like(a), np.empty_like(a)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        Ktu = K.sum(axis=0)  # K^T u at u = 1
+        if v0 is None:
+            np.divide(b, K.sum(axis=0), out=v)
+        else:
+            v[:] = v0
         for iters in range(1, max_iters + 1):
-            np.divide(b, Ktu, out=v)
             np.dot(K, v, out=Kv)
             np.divide(a, Kv, out=u)
             np.dot(u, K, out=Ktu)  # K^T u
@@ -309,6 +341,7 @@ def _scaling_loop(K, a, b, max_iters, tol):
                 raise ConvergenceError(iters, err, tol)
             if err < tol:
                 break
+            np.divide(b, Ktu, out=v)
     if err >= tol:
         raise ConvergenceError(iters, err, tol)
     return u, v, col, iters, err

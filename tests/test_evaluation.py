@@ -1,11 +1,12 @@
 import json
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import latent_align as la
-from latent_align import transport
+from latent_align import evaluation, transport
 from latent_align.evaluation import (
     conversion_metrics,
     effort_and_levers,
@@ -225,6 +226,27 @@ class TestOneLatentMap:
         assert np.all(arts.result.delta == 0.0)
         m = arts.metrics
         assert m.n_conv == 0 and m.mean_dp == 0.0 and m.dw == 0.0
+
+    def test_zero_intervention_reuses_the_pre_side(self, fixture_arts, monkeypatch):
+        problem, result = fixture_arts.problem, fixture_arts.result
+        zero = replace(result, delta=np.zeros_like(result.delta), post_projection=None)
+        i_b = problem.groups.i_target
+        # the old way: X_B + 0 projected in its own call and the post side solved
+        old = replace(zero, post_projection=nnls_project_rows(problem.dataset.X[i_b] + 0.0, problem.latent.H))
+        expected = evaluate_intervention(problem, old)
+        ref = la.normalize_rows(problem.latent.W)[problem.groups.i_reference]
+        post = la.normalize_rows(old.post_projection)
+        assert expected.w_after == sinkhorn(TransportProblem.from_supports(post, ref, problem.eta)).transport_cost
+
+        projections, solves = [], []
+        project, solve = evaluation.nnls_project_rows, transport.sinkhorn
+        monkeypatch.setattr(evaluation, "nnls_project_rows", lambda *a: projections.append(1) or project(*a))
+        monkeypatch.setattr(transport, "sinkhorn", lambda *a, **kw: solves.append(1) or solve(*a, **kw))
+        report = evaluate_intervention(problem, zero)
+        assert projections == [] and len(solves) == 1
+        assert zero.post_projection is problem.target_projection
+        assert report == expected
+        assert report.dw == 0.0 and report.n_conv == 0
 
     def test_conversions_match_per_row_projection(self, fixture_arts):
         model = fixture_arts.surrogate

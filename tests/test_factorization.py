@@ -1,5 +1,6 @@
 import hashlib
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from latent_align.factorization import (
     normalize_rows,
 )
 
+from conftest import fixture_config
 from oracles import nmf_residual_loss, nnls_enumerate
 
 
@@ -124,6 +126,21 @@ class TestFitNMFMatchesResidualLoop:
         assert np.array_equal(model.W, W) and np.array_equal(model.H, H)
         diff = X - W @ H
         assert model.fit_loss == float(np.einsum("ij,ij->", diff, diff))
+
+
+class TestHitCap:
+    def test_fixture_fit_stops_at_the_cap(self, fixture_arts):
+        latent = fixture_arts.latent
+        assert latent.iters_run == fixture_config().nmf_max_iters and latent.hit_cap
+
+    def test_fit_that_meets_tol_did_not_hit_the_cap(self):
+        X = _nmf_input(0, 20, 8, 2, False)
+        model = fit_nmf(X, k=2, seed=4, max_iters=5000)
+        assert model.iters_run < 5000 and not model.hit_cap
+        # meeting the stop test at the last allowed iteration is not a capped fit
+        assert not fit_nmf(X, k=2, seed=4, max_iters=model.iters_run).hit_cap
+        capped = fit_nmf(X, k=2, seed=4, max_iters=model.iters_run - 1)
+        assert capped.iters_run == model.iters_run - 1 and capped.hit_cap
 
 
 class TestNNLSProject:
@@ -286,6 +303,9 @@ class TestSerializationAndImmutability:
         np.testing.assert_allclose(loaded.W, model.W)
         np.testing.assert_allclose(loaded.H, model.H)
         assert loaded.k == model.k and loaded.seed == model.seed
+        assert (loaded.iters_run, loaded.hit_cap) == (80, True)
+        uncapped = replace(model, hit_cap=False)
+        assert not LatentModel.from_dict(json.loads(json.dumps(uncapped.to_dict()))).hit_cap
 
     def test_invariants_rechecked_on_load(self, tmp_path):
         rng = np.random.default_rng(10)

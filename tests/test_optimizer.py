@@ -433,6 +433,40 @@ class TestStepRule:
         result = optimize(problem)
         assert len(iters) == result.n_sinkhorn_calls and sum(iters) == result.n_sinkhorn_iters
 
+    def test_u_trials_are_warm_started(self, fixture_arts, monkeypatch):
+        # only the first solve starts cold; the first trial of an iteration
+        # starts from the scaling of the plan kept at the current codes (the
+        # plan its gradient reads), and a retrial from the geometric mean of
+        # that scaling and the rejected trial's
+        events, solve = [], transport.sinkhorn_supports
+
+        def recording_solve(*args, v0=None, **kwargs):
+            sol = solve(*args, v0=v0, **kwargs)
+            events.append((v0, sol))
+            return sol
+
+        def recording_grad(U, gamma_w, row_mass):
+            events.append((None, gamma_w))
+            return ot_grad_wrt_U(U, gamma_w, row_mass)
+
+        monkeypatch.setattr(transport, "sinkhorn_supports", recording_solve)
+        monkeypatch.setattr(opt_mod, "ot_grad_wrt_U", recording_grad)
+        result = optimize(fixture_arts.problem)
+        solves = [sol for _, sol in events if isinstance(sol, transport.SupportsPlan)]
+        assert events[0][0] is None and len(solves) == result.n_sinkhorn_calls
+        retrials = 0
+        for (_, prev), (v0, event) in zip(events, events[1:]):
+            if not isinstance(event, transport.SupportsPlan):
+                kept = next(sol for sol in solves if sol.gamma_target is event)
+            elif not isinstance(prev, transport.SupportsPlan):
+                assert np.array_equal(v0, kept.v)
+            else:
+                assert np.array_equal(v0, np.sqrt(kept.v) * np.sqrt(prev.v))
+                retrials += 1
+        assert retrials == result.n_u_trials - result.n_outer > 0
+        # a cold solve takes about 16 iterations on the fixture
+        assert result.n_sinkhorn_iters <= 10 * result.n_sinkhorn_calls
+
     def test_unmoved_delta_never_halves(self, fixture_arts, monkeypatch):
         # a lambda this large keeps D = 0; its prox-and-clip trial leaves D
         # where it is, which ends the D step at once
@@ -451,24 +485,32 @@ class TestStepRule:
 
     def test_kept_codes_keep_their_plan(self, monkeypatch):
         # with no halvings allowed, every rejected U trial ends the U step;
-        # the next gradient must use the plan solved at the kept codes
+        # the next gradient must use the plan solved at the kept codes, and
+        # warm starts make that plan differ in its last bits from any other
+        # solve, so it is matched against the solver's own solves
         monkeypatch.setattr(opt_mod, "MAX_HALVINGS", 0)
-        calls = []
+        events = []
+        solve = transport.sinkhorn_supports
+
+        def recording_solve(source, *args, **kwargs):
+            sol = solve(source, *args, **kwargs)
+            events.append(("solve", source.copy(), sol.gamma_target))
+            return sol
 
         def recording_grad(U, gamma_w, row_mass):
-            grad = ot_grad_wrt_U(U, gamma_w, row_mass)
-            calls.append((U.copy(), row_mass, grad))
-            return grad
+            events.append(("grad", U.copy(), gamma_w))
+            return ot_grad_wrt_U(U, gamma_w, row_mass)
 
+        monkeypatch.setattr(transport, "sinkhorn_supports", recording_solve)
         monkeypatch.setattr(opt_mod, "ot_grad_wrt_U", recording_grad)
-        problem = _random_problem(3, 1e-3)
-        w_ref = la.normalize_rows(problem.latent.W)[problem.groups.i_reference]
-        optimize(problem)
-        kept = [b for a, b in zip(calls, calls[1:]) if np.array_equal(a[0], b[0])]
-        assert kept
-        for U, row_mass, grad in calls:
-            fresh = transport.sinkhorn_supports(_tilde(U)[0], w_ref, problem.eta).gamma_target
-            assert np.array_equal(grad, ot_grad_wrt_U(U, fresh, row_mass))
+        optimize(_random_problem(3, 1e-3))
+        grads = [U for kind, U, _ in events if kind == "grad"]
+        assert any(np.array_equal(a, b) for a, b in zip(grads, grads[1:]))
+        for i, (kind, U, gamma_w) in enumerate(events):
+            if kind == "grad":
+                codes = _tilde(U)[0]
+                solved = [g for kind, u, g in events[:i] if kind == "solve" and np.array_equal(u, codes)]
+                assert solved and np.array_equal(gamma_w, solved[-1])
 
 
 @settings(max_examples=25, deadline=None)

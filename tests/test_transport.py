@@ -456,6 +456,143 @@ class TestKernelFirst:
             sinkhorn_supports(U, U, 0.1, max_iters=0)
 
 
+class TestWarmStart:
+    """sinkhorn_supports(..., v0) starts a one-stage solve from the column
+    scaling v0 and solves the same problem; a solve in several stages
+    ignores v0."""
+
+    @staticmethod
+    def _marginals(source, target, eta, v):
+        # the plan that the column scaling v determines, rebuilt from M: the
+        # row update u = a / (K v) absorbs any constant factor in K or v
+        nb, na = source.shape[0], target.shape[0]
+        K = np.exp(-cost_matrix(source, target) / eta)
+        u = (1.0 / nb) / (K @ v)
+        gamma = u[:, None] * K * v[None, :]
+        return gamma.sum(axis=1), gamma.sum(axis=0)
+
+    def _assert_solves_the_same_problem(self, source, target, eta, warm, cold):
+        nb, na = source.shape[0], target.shape[0]
+        assert warm.marginal_err < DEFAULT_TOL
+        rows, cols = self._marginals(source, target, eta, warm.v)
+        np.testing.assert_allclose(rows, 1.0 / nb, rtol=0, atol=DEFAULT_TOL)
+        np.testing.assert_allclose(cols, 1.0 / na, rtol=0, atol=DEFAULT_TOL)
+        # Both solves stop with every column sum within DEFAULT_TOL of 1/na
+        # and every row sum at 1/nb, so their plans' column sums differ by
+        # under 2 DEFAULT_TOL each: under 2 na DEFAULT_TOL of mass in all.
+        # Moving that mass changes <gamma, M> by at most max M <= 2 per unit
+        # on the simplex, and an entry of gamma @ target (coordinates in
+        # [0, 1]) by at most 1 per unit.
+        mass = 2 * na * DEFAULT_TOL
+        assert abs(warm.transport_cost - cold.transport_cost) <= 2 * mass
+        np.testing.assert_allclose(warm.gamma_target, cold.gamma_target, rtol=0, atol=mass)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=st.data(),
+        k=st.integers(1, 6),
+        nb=st.integers(1, 30),
+        na=st.integers(1, 30),
+        eta=st.sampled_from([0.2, 0.05, 0.01]),
+    )
+    def test_any_start_meets_tol_or_runs_out(self, data, k, nb, na, eta):
+        source, target = data.draw(_simplex_rows(nb, k)), data.draw(_simplex_rows(na, k))
+        v0 = data.draw(arrays(np.float64, (na,), elements=st.floats(1e-300, 1e300)))
+        try:
+            cold = sinkhorn_supports(source, target, eta)
+        except ConvergenceError:
+            return
+        try:
+            warm = sinkhorn_supports(source, target, eta, v0=v0)
+        except ConvergenceError as err:
+            # a far start can stall on a near-permutation plan (see
+            # test_far_start_can_stall_a_near_permutation_plan), but it only
+            # ever runs out of budget, never into a non-finite scaling
+            assert err.iters == DEFAULT_MAX_ITERS and math.isfinite(err.marginal_err)
+            return
+        self._assert_solves_the_same_problem(source, target, eta, warm, cold)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=st.data(),
+        k=st.integers(1, 6),
+        nb=st.integers(1, 30),
+        na=st.integers(1, 30),
+        eta=st.sampled_from([0.2, 0.05, 0.01]),
+        step=st.sampled_from([1e-3, 1e-2, 1e-1]),
+    )
+    def test_nearby_start_solves_the_same_problem(self, data, k, nb, na, eta, step):
+        # the solver's use: the start is the scaling solved at nearby codes
+        source, target = data.draw(_simplex_rows(nb, k)), data.draw(_simplex_rows(na, k))
+        moved = source * np.exp(step * data.draw(arrays(np.float64, (nb, k), elements=st.floats(-1.0, 1.0))))
+        moved /= moved.sum(axis=1, keepdims=True)
+        try:
+            cold = sinkhorn_supports(source, target, eta)
+            near = sinkhorn_supports(moved, target, eta)
+        except ConvergenceError:
+            return
+        warm = sinkhorn_supports(source, target, eta, v0=near.v)
+        self._assert_solves_the_same_problem(source, target, eta, warm, cold)
+
+    def test_far_start_can_stall_a_near_permutation_plan(self):
+        # The plan is diagonal up to an entry of 7.5e-13 at (0, 1). The cold
+        # start's first column update puts the scalings' ratio within rounding
+        # of the solution; v0 = 1 is off by a factor of about 12,000, which
+        # puts 9.3e-9 of mass on that entry, and each iteration shrinks that
+        # mass by a factor of only about 1 - 1.9e-8.
+        source = np.array([[8.0, 1, 1, 1, 1], [1, 1, 1, 1, 1]]) / np.array([[12.0], [5.0]])
+        target = np.array([[64.0, 1, 1, 1, 1], [1, 1, 1, 1, 1]]) / np.array([[68.0], [5.0]])
+        assert sinkhorn_supports(source, target, 0.01).iters == 1
+        with pytest.raises(ConvergenceError) as err:
+            sinkhorn_supports(source, target, 0.01, v0=np.ones(2))
+        assert 1e-9 < err.value.marginal_err < 1e-8
+
+    @pytest.mark.parametrize("eta", [0.2, 0.05, 0.01])
+    def test_own_scaling_stops_after_one_iteration(self, eta):
+        rng = np.random.default_rng(21)
+        source, target = rng.dirichlet(np.ones(4), size=40), rng.dirichlet(np.ones(4), size=25)
+        cold = sinkhorn_supports(source, target, eta)
+        assert cold.iters > 1
+        warm = sinkhorn_supports(source, target, eta, v0=cold.v)
+        assert warm.iters == 1
+        # v0 is rescaled by a power of two, which the row update undoes exactly
+        assert np.array_equal(warm.gamma_target, cold.gamma_target)
+        assert warm.transport_cost == cold.transport_cost
+
+    @pytest.mark.parametrize(
+        "supports", [(_separated_corners(),) * 2, _far_atom_supports()], ids=["separated_corners", "far_atom"]
+    )
+    def test_solve_in_stages_ignores_the_start(self, supports):
+        source, target = supports
+        assert np.ptp(cost_matrix(source, target)) / 1e-3 > transport.SCALING_MAX_RANGE
+        cold = sinkhorn_supports(source, target, 1e-3)
+        v0 = np.random.default_rng(4).uniform(0.1, 10.0, size=target.shape[0])
+        warm = sinkhorn_supports(source, target, 1e-3, v0=v0)
+        assert np.array_equal(warm.gamma_target, cold.gamma_target)
+        assert np.array_equal(warm.v, cold.v)
+        assert (warm.transport_cost, warm.iters, warm.marginal_err) == (
+            cold.transport_cost,
+            cold.iters,
+            cold.marginal_err,
+        )
+
+    @pytest.mark.parametrize(
+        "v0, match",
+        [
+            (np.ones(4), "shape"),
+            (np.ones((3, 1)), "shape"),
+            (np.array([1.0, 0.0, 1.0]), "positive"),
+            (np.array([1.0, -1.0, 1.0]), "positive"),
+            (np.array([1.0, np.nan, 1.0]), "finite"),
+            (np.array([1.0, np.inf, 1.0]), "finite"),
+        ],
+    )
+    def test_invalid_start_rejected(self, v0, match):
+        U = np.full((2, 3), 1.0 / 3)
+        with pytest.raises(ValueError, match=match):
+            sinkhorn_supports(U, np.eye(3), 0.1, v0=v0)
+
+
 class TestFromSupports:
     def test_singleton(self):
         problem = TransportProblem.from_supports(np.array([[0.75, 0.25]]), np.array([[0.5, 0.5], [0.0, 1.0]]), 0.1)
