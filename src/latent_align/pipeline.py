@@ -109,6 +109,8 @@ class ExperimentConfig:
             raise ConfigError("tau_delta must be >= 0")
         if not self.eps_omega > 0:
             raise ConfigError("eps_omega must be positive")
+        if self.logistic_l2 < 0:
+            raise ConfigError("logistic_l2 must be >= 0")
         for name in ("max_outer", "nmf_max_iters", "kmeans_restarts"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")

@@ -15,7 +15,7 @@ import numpy as np
 
 DEFAULT_EPS_OMEGA = 1e-6
 GRAD_TOL = 1e-7
-MAX_GD_ITERS = 5000
+MAX_NEWTON_ITERS = 50
 
 
 def _sigmoid(m: np.ndarray) -> np.ndarray:
@@ -57,6 +57,7 @@ class SurrogateModel:
             "train_accuracy": float(self.train_accuracy),
             "l2": float(self.l2),
             "n_iters": int(self.n_iters),
+            "grad_norm": float(self.grad_norm),
         }
 
     @classmethod
@@ -68,6 +69,7 @@ class SurrogateModel:
             train_accuracy=float(d["train_accuracy"]),
             l2=float(d.get("l2", 0.0)),
             n_iters=int(d.get("n_iters", 0)),
+            grad_norm=float(d.get("grad_norm", 0.0)),
         )
 
 
@@ -137,14 +139,18 @@ def binarize_outcome(y: np.ndarray, rule: str = "median", threshold: float | Non
     raise ValueError(f"unknown binarization rule {rule!r}")
 
 
-def _logistic_loss_and_grad(W, labels, beta, bias, l2):
-    m = W @ beta + bias
+def _logistic_terms(W, labels, theta, l2):
+    """Loss, gradient and Hessian at theta = (beta, bias)."""
+    (n, k), beta = W.shape, theta[:-1]
+    m = W @ beta + theta[-1]
     # mean softplus(m) - y*m, stable for large |m|
     loss = float(np.mean(np.logaddexp(0.0, m) - labels * m)) + 0.5 * l2 * float(beta @ beta)
-    r = _sigmoid(m) - labels
-    g_beta = W.T @ r / W.shape[0] + l2 * beta
-    g_bias = float(np.mean(r))
-    return loss, g_beta, g_bias
+    p = _sigmoid(m)
+    grad = np.append(W.T @ (p - labels) / n + l2 * beta, np.mean(p - labels))
+    # Z^T diag(p(1-p)) Z / n + diag(l2, ..., l2, 0) for Z = [W, 1], built blockwise without forming Z
+    s = p * (1.0 - p)
+    hess = np.block([[(W.T * s) @ W + n * l2 * np.eye(k), (W.T @ s)[:, None]], [W.T @ s, s.sum()]]) / n
+    return loss, grad, hess
 
 
 def fit_logistic(
@@ -153,15 +159,16 @@ def fit_logistic(
     l2: float = 1e-2,
     seed: int = 0,
     tau_y: float = 0.5,
-    max_iters: int = MAX_GD_ITERS,
+    max_iters: int = MAX_NEWTON_ITERS,
     grad_tol: float = GRAD_TOL,
 ) -> SurrogateModel:
-    """Fit the probe by deterministic full-batch gradient descent.
+    """Fit the probe by damped Newton from zero parameters.
 
-    Minimizes mean logistic loss plus (l2/2)||beta||^2 (bias unpenalized)
-    with Armijo backtracking, starting from zero parameters. Stops when the
-    gradient infinity norm falls below grad_tol or after max_iters. The seed
-    is recorded for provenance only; the solve itself is deterministic.
+    Minimizes mean logistic loss plus (l2/2)||beta||^2, bias unpenalized. Each
+    direction is a least-squares solve (minimum-norm on the singular Hessian of
+    simplex codes at l2 = 0); its step halves until Armijo holds. Stops when the
+    gradient infinity norm falls below grad_tol or after max_iters. The seed is
+    recorded for provenance only; the solve itself is deterministic.
     """
     W = np.asarray(W_tilde, dtype=float)
     labels = np.asarray(labels, dtype=float)
@@ -171,34 +178,29 @@ def fit_logistic(
     if not np.array_equal(classes, [0, 1]) and not np.array_equal(classes, [0.0, 1.0]):
         raise ValueError(f"labels must contain both classes 0 and 1, got {classes}")
 
-    k = W.shape[1]
-    beta = np.zeros(k)
-    bias = 0.0
-    step = 1.0
-    loss, g_beta, g_bias = _logistic_loss_and_grad(W, labels, beta, bias, l2)
+    theta = np.zeros(W.shape[1] + 1)
+    loss, grad, hess = _logistic_terms(W, labels, theta, l2)
     it = 0
     for it in range(1, max_iters + 1):
-        gnorm = max(float(np.max(np.abs(g_beta))), abs(g_bias))
-        if gnorm < grad_tol:
+        if np.max(np.abs(grad)) < grad_tol:
             break
-        g_sq = float(g_beta @ g_beta) + g_bias**2
-        step = min(step * 2.0, 1e8)
+        step = np.linalg.lstsq(hess, -grad, rcond=None)[0]
+        t = 1.0
         while True:
-            nb = beta - step * g_beta
-            nbias = bias - step * g_bias
-            nloss, ng_beta, ng_bias = _logistic_loss_and_grad(W, labels, nb, nbias, l2)
-            if nloss <= loss - 1e-4 * step * g_sq or step < 1e-18:
+            trial = _logistic_terms(W, labels, theta + t * step, l2)
+            if trial[0] <= loss + 1e-4 * t * float(grad @ step) or t < 1e-9:
                 break
-            step *= 0.5
-        beta, bias, loss, g_beta, g_bias = nb, nbias, nloss, ng_beta, ng_bias
+            t *= 0.5
+        theta = theta + t * step
+        loss, grad, hess = trial
 
     model = SurrogateModel(
-        beta=beta,
-        bias=bias,
+        beta=theta[:-1],
+        bias=float(theta[-1]),
         tau_y=tau_y,
         l2=l2,
         n_iters=it,
-        grad_norm=max(float(np.max(np.abs(g_beta))), abs(g_bias)),
+        grad_norm=float(np.max(np.abs(grad))),
     )
     preds = (model.predict_proba(W) >= 0.5).astype(float)
     model.train_accuracy = float(np.mean(preds == labels))

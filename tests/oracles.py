@@ -4,7 +4,8 @@ These deliberately use different algorithms from the code under test:
 exhaustive enumeration for NNLS, projected gradient on the primal and
 log-domain Sinkhorn for entropic transport, permutation averaging for Shapley
 values, bounded scalar minimization for the group prox, central finite
-differences for gradients, and a row-at-a-time loop for schema validation.
+differences for gradients, a row-at-a-time loop for schema validation, and
+quasi-Newton (BFGS) on an explicit [W, 1] design for the logistic probe.
 
 Three more are the plain forms of hot loops that the package runs in a leaner
 form with the same floating-point operations: the two-branch sigmoid, the
@@ -17,7 +18,8 @@ import itertools
 import math
 
 import numpy as np
-from scipy.optimize import minimize_scalar
+from scipy.optimize import minimize, minimize_scalar
+from scipy.special import expit
 
 from latent_align import transport
 from latent_align.factorization import MU_EPS
@@ -143,6 +145,25 @@ def central_difference(f, x, h=1e-6):
         g[idx] = (f(xp) - f(xm)) / (2.0 * h)
         it.iternext()
     return g
+
+
+def logistic_loss_grad(theta, W, labels, l2):
+    """Probe objective and gradient at theta = (beta, bias), with the bias
+    as a column of ones in the design and left out of the penalty."""
+    Z = np.column_stack([W, np.ones(len(labels))])
+    m = Z @ theta
+    loss = np.mean(np.logaddexp(0.0, m) - labels * m) + 0.5 * l2 * theta[:-1] @ theta[:-1]
+    grad = Z.T @ (expit(m) - labels) / len(labels)
+    grad[:-1] += l2 * theta[:-1]
+    return loss, grad
+
+
+def logistic_bfgs(W, labels, l2):
+    """Probe parameters (beta, bias) by scipy's BFGS from zero, to a gradient
+    tolerance far below the package's stop test."""
+    x0 = np.zeros(W.shape[1] + 1)
+    res = minimize(logistic_loss_grad, x0, args=(W, labels, l2), jac=True, method="BFGS", options={"gtol": 1e-12})
+    return res.x
 
 
 def random_assignment_wcss(V, n_clusters, trials, seed):

@@ -72,6 +72,7 @@ class TestConfig:
             {"seeds": (-1,)},
             {"dataset_csv": ""},
             {"out_dir": ""},
+            {"logistic_l2": -1.0},
         ],
     )
     def test_wrong_value_type_rejected(self, overrides):
@@ -169,7 +170,8 @@ class TestRun:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "content", [None, b"{not json", b"[1, 2]", b"\xff\xfe", b'{"k": "x"}', b'{"seeds": 5}']
+        "content",
+        [None, b"{not json", b"[1, 2]", b"\xff\xfe", b'{"k": "x"}', b'{"seeds": 5}', b'{"logistic_l2": -1.0}'],
     )
     def test_bad_config_file_is_a_config_error(self, tmp_path, capsys, content):
         cfg = tmp_path / "config.json"

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from fractions import Fraction
@@ -6,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latent_align.surrogate import (
+    GRAD_TOL,
+    MAX_NEWTON_ITERS,
     PriorityWeights,
     SurrogateModel,
     _sigmoid,
@@ -17,7 +21,7 @@ from latent_align.surrogate import (
     shapley_latent,
 )
 
-from oracles import central_difference, shapley_permutations, sigmoid_two_branch
+from oracles import central_difference, logistic_bfgs, logistic_loss_grad, shapley_permutations, sigmoid_two_branch
 
 
 class TestBinarize:
@@ -69,6 +73,76 @@ class TestFitLogistic:
     def test_single_class_rejected(self):
         with pytest.raises(ValueError, match="class"):
             fit_logistic(np.ones((4, 2)), np.zeros(4))
+
+    def test_bias_not_penalized(self):
+        # a penalty this large pins beta near 0; an unpenalized bias still
+        # fits the label mean, logit(3/4) = log 3
+        rng = np.random.default_rng(4)
+        W = rng.dirichlet(np.ones(3), size=40)
+        labels = np.repeat([1, 1, 1, 0], 10)
+        model = fit_logistic(W, labels, l2=1e6)
+        assert np.max(np.abs(model.beta)) < 1e-5
+        assert model.bias == pytest.approx(np.log(3.0), abs=1e-5)
+
+    def test_fixture_probe_converges_in_few_newton_steps(self, fixture_arts):
+        assert fixture_arts.surrogate.n_iters <= 10
+        assert fixture_arts.surrogate.grad_norm < GRAD_TOL
+
+    @pytest.mark.parametrize("grad_tol", [GRAD_TOL, 0.0])
+    def test_unpenalized_fit_on_simplex_codes(self, grad_tol):
+        # rows summing to one make the columns of [W, 1] dependent, so at
+        # l2 = 0 the Hessian is singular along (1, ..., 1, -1)
+        rng = np.random.default_rng(5)
+        W = rng.dirichlet(np.ones(4), size=200)
+        labels = (W[:, 0] + 0.2 * rng.standard_normal(200) > 0.3).astype(int)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = fit_logistic(W, labels, l2=0.0, grad_tol=grad_tol)
+        assert np.isfinite(model.grad_norm) and model.grad_norm < GRAD_TOL
+        assert model.n_iters <= MAX_NEWTON_ITERS
+        _, grad = logistic_loss_grad(np.append(model.beta, model.bias), W, labels, 0.0)
+        assert np.max(np.abs(grad)) < GRAD_TOL
+
+    def test_unpenalized_fit_on_separable_data(self):
+        # no finite minimizer: the loss falls toward 0 as |beta| grows
+        W = np.array([[0.0], [0.1], [0.2], [0.8], [0.9], [1.0]])
+        labels = np.array([0, 0, 0, 1, 1, 1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = fit_logistic(W, labels, l2=0.0)
+        assert np.isfinite(model.grad_norm) and model.grad_norm < GRAD_TOL
+        assert model.n_iters <= MAX_NEWTON_ITERS and model.train_accuracy == 1.0
+
+    def test_grad_norm_round_trips(self):
+        W = np.array([[0.0], [0.1], [0.2], [0.8], [0.9], [1.0]])
+        model = fit_logistic(W, np.array([0, 1, 0, 1, 0, 1]), l2=0.1)
+        doc = model.to_dict()
+        assert doc["grad_norm"] == model.grad_norm > 0.0
+        assert SurrogateModel.from_dict(doc).grad_norm == model.grad_norm
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    half_n=st.integers(20, 100),
+    k=st.integers(2, 6),
+    l2=st.floats(0.2, 1.0),
+    concentration=st.floats(0.2, 3.0),
+    signal=st.floats(0.0, 5.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_fit_is_stationary_and_matches_bfgs(half_n, k, l2, concentration, signal, seed):
+    # l2 >= 0.2 keeps the Hessian's smallest eigenvalue away from 0, so a
+    # gradient below GRAD_TOL bounds the parameter error; at small l2 the
+    # flat direction (1, ..., 1, -1) of simplex codes lets it grow past 1e-6
+    rng = np.random.default_rng(seed)
+    W = rng.dirichlet(np.full(k, concentration), size=2 * half_n)
+    score = signal * W @ rng.standard_normal(k) + rng.standard_normal(2 * half_n)
+    labels = (score > np.median(score)).astype(int)
+    model = fit_logistic(W, labels, l2=l2)
+    theta = np.append(model.beta, model.bias)
+    _, grad = logistic_loss_grad(theta, W, labels, l2)
+    assert np.max(np.abs(grad)) < GRAD_TOL
+    assert np.max(np.abs(theta - logistic_bfgs(W, labels, l2))) < 1e-6
 
 
 class TestShapley:
