@@ -146,6 +146,7 @@ def group_movement_report(
     pre: np.ndarray,
     post: np.ndarray,
     eta: float,
+    w_pre: float | None = None,
 ) -> tuple[GroupMovementRow, ...]:
     """Reference vs target-before vs target-after movement table.
 
@@ -153,7 +154,8 @@ def group_movement_report(
     convention. Distances are between group centroids in normalized latent
     space; discrepancies are entropic transport costs to the reference, and
     post codes equal to the pre codes reuse the pre discrepancy instead of
-    solving the same problem again.
+    solving the same problem again. w_pre, when given, is the pre
+    discrepancy, already solved at eta.
     """
     ref, pre, post = (np.asarray(a, dtype=float) for a in (ref, pre, post))
     if post.shape != pre.shape:
@@ -164,7 +166,8 @@ def group_movement_report(
         problem = transport.TransportProblem.from_supports(supp, ref, eta)
         return transport.sinkhorn(problem).transport_cost
 
-    w_pre = ot_to_ref(pre)
+    if w_pre is None:
+        w_pre = ot_to_ref(pre)
     rows = [
         GroupMovementRow("reference", ref.shape[0], float(np.mean(model.predict_proba(ref))), 0.0, 0.0),
         GroupMovementRow(
@@ -192,7 +195,9 @@ def evaluate_intervention(problem: InterventionProblem, result: InterventionResu
     The conversion threshold is the probe's tau_y. The discrepancies before
     and after are the target rows of the movement table, so one pass solves
     each transport problem once. A zero before-value marks the reduction
-    ratio degenerate and reports it as 0.
+    ratio degenerate and reports it as 0. The before-value depends on the
+    problem and eta only, so it is solved once per problem and eta and kept
+    in `problem.pre_discrepancy`.
     """
     groups, model = problem.groups, problem.surrogate
     ref = normalize_rows(problem.latent.W)[groups.i_reference]
@@ -202,8 +207,9 @@ def evaluate_intervention(problem: InterventionProblem, result: InterventionResu
     effort, n_lever = effort_and_levers(result.delta, problem.dataset.schema.s_ctrl, problem.tau_delta)
     eff_conv = conv.n_conv / max(effort, EFFORT_FLOOR)
 
-    movement = group_movement_report(model, ref, pre, post, problem.eta)
+    movement = group_movement_report(model, ref, pre, post, problem.eta, problem.pre_discrepancy.get(problem.eta))
     w_before, w_after = movement[1].ot_discrepancy, movement[2].ot_discrepancy
+    problem.pre_discrepancy[problem.eta] = w_before
     dw = w_before - w_after
     degenerate = not w_before > 0
 

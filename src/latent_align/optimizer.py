@@ -26,6 +26,7 @@ from .surrogate import PriorityWeights, SurrogateModel
 from . import transport
 
 NORMALIZATION_FLOOR = 1e-12
+_SMALLEST_SUBNORMAL = 5e-324
 DEFAULT_TAU_DELTA = 1e-6
 MAX_HALVINGS = 20
 STEP_GROWTH = 2.0
@@ -58,7 +59,10 @@ class InterventionProblem:
     target_projection is nnls_project_rows(X_B, H), the raw codes of the
     target rows X_B on the frozen basis, projected once here and read-only:
     the solver starts from it and every pre-intervention score reads it.
-    `with_knobs` copies a problem with other knobs and shares it.
+    pre_discrepancy maps eta to the transport cost from those codes to the
+    reference codes at that eta, filled by the first evaluation at each eta
+    (`evaluation.evaluate_intervention`). `with_knobs` copies a problem with
+    other knobs and shares both; a copy at another eta adds its own entry.
     """
 
     dataset: SurveyDataset
@@ -74,6 +78,7 @@ class InterventionProblem:
     alignment: str = ALIGNMENT_OT
     tau_delta: float = DEFAULT_TAU_DELTA
     target_projection: np.ndarray = field(init=False, repr=False, compare=False)
+    pre_discrepancy: dict[float, float] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self._check_knobs()
@@ -215,6 +220,11 @@ def prox_weighted_l21(block: np.ndarray, rho: np.ndarray, t_lambda: float) -> np
     columns stay zero, and t_lambda = 0 is the identity. A nonzero column
     whose norm underflows to 0 gets it recomputed after scaling by its
     largest |entry|.
+
+    The factor is 1 - t_lambda rho_j / max(||col_j||, t_lambda rho_j, 5e-324):
+    exactly 1 - t_lambda rho_j / ||col_j|| on a surviving column, exactly 0 on
+    any other (so no ratio overflows on a tiny norm), and 1 on a zero column
+    with rho_j = 0.
     """
     if t_lambda < 0:
         raise ValueError("t_lambda must be >= 0")
@@ -225,23 +235,22 @@ def prox_weighted_l21(block: np.ndarray, rho: np.ndarray, t_lambda: float) -> np
     if t_lambda == 0:
         return block.copy()
     norms = _column_norms(block)
-    tiny = (norms == 0) & (block != 0).any(axis=0)
-    if tiny.any():
-        scale = np.max(np.abs(block[:, tiny]), axis=0)
-        norms[tiny] = scale * np.linalg.norm(block[:, tiny] / scale, axis=0)
-    # only columns that survive get a factor, so t_lambda * rho / norm < 1
-    # never overflows on a tiny norm
-    factor = np.zeros_like(norms)
-    keep = norms > t_lambda * rho
-    factor[keep] = 1.0 - t_lambda * rho[keep] / norms[keep]
-    return block * factor[None, :]
+    if not norms.all():
+        tiny = (norms == 0) & (block != 0).any(axis=0)
+        if tiny.any():
+            scale = np.max(np.abs(block[:, tiny]), axis=0)
+            norms[tiny] = scale * np.linalg.norm(block[:, tiny] / scale, axis=0)
+    thresh = t_lambda * rho
+    denom = np.maximum(norms, np.maximum(thresh, _SMALLEST_SUBNORMAL))
+    return block * (1.0 - thresh / denom)
 
 
 def coupling_residual(
-    U: np.ndarray, D: np.ndarray, X_B: np.ndarray, H: np.ndarray, levers: np.ndarray
+    U: np.ndarray, D: np.ndarray, X_B: np.ndarray, H: np.ndarray, levers: np.ndarray | slice
 ) -> np.ndarray:
     """Mismatch between the post rows and their latent image over the target
-    block: X_B - U H, with the lever block D added on the lever columns."""
+    block: X_B - U H, with the lever block D added on the lever columns (an
+    index array, or the slice of a contiguous range)."""
     R = X_B - U @ H
     R[:, levers] += D
     return R
@@ -257,7 +266,7 @@ def coupling_grad_codes(R: np.ndarray, H: np.ndarray) -> np.ndarray:
     return -2.0 * R @ H.T
 
 
-def coupling_grad_levers(R: np.ndarray, levers: np.ndarray) -> np.ndarray:
+def coupling_grad_levers(R: np.ndarray, levers: np.ndarray | slice) -> np.ndarray:
     """Gradient of the coupling penalty w.r.t. the lever block D."""
     return 2.0 * R[:, levers]
 
@@ -289,7 +298,7 @@ def _chain_through_normalization(g_tilde: np.ndarray, u_t: np.ndarray, s: np.nda
     return (g_tilde - radial) / s[:, None]
 
 
-def ot_grad_wrt_U(U: np.ndarray, gamma_w: np.ndarray, row_mass) -> np.ndarray:
+def ot_grad_wrt_U(U: np.ndarray, gamma_w: np.ndarray, row_mass, tilde=None) -> np.ndarray:
     """Gradient of the fixed-plan transport cost w.r.t. the raw codes.
 
     The plan gamma is held fixed (envelope-style update), so the entropy term
@@ -298,12 +307,13 @@ def ot_grad_wrt_U(U: np.ndarray, gamma_w: np.ndarray, row_mass) -> np.ndarray:
     row mass, so the plan enters only through gamma_w = gamma @ W~_ref and
     row_mass: a float when the rows carry uniform mass, as the solver's do
     (1 / n_b), or a column of row sums. The gradient chains through the row
-    normalization of U.
+    normalization of U; tilde, the pair `_tilde(U)` returns, saves forming
+    it again when the caller holds it.
     """
     U = np.asarray(U, dtype=float)
     if gamma_w.shape != U.shape:
         raise ValueError("plan image shape does not match the codes")
-    u_t, s = _tilde(U)
+    u_t, s = _tilde(U) if tilde is None else tilde
     g_tilde = 2.0 * (row_mass * u_t - gamma_w)
     return _chain_through_normalization(g_tilde, u_t, s)
 
@@ -311,7 +321,8 @@ def ot_grad_wrt_U(U: np.ndarray, gamma_w: np.ndarray, row_mass) -> np.ndarray:
 class _OTAlignment:
     """Transport alignment. refresh returns the term's value at the codes and
     the kernel-first solve there (a SupportsPlan: gamma @ W~_ref and the
-    final column scaling, never the cost matrix or gamma); grad_u holds that
+    final column scaling, never the cost matrix or gamma), made by one
+    `transport.SupportsSolver` bound to W~_ref and eta; grad_u holds that
     plan fixed. The solver keeps the plan of its current codes, so a
     rejected trial's plan never enters a gradient.
 
@@ -321,8 +332,7 @@ class _OTAlignment:
     trial's scalings: a retrial's codes lie about halfway between theirs."""
 
     def __init__(self, w_ref: np.ndarray, eta: float):
-        self.w_ref = w_ref
-        self.eta = eta
+        self.solver = transport.SupportsSolver(w_ref, eta)
         self.n_calls = 0
         self.n_iters = 0
 
@@ -333,13 +343,13 @@ class _OTAlignment:
             v0 = kept.v
         else:
             v0 = np.sqrt(kept.v) * np.sqrt(rejected.v)
-        sol = transport.sinkhorn_supports(u_tilde, self.w_ref, self.eta, v0=v0)
+        sol = self.solver.solve(u_tilde, v0)
         self.n_calls += 1
         self.n_iters += sol.iters
         return sol.transport_cost, sol
 
-    def grad_u(self, U: np.ndarray, plan: transport.SupportsPlan) -> np.ndarray:
-        return ot_grad_wrt_U(U, plan.gamma_target, 1.0 / U.shape[0])
+    def grad_u(self, U: np.ndarray, plan: transport.SupportsPlan, tilde) -> np.ndarray:
+        return ot_grad_wrt_U(U, plan.gamma_target, 1.0 / U.shape[0], tilde=tilde)
 
 
 class _MeanMarginAlignment:
@@ -353,10 +363,10 @@ class _MeanMarginAlignment:
     def refresh(self, u_tilde: np.ndarray, kept=None, rejected=None) -> tuple[float, None]:
         return -float(np.mean(u_tilde @ self.beta + self.bias)), None
 
-    def grad_u(self, U: np.ndarray, plan: None) -> np.ndarray:
+    def grad_u(self, U: np.ndarray, plan: None, tilde) -> np.ndarray:
         n_b = U.shape[0]
         g_tilde = np.tile(-self.beta / n_b, (n_b, 1))
-        return _chain_through_normalization(g_tilde, *_tilde(U))
+        return _chain_through_normalization(g_tilde, *tilde)
 
 
 class _CentroidAlignment:
@@ -370,8 +380,8 @@ class _CentroidAlignment:
         diff = u_tilde.mean(axis=0) - self.centroid_ref
         return float(diff @ diff), None
 
-    def grad_u(self, U: np.ndarray, plan: None) -> np.ndarray:
-        u_t, s = _tilde(U)
+    def grad_u(self, U: np.ndarray, plan: None, tilde) -> np.ndarray:
+        u_t, s = tilde
         n_b = U.shape[0]
         diff = u_t.mean(axis=0) - self.centroid_ref
         g_tilde = np.tile(2.0 * diff / n_b, (n_b, 1))
@@ -403,16 +413,20 @@ def optimize(problem: InterventionProblem) -> InterventionResult:
     - U step: a projected gradient step on alignment + beta * coupling with
       the lever block D held fixed. Every trial refreshes the alignment term;
       for the transport alignment that is one kernel-first Sinkhorn solve
-      (`transport.sinkhorn_supports`), which yields the transport cost and
-      the plan applied to the reference codes, gamma @ W~_ref, the only parts
-      of the plan the gradient reads, without forming the cost matrix or the
-      plan. A rejected trial halves the U step. If MAX_HALVINGS halvings
+      by a `transport.SupportsSolver` built once per call and bound to W~_ref
+      and eta, which yields the transport cost and the plan applied to the
+      reference codes, gamma @ W~_ref, the only parts of the plan the
+      gradient reads, without forming the cost matrix or the plan. On
+      simplex codes at the default eta, the bound M <= (max |u~| + max |w~|)^2
+      alone puts every solve in one stage, so no solve reads the kernel's
+      minimum. A rejected trial halves the U step. If MAX_HALVINGS halvings
       bring no decrease, U stays, and so does the plan solved at it. Each
-      solve is warm-started (`transport.sinkhorn_supports` with v0): the
-      first trial of an iteration starts from the column scaling of the plan
-      kept at U, and a retrial from the geometric mean of that scaling and
-      the rejected trial's, whose codes lie about twice as far from U. On
-      the acceptance fixture this halves the Sinkhorn iterations.
+      solve is warm-started (v0): the first trial of an iteration starts from
+      the column scaling of the plan kept at U, and a retrial from the
+      geometric mean of that scaling and the rejected trial's, whose codes lie
+      about twice as far from U. On the acceptance fixture this halves the
+      Sinkhorn iterations. The gradient reads the normalized codes and row
+      sums of the accepted trial rather than normalizing U again.
     - D step: a proximal gradient step on beta * coupling + lambda * sparsity
       with U held fixed at its new value (coupling gradient, weighted group
       soft-threshold, feasibility clip). The alignment term does not depend
@@ -448,6 +462,9 @@ def optimize(problem: InterventionProblem) -> InterventionResult:
     X_B = dataset.X[i_b]
     H = latent.H
     n_b = i_b.size
+    # a contiguous lever range indexes the residual's columns by view, without
+    # an index array's gather and scatter in every block trial
+    cols = slice(int(levers[0]), int(levers[-1]) + 1) if levers[-1] - levers[0] == levers.size - 1 else levers
 
     w_ref = normalize_rows(latent.W)[groups.i_reference]
     U = problem.target_projection
@@ -466,42 +483,44 @@ def optimize(problem: InterventionProblem) -> InterventionResult:
     t_u = STEP_FRACTION / curvature_u
     t_d = STEP_FRACTION / (2.0 * beta)
 
-    u_t, _ = _tilde(U)
-    mean_prob_pre = float(np.mean(problem.surrogate.predict_proba(u_t)))
+    tilde = _tilde(U)  # (normalized codes, row sums), kept with the codes
+    mean_prob_pre = float(np.mean(problem.surrogate.predict_proba(tilde[0])))
 
     def mean_gain(u_tilde):
-        return float(np.mean(problem.surrogate.predict_proba(u_tilde))) - mean_prob_pre
+        # np.mean's sum and division, without its dispatch
+        p = problem.surrogate.predict_proba(u_tilde)
+        return float(np.add.reduce(p)) / p.size - mean_prob_pre
 
-    align_val, plan = align.refresh(u_t)
-    R = coupling_residual(U, D, X_B, H, levers)
+    align_val, plan = align.refresh(tilde[0])
+    R = coupling_residual(U, D, X_B, H, cols)
     coup = coupling_value(R)
     spars = lever_penalty(D, rho_lev)
     J = align_val + beta * coup + lam * spars
-    trajectory = [TrajectoryRecord(0, J, align_val, coup, spars, mean_gain(u_t))]
+    trajectory = [TrajectoryRecord(0, J, align_val, coup, spars, mean_gain(tilde[0]))]
 
     status = STATUS_MAX_OUTER
     small_streak = n_outer = n_u_trials = n_delta_trials = 0
     for it in range(1, problem.max_outer + 1):
         n_outer = it
-        g_u = align.grad_u(U, plan) + beta * coupling_grad_codes(R, H)
+        g_u = align.grad_u(U, plan, tilde) + beta * coupling_grad_codes(R, H)
         part_u = align_val + beta * coup
-        U_c, u_tc, align_c, plan_c, R_c, coup_c = U, u_t, align_val, plan, R, coup
+        U_c, tilde_c, align_c, plan_c, R_c, coup_c = U, tilde, align_val, plan, R, coup
         u_first = False
         plan_try = None  # the last rejected trial's plan
         for trial in range(MAX_HALVINGS + 1):
             n_u_trials += 1
             U_try = np.maximum(U - t_u * g_u, 0.0)
-            u_try, _ = _tilde(U_try)
-            align_try, plan_try = align.refresh(u_try, plan, plan_try)
-            R_try = coupling_residual(U_try, D, X_B, H, levers)
+            tilde_try = _tilde(U_try)
+            align_try, plan_try = align.refresh(tilde_try[0], plan, plan_try)
+            R_try = coupling_residual(U_try, D, X_B, H, cols)
             coup_try = coupling_value(R_try)
             if align_try + beta * coup_try < part_u:
-                U_c, u_tc, align_c, plan_c, R_c, coup_c = U_try, u_try, align_try, plan_try, R_try, coup_try
+                U_c, tilde_c, align_c, plan_c, R_c, coup_c = U_try, tilde_try, align_try, plan_try, R_try, coup_try
                 u_first = trial == 0
                 break
             t_u *= 0.5
 
-        g_d = beta * coupling_grad_levers(R_c, levers)
+        g_d = beta * coupling_grad_levers(R_c, cols)
         part_d = beta * coup_c + lam * spars
         D_c, spars_c = D, spars
         d_first = False
@@ -514,7 +533,7 @@ def optimize(problem: InterventionProblem) -> InterventionResult:
             if gap_c is None:
                 gap_c = X_B - U_c @ H
             R_try = gap_c.copy()
-            R_try[:, levers] += D_try
+            R_try[:, cols] += D_try
             coup_try = coupling_value(R_try)
             spars_try = lever_penalty(D_try, rho_lev)
             if beta * coup_try + lam * spars_try < part_d:
@@ -531,9 +550,9 @@ def optimize(problem: InterventionProblem) -> InterventionResult:
             break
 
         rel = (J - J_c) / max(abs(J), 1e-30)
-        U, D, R, u_t, plan = U_c, D_c, R_c, u_tc, plan_c
+        U, D, R, tilde, plan = U_c, D_c, R_c, tilde_c, plan_c
         J, align_val, coup, spars = J_c, align_c, coup_c, spars_c
-        trajectory.append(TrajectoryRecord(it, J, align_val, coup, spars, mean_gain(u_t)))
+        trajectory.append(TrajectoryRecord(it, J, align_val, coup, spars, mean_gain(tilde[0])))
         if u_first:
             t_u *= STEP_GROWTH
         if d_first:

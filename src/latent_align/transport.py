@@ -16,16 +16,19 @@ Two front-ends build the stage kernels for the shared `_staged_loop`:
 
 - `sinkhorn(problem)` solves a TransportProblem with its cost matrix M and
   returns the full plan gamma. Evaluation and the baselines use it.
-- `sinkhorn_supports(source, target, eta)` is the solver's kernel-first
-  solve between uniform weights on two supports. It builds each stage's
-  exponent with one GEMM on augmented supports, exponentiates it in place
-  into the kernel, and forms neither M nor gamma. It returns
-  gamma @ target = u * (K (v * target)) and the transport cost from the
-  supports identity
+- `SupportsSolver(target, eta).solve(source, v0)` is the solver's
+  kernel-first solve between uniform weights on two supports, bound to one
+  target support and eta; `sinkhorn_supports(source, target, eta)` is one
+  solve of a fresh one. It builds each stage's exponent with one GEMM on
+  augmented supports, exponentiates it in place into the kernel, and forms
+  neither M nor gamma. It returns gamma @ target = u * (K (v * target)) and
+  the transport cost from the supports identity
   <gamma, M> = sum_p a_p |s_p|^2 + sum_q c_q |t_q|^2 - 2 sum_p s_p . (gamma @ target)_p,
-  where c holds the plan's column sums.
+  where c holds the plan's column sums. Since M <= (max |s| + max |t|)^2, a
+  solve whose bound over eta lies below SCALING_MAX_RANGE runs one stage at
+  eta without reading the kernel's minimum; only a larger bound reads it.
 
-A one-stage `sinkhorn_supports` solve can be warm-started: given v0, the
+A one-stage kernel-first solve can be warm-started: given v0, the
 final column scaling v of a solve between nearby supports (which every
 SupportsPlan returns), its loop starts from v0 instead of the cold column
 update b / (K^T 1). A solve in several stages starts cold. Sinkhorn converges
@@ -56,6 +59,10 @@ SCALING_MAX_RANGE = 300.0
 # last stage's plan is returned; an earlier one only warm-starts the next, so
 # solving it to tol would spend iterations on a plan that is then discarded.
 STAGE_TOL = 1e-4
+# Relative margin on the bound (max |s| + max |t|)^2 / eta that lets a solve
+# skip the kernel's minimum: far above the relative rounding of a GEMM over
+# k + 2 terms, so a bound below the range limit puts the computed range there too.
+_BOUND_MARGIN = 1e-6
 
 
 class ConvergenceError(RuntimeError):
@@ -181,10 +188,9 @@ def sinkhorn(
     # sum gamma (log gamma - 1) with log gamma = log u + log v + (shift + f + g - M) / eta,
     # rows summing to a and columns to col
     mass = float(col.sum())
+    potentials = 0.0 if f is None else float(a @ f + col @ g)
     entropy_term = (
-        float(a @ np.log(u) + col @ np.log(v))
-        + (shift * mass + float(a @ f + col @ g) - transport_cost) / eta
-        - mass
+        float(a @ np.log(u) + col @ np.log(v)) + (shift * mass + potentials - transport_cost) / eta - mass
     )
     return TransportPlan(
         gamma=gamma,
@@ -220,72 +226,120 @@ def sinkhorn_supports(
     v0: np.ndarray | None = None,
 ) -> SupportsPlan:
     """Entropic OT between uniform weights on the rows of two supports,
-    without forming the cost matrix M or the plan gamma (see the module
-    docstring for the kernel GEMM and the supports identity).
+    without forming the cost matrix M or the plan gamma: one solve of a
+    `SupportsSolver` bound to the target and eta (see its `solve` for v0)."""
+    return SupportsSolver(target, eta, max_iters, tol).solve(source, v0)
 
-    v0, one positive finite entry per target atom, warm-starts a solve that
-    runs one stage: the first row update reads v0 in place of the cold
-    start's column scaling. A solve in several stages ignores it. The
-    identity takes the plan's row sums as the source weights a, which they
-    equal up to rounding, since the row scaling is updated last. Raises
-    ConvergenceError as `sinkhorn` does.
+
+class SupportsSolver:
+    """Kernel-first solves against one target support at one eta.
+
+    Construction holds what every solve against the target reuses: the
+    target's squared norms and the largest of their roots, the augmented
+    right factor of the first stage's exponent GEMM, the uniform target
+    weights, and, per number of source atoms, the left factor, the kernel
+    block and the source weights, reallocated only when that number changes.
+    Every SupportsPlan a solve returns owns its arrays, so a later solve
+    leaves it as it was. One solver serves one caller at a time.
     """
-    source = np.asarray(source, dtype=float)
-    target = np.asarray(target, dtype=float)
-    if source.ndim != 2 or target.ndim != 2 or source.shape[1] != target.shape[1]:
-        raise ValueError(f"support dimensions disagree: {source.shape} vs {target.shape}")
-    if not eta > 0:
-        raise ValueError(f"eta must be positive, got {eta}")
-    if max_iters < 1:
-        raise ValueError(f"max_iters must be >= 1, got {max_iters}")
-    (nb, k), na = source.shape, target.shape[0]
-    if v0 is not None:
-        v0 = np.asarray(v0, dtype=float)
-        if v0.shape != (na,):
-            raise ValueError(f"v0 must have shape ({na},), got {v0.shape}")
-        if not np.all((v0 > 0) & (v0 < math.inf)):
-            raise ValueError("v0 must be positive and finite")
-    s2 = np.einsum("pk,pk->p", source, source)
-    t2 = np.einsum("qk,qk->q", target, target)
-    lhs = np.full((nb, k + 2), -1.0)
-    rhs = np.vstack([target.T, np.ones((2, na))])
 
-    def exponent(eta_s, f, g, out=None):
-        # [2s, f - |s|^2, -1] . [t, 1, |t|^2 - g] / eta_s = (f_p + g_q - M_pq) / eta_s;
-        # the right factor is built transposed, so the GEMM reads both row-major
-        np.multiply(source, 2.0 / eta_s, out=lhs[:, :k])
-        np.subtract(f, s2, out=lhs[:, k])
-        lhs[:, k] /= eta_s
-        np.subtract(t2, g, out=rhs[k + 1])
-        rhs[k + 1] /= eta_s
-        return np.matmul(lhs, rhs, out=out)
+    def __init__(
+        self, target: np.ndarray, eta: float, max_iters: int = DEFAULT_MAX_ITERS, tol: float = DEFAULT_TOL
+    ):
+        target = np.asarray(target, dtype=float)
+        if target.ndim != 2:
+            raise ValueError(f"target support must be a matrix, got shape {target.shape}")
+        if not eta > 0:
+            raise ValueError(f"eta must be positive, got {eta}")
+        if max_iters < 1:
+            raise ValueError(f"max_iters must be >= 1, got {max_iters}")
+        self.target, self.eta, self.max_iters, self.tol = target, float(eta), max_iters, tol
+        na, k = target.shape
+        self._t2 = np.einsum("qk,qk->q", target, target)
+        self._t_max = math.sqrt(float(self._t2.max(initial=0.0)))
+        # [t, 1, |t|^2 / eta]: the exponent's right factor at zero potentials,
+        # built transposed so the GEMM reads both factors row-major
+        self._rhs = np.vstack([target.T, np.ones((1, na)), self._t2[None, :] / self.eta])
+        self._b = np.full(na, 1.0 / na)
+        self._nb = -1
 
-    K = exponent(eta, 0.0, 0.0)  # -M / eta
-    hi = float(K.max())
-    eta0 = eta * max(1.0, (hi - float(K.min())) / SCALING_MAX_RANGE)
-    if eta0 > eta:
-        K *= eta / eta0
-        hi *= eta / eta0
-        v0 = None
-    elif v0 is not None:
-        # a constant factor in v0 is absorbed by the row update; a power of
-        # two brings its largest entry into [1/2, 1) exactly, so the first
-        # row update sees a kernel entry of at least e^-300 times 1/2
-        v0 = np.ldexp(v0, -np.frexp(v0.max())[1])
-    K -= hi
-    np.exp(K, out=K)
-    shift = -hi * eta0  # the first kernel is exp((shift - M) / eta0)
+    def _buffers(self, nb: int) -> None:
+        if nb != self._nb:
+            k = self.target.shape[1]
+            self._lhs = np.full((nb, k + 2), -1.0)
+            self._K = np.empty((nb, self.target.shape[0]))
+            self._a = np.full(nb, 1.0 / nb)
+            self._nb = nb
 
-    def kernel(eta_s, f, g, out):
-        K = exponent(eta_s, shift + f, g, out)
-        return np.exp(K, out=K)
+    def solve(self, source: np.ndarray, v0: np.ndarray | None = None) -> SupportsPlan:
+        """Solve from uniform weights on the rows of source (see the module
+        docstring for the kernel GEMM and the supports identity).
 
-    a, b = np.full(nb, 1.0 / nb), np.full(na, 1.0 / na)
-    K, u, v, col, _, _, iters, err = _staged_loop(K, eta0, kernel, a, b, eta, max_iters, tol, v0)
-    gamma_target = K @ (v[:, None] * target)
-    gamma_target *= u[:, None]
-    transport_cost = float(a @ s2 + col @ t2) - 2.0 * float(np.einsum("pk,pk->", source, gamma_target))
-    return SupportsPlan(gamma_target, transport_cost, iters, err, v)
+        v0, one positive finite entry per target atom, warm-starts a solve that
+        runs one stage: the first row update reads v0 in place of the cold
+        start's column scaling. A solve in several stages ignores it. The
+        identity takes the plan's row sums as the source weights a, which they
+        equal up to rounding, since the row scaling is updated last. Raises
+        ConvergenceError as `sinkhorn` does.
+        """
+        source = np.asarray(source, dtype=float)
+        target, eta = self.target, self.eta
+        if source.ndim != 2 or source.shape[1] != target.shape[1]:
+            raise ValueError(f"support dimensions disagree: {source.shape} vs {target.shape}")
+        (nb, k), na = source.shape, target.shape[0]
+        if v0 is not None:
+            v0 = np.asarray(v0, dtype=float)
+            if v0.shape != (na,):
+                raise ValueError(f"v0 must have shape ({na},), got {v0.shape}")
+            v0_max = float(v0.max())  # NaN if any entry is
+            if not (v0.min() > 0 and v0_max < math.inf):
+                raise ValueError("v0 must be positive and finite")
+        self._buffers(nb)
+        lhs, a, t2 = self._lhs, self._a, self._t2
+        s2 = np.einsum("pk,pk->p", source, source)
+
+        def exponent(eta_s, f, rhs, out):
+            # [2s, f - |s|^2, -1] . [t, 1, |t|^2 - g] / eta_s = (f_p + g_q - M_pq) / eta_s
+            np.multiply(source, 2.0 / eta_s, out=lhs[:, :k])
+            np.subtract(f, s2, out=lhs[:, k])
+            lhs[:, k] /= eta_s
+            return np.matmul(lhs, rhs, out=out)
+
+        K = exponent(eta, 0.0, self._rhs, self._K)  # -M / eta
+        hi = float(K.max())
+        # M <= (max |s| + max |t|)^2, so when that bound over eta is below the
+        # range limit the first stage is eta itself and K.min() is not needed;
+        # the margin covers the GEMM's rounding
+        bound = (math.sqrt(float(s2.max(initial=0.0))) + self._t_max) ** 2 / eta
+        if bound * (1.0 + _BOUND_MARGIN) < SCALING_MAX_RANGE:
+            eta0 = eta
+        else:
+            eta0 = eta * max(1.0, (hi - float(K.min())) / SCALING_MAX_RANGE)
+        if eta0 > eta:
+            K *= eta / eta0
+            hi *= eta / eta0
+            v0 = None
+        elif v0 is not None:
+            # a constant factor in v0 is absorbed by the row update; a power of
+            # two brings its largest entry into [1/2, 1) exactly, so the first
+            # row update sees a kernel entry of at least e^-300 times 1/2
+            v0 = np.ldexp(v0, -math.frexp(v0_max)[1])
+        K -= hi
+        np.exp(K, out=K)
+        shift = -hi * eta0  # the first kernel is exp((shift - M) / eta0)
+
+        def kernel(eta_s, f, g, out):
+            rhs = self._rhs.copy()
+            np.subtract(t2, g, out=rhs[k + 1])
+            rhs[k + 1] /= eta_s
+            K = exponent(eta_s, shift + f, rhs, out)
+            return np.exp(K, out=K)
+
+        K, u, v, col, _, _, iters, err = _staged_loop(K, eta0, kernel, a, self._b, eta, self.max_iters, self.tol, v0)
+        gamma_target = K @ (v[:, None] * target)
+        gamma_target *= u[:, None]
+        transport_cost = float(a @ s2 + col @ t2) - 2.0 * float(np.einsum("pk,pk->", source, gamma_target))
+        return SupportsPlan(gamma_target, transport_cost, iters, err, v)
 
 
 def _staged_loop(K, eta_s, kernel, a, b, eta, max_iters, tol, v0=None):
@@ -294,9 +348,9 @@ def _staged_loop(K, eta_s, kernel, a, b, eta, max_iters, tol, v0=None):
     a later stage's. v0, if given, starts every stage, so callers pass it
     only to a one-stage solve. Returns (K, u, v, col, f, g, iters, err) of
     the last stage, with iters summed over all stages, as ConvergenceError
-    reports it.
+    reports it; f and g are None after a one-stage solve.
     """
-    f, g = np.zeros_like(a), np.zeros_like(b)
+    f = g = None  # the potentials, allocated when a second stage runs
     done = 0
     while True:
         stage_tol = tol if eta_s == eta else max(tol, STAGE_TOL)
@@ -309,6 +363,8 @@ def _staged_loop(K, eta_s, kernel, a, b, eta, max_iters, tol, v0=None):
             return K, u, v, col, f, g, done, err
         if done == max_iters:
             raise ConvergenceError(done, err, tol)
+        if f is None:
+            f, g = np.zeros_like(a), np.zeros_like(b)
         f += eta_s * np.log(u)
         g += eta_s * np.log(v)
         eta_s = max(eta_s / 2, eta)

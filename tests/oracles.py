@@ -7,11 +7,12 @@ values, bounded scalar minimization for the group prox, central finite
 differences for gradients, a row-at-a-time loop for schema validation, and
 quasi-Newton (BFGS) on an explicit [W, 1] design for the logistic probe.
 
-Three more are the plain forms of hot loops that the package runs in a leaner
+Four more are the plain forms of hot code that the package runs in a leaner
 form with the same floating-point operations: the two-branch sigmoid, the
-staged Sinkhorn loop that allocates its vectors every iteration, and
-the NMF loop that takes its stop-test loss from the residual X - WH. The
-package must match them bit for bit.
+staged Sinkhorn loop that allocates its vectors every iteration, the NMF
+loop that takes its stop-test loss from the residual X - WH, and the group
+prox's shrink factor scattered into a zero-filled vector. The package must
+match them bit for bit.
 """
 
 import itertools
@@ -129,6 +130,22 @@ def prox_column_oracle(col, thresh):
             break
         alpha -= step
     return (alpha / nu) * col
+
+
+def prox_factor_masked(block, rho, t_lambda):
+    """The group prox's column factors in their plain masked form: 0 where
+    ||col_j|| <= t_lambda * rho_j, else 1 - t_lambda * rho_j / ||col_j||,
+    formed only for the surviving columns. A nonzero column whose norm
+    underflows to 0 gets it recomputed after scaling by its largest |entry|."""
+    norms = np.linalg.norm(block, axis=0)
+    tiny = (norms == 0) & (block != 0).any(axis=0)
+    if tiny.any():
+        scale = np.max(np.abs(block[:, tiny]), axis=0)
+        norms[tiny] = scale * np.linalg.norm(block[:, tiny] / scale, axis=0)
+    factor = np.zeros_like(norms)
+    keep = norms > t_lambda * rho
+    factor[keep] = 1.0 - t_lambda * rho[keep] / norms[keep]
+    return factor
 
 
 def central_difference(f, x, h=1e-6):

@@ -120,6 +120,7 @@ def _evaluate(pre, ref, post, eta):
         eta=eta,
         tau_delta=1e-6,
         target_projection=nnls_project_rows(pre, np.eye(k)),
+        pre_discrepancy={},
     )
     delta = np.zeros_like(W)
     delta[groups.i_target] = post - pre
@@ -152,6 +153,8 @@ class TestAlignmentMetrics:
         assert m.degenerate_alignment and m.rho_reduction == 0.0
 
     def test_one_pass_solves_each_discrepancy_once(self, fixture_arts, monkeypatch):
+        # a copy made by replace has solved nothing yet
+        problem = replace(fixture_arts.problem)
         shapes = []
         solve = transport.sinkhorn
 
@@ -160,11 +163,37 @@ class TestAlignmentMetrics:
             return solve(problem, *args, **kwargs)
 
         monkeypatch.setattr(transport, "sinkhorn", counted)
-        m = evaluate_intervention(fixture_arts.problem, fixture_arts.result)
+        m = evaluate_intervention(problem, fixture_arts.result)
         assert len(shapes) == 2
         rows = {r.group: r for r in m.group_movement}
         assert m.w_before == rows["target_pre"].ot_discrepancy
         assert m.w_after == rows["target_post"].ot_discrepancy
+
+    def test_pre_side_is_solved_once_per_problem_and_eta(self, fixture_arts, monkeypatch):
+        problem, result = replace(fixture_arts.problem), fixture_arts.result
+        first = evaluate_intervention(problem, result)
+        shapes = []
+        solve = transport.sinkhorn
+
+        def counted(tp, *args, **kwargs):
+            shapes.append(tp.cost.shape)
+            return solve(tp, *args, **kwargs)
+
+        monkeypatch.setattr(transport, "sinkhorn", counted)
+        # a second pass against the same problem solves only the post side
+        assert evaluate_intervention(problem, result) == first
+        assert len(shapes) == 1
+        # a copy at another eta shares the cache but solves its own pre side,
+        # bit-equal to a problem that solved nothing before it
+        other = problem.with_knobs(eta=0.1)
+        assert other.pre_discrepancy is problem.pre_discrepancy
+        m = evaluate_intervention(other, result)
+        assert len(shapes) == 3
+        fresh = evaluate_intervention(replace(problem, eta=0.1), result)
+        assert m.w_before == fresh.w_before != first.w_before
+        assert problem.pre_discrepancy == {problem.eta: first.w_before, 0.1: m.w_before}
+        # and the first eta's value stays
+        assert evaluate_intervention(problem, result) == first
 
     def test_dw_matches_independent_recomputation(self, fixture_arts):
         m = fixture_arts.metrics
@@ -228,12 +257,13 @@ class TestOneLatentMap:
         assert m.n_conv == 0 and m.mean_dp == 0.0 and m.dw == 0.0
 
     def test_zero_intervention_reuses_the_pre_side(self, fixture_arts, monkeypatch):
-        problem, result = fixture_arts.problem, fixture_arts.result
+        # copies made by replace have solved nothing yet
+        problem, result = replace(fixture_arts.problem), fixture_arts.result
         zero = replace(result, delta=np.zeros_like(result.delta), post_projection=None)
         i_b = problem.groups.i_target
         # the old way: X_B + 0 projected in its own call and the post side solved
         old = replace(zero, post_projection=nnls_project_rows(problem.dataset.X[i_b] + 0.0, problem.latent.H))
-        expected = evaluate_intervention(problem, old)
+        expected = evaluate_intervention(replace(problem), old)
         ref = la.normalize_rows(problem.latent.W)[problem.groups.i_reference]
         post = la.normalize_rows(old.post_projection)
         assert expected.w_after == sinkhorn(TransportProblem.from_supports(post, ref, problem.eta)).transport_cost

@@ -29,7 +29,7 @@ from latent_align.surrogate import PriorityWeights, SurrogateModel
 from latent_align.transport import TransportProblem, sinkhorn
 
 from conftest import fixture_config
-from oracles import central_difference, prox_column_oracle
+from oracles import central_difference, prox_column_oracle, prox_factor_masked
 
 
 class TestProjectFeasible:
@@ -130,6 +130,16 @@ class TestProx:
         out = prox_weighted_l21(block, np.array([5.0, 0.1]), 0.5)
         assert np.all(out[:, 0] == 0.0)
 
+    def test_zero_column_with_zero_weight_stays_zero(self):
+        # rho_j = 0 puts a zero column's threshold at 0 too; it stays exactly
+        # zero without a 0 / 0, and a nonzero column with rho_j = 0 is kept
+        block = np.array([[0.0, 1.0, 0.0], [0.0, -2.0, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            out = prox_weighted_l21(block, np.array([0.0, 0.0, 1.0]), 0.5)
+        assert np.array_equal(out, block)
+        assert not np.isnan(out).any()
+
 
 class TestCoupling:
     # a lever block on some of the columns, as the solver sees it
@@ -173,6 +183,16 @@ class TestCoupling:
             denom_u = max(1.0, np.max(np.abs(fd_u)))
             assert np.max(np.abs(g_d - fd_d)) / denom_d < 1e-5
             assert np.max(np.abs(g_u - fd_u)) / denom_u < 1e-5
+
+
+    def test_contiguous_levers_as_a_slice(self):
+        # the solver indexes a contiguous lever range by a slice; it must give
+        # the index array's bits
+        D, U, X_B, H = self._instance(3)
+        D = D[:, :3]
+        R = coupling_residual(U, D, X_B, H, np.arange(2, 5))
+        assert np.array_equal(coupling_residual(U, D, X_B, H, slice(2, 5)), R)
+        assert np.array_equal(coupling_grad_levers(R, slice(2, 5)), coupling_grad_levers(R, np.arange(2, 5)))
 
 
 class TestOTGrad:
@@ -258,13 +278,16 @@ def _tiny_problem(aligned=True, lam=1e-3):
     )
 
 
-def _random_problem(seed, lam, max_outer=30):
-    """Small random two-group problem: 3 numeric levers, rank 2, 5 target
-    and 5 reference rows lying exactly on the basis."""
+def _random_problem(seed, lam, max_outer=30, controllable=(True, True, True)):
+    """Small random two-group problem: 3 numeric features (levers unless
+    marked otherwise), rank 2, 5 target and 5 reference rows lying exactly on
+    the basis."""
     rng = np.random.default_rng(seed)
     d, k, n = 3, 2, 10
     schema = la.FeatureSchema(
-        features=tuple(la.FeatureSpec(f"f{j}", la.FeatureKind.NUMERIC, 0.0, 10.0, controllable=True) for j in range(d)),
+        features=tuple(
+            la.FeatureSpec(f"f{j}", la.FeatureKind.NUMERIC, 0.0, 10.0, controllable=controllable[j]) for j in range(d)
+        ),
         outcome="y",
     )
     H = rng.uniform(0.1, 1.0, size=(k, d))
@@ -295,6 +318,16 @@ def _random_problem(seed, lam, max_outer=30):
 
 
 class TestOptimize:
+    def test_levers_with_a_gap(self):
+        # a fixed feature between two levers: the lever columns are an index
+        # array, and the fixed column never moves
+        problem = _random_problem(5, 1e-3, controllable=(True, False, True))
+        assert problem.dataset.schema.policy_levers.tolist() == [0, 2]
+        result = optimize(problem)
+        assert np.all(result.delta[:, 1] == 0.0) and np.any(result.delta != 0.0)
+        objectives = [r.objective for r in result.trajectory]
+        assert all(b < a for a, b in zip(objectives, objectives[1:]))
+
     def test_aligned_at_start_stalls_at_zero(self):
         result = optimize(_tiny_problem(aligned=True))
         assert result.status == "stalled_at_zero"
@@ -418,7 +451,7 @@ class TestStepRule:
         def forbidden(*args, **kwargs):
             raise AssertionError("optimize formed a cost matrix or a full plan")
 
-        solve, iters = transport.sinkhorn_supports, []
+        solve, iters = transport.SupportsSolver.solve, []
 
         def recording_solve(*args, **kwargs):
             sol = solve(*args, **kwargs)
@@ -427,7 +460,7 @@ class TestStepRule:
 
         monkeypatch.setattr(transport, "cost_matrix", forbidden)
         monkeypatch.setattr(transport, "sinkhorn", forbidden)
-        monkeypatch.setattr(transport, "sinkhorn_supports", recording_solve)
+        monkeypatch.setattr(transport.SupportsSolver, "solve", recording_solve)
         problem = fixture_arts.problem.with_knobs(max_outer=20)
         assert problem.eta == transport.DEFAULT_ETA
         result = optimize(problem)
@@ -438,18 +471,18 @@ class TestStepRule:
         # starts from the scaling of the plan kept at the current codes (the
         # plan its gradient reads), and a retrial from the geometric mean of
         # that scaling and the rejected trial's
-        events, solve = [], transport.sinkhorn_supports
+        events, solve = [], transport.SupportsSolver.solve
 
-        def recording_solve(*args, v0=None, **kwargs):
-            sol = solve(*args, v0=v0, **kwargs)
+        def recording_solve(self, source, v0=None):
+            sol = solve(self, source, v0)
             events.append((v0, sol))
             return sol
 
-        def recording_grad(U, gamma_w, row_mass):
+        def recording_grad(U, gamma_w, row_mass, tilde=None):
             events.append((None, gamma_w))
-            return ot_grad_wrt_U(U, gamma_w, row_mass)
+            return ot_grad_wrt_U(U, gamma_w, row_mass, tilde)
 
-        monkeypatch.setattr(transport, "sinkhorn_supports", recording_solve)
+        monkeypatch.setattr(transport.SupportsSolver, "solve", recording_solve)
         monkeypatch.setattr(opt_mod, "ot_grad_wrt_U", recording_grad)
         result = optimize(fixture_arts.problem)
         solves = [sol for _, sol in events if isinstance(sol, transport.SupportsPlan)]
@@ -490,18 +523,18 @@ class TestStepRule:
         # solve, so it is matched against the solver's own solves
         monkeypatch.setattr(opt_mod, "MAX_HALVINGS", 0)
         events = []
-        solve = transport.sinkhorn_supports
+        solve = transport.SupportsSolver.solve
 
-        def recording_solve(source, *args, **kwargs):
-            sol = solve(source, *args, **kwargs)
+        def recording_solve(self, source, *args, **kwargs):
+            sol = solve(self, source, *args, **kwargs)
             events.append(("solve", source.copy(), sol.gamma_target))
             return sol
 
-        def recording_grad(U, gamma_w, row_mass):
+        def recording_grad(U, gamma_w, row_mass, tilde=None):
             events.append(("grad", U.copy(), gamma_w))
-            return ot_grad_wrt_U(U, gamma_w, row_mass)
+            return ot_grad_wrt_U(U, gamma_w, row_mass, tilde)
 
-        monkeypatch.setattr(transport, "sinkhorn_supports", recording_solve)
+        monkeypatch.setattr(transport.SupportsSolver, "solve", recording_solve)
         monkeypatch.setattr(opt_mod, "ot_grad_wrt_U", recording_grad)
         optimize(_random_problem(3, 1e-3))
         grads = [U for kind, U, _ in events if kind == "grad"]
@@ -612,3 +645,24 @@ def test_prox_never_grows_columns(case, t):
         # covers a last-bit difference between hypot and np.linalg.norm
         assert np.all(out[:, norms <= t * rho * (1 - 1e-12)] == 0.0)
         assert np.all(np.any(out[:, norms > t * rho * (1 + 1e-12)] != 0.0, axis=0))
+
+
+
+# rho_j = 0 on the first column puts its threshold at 0
+@settings(max_examples=50, deadline=None)
+@given(case=_block_and_rho(), t=st.floats(1e-300, 2), zero_rho=st.booleans())
+@example(case=(np.array([[1.45e-280, 1.0]]), np.array([1.0, 1.0])), t=0.5, zero_rho=False)
+@example(case=(np.array([[1e-310, 1.0]]), np.array([1.0, 1.0])), t=0.5, zero_rho=True)
+@example(case=(np.array([[0.0, 1.0], [0.0, 2.0]]), np.array([1.0, 1.0])), t=0.5, zero_rho=True)
+def test_prox_factor_is_bit_equal_to_the_masked_form(case, t, zero_rho):
+    block, rho = case
+    if zero_rho:
+        rho[0] = 0.0
+    factor = prox_factor_masked(block, rho, t)
+    out = prox_weighted_l21(block, rho, t)
+    for j in range(block.shape[1]):
+        # a surviving column is scaled by exactly 1 - t rho_j / ||col_j||,
+        # any other is zeroed
+        assert np.array_equal(out[:, j], block[:, j] * factor[j])
+        if factor[j] == 0.0:
+            assert np.all(out[:, j] == 0.0)

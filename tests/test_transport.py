@@ -593,6 +593,92 @@ class TestWarmStart:
             sinkhorn_supports(U, np.eye(3), 0.1, v0=v0)
 
 
+def _assert_same_plan(plan, ref):
+    assert np.array_equal(plan.gamma_target, ref.gamma_target)
+    assert np.array_equal(plan.v, ref.v)
+    assert (plan.transport_cost, plan.iters, plan.marginal_err) == (ref.transport_cost, ref.iters, ref.marginal_err)
+
+
+class TestSupportsSolver:
+    """A SupportsSolver bound to one target and eta reuses its buffers from
+    solve to solve. Each plan is bit-identical to a one-shot
+    sinkhorn_supports solve and outlives every later solve unchanged."""
+
+    def _run_sequence(self, solver, sources, warm):
+        target, eta = solver.target, solver.eta
+        kept = []
+        for source, use_v0 in zip(sources, warm):
+            v0 = kept[-1][0].v if use_v0 and kept else None
+            try:
+                expected = sinkhorn_supports(source, target, eta, v0=v0)
+            except ConvergenceError as exc:
+                with pytest.raises(ConvergenceError) as err:
+                    solver.solve(source, v0)
+                assert (err.value.iters, err.value.marginal_err) == (exc.iters, exc.marginal_err)
+                continue
+            plan = solver.solve(source, v0)
+            _assert_same_plan(plan, expected)
+            assert not plan.gamma_target.flags.writeable and not plan.v.flags.writeable
+            kept.append((plan, plan.gamma_target.copy(), plan.v.copy(), plan.transport_cost))
+        for plan, gamma_target, v, cost in kept:
+            assert np.array_equal(plan.gamma_target, gamma_target) and np.array_equal(plan.v, v)
+            assert plan.transport_cost == cost
+        return [plan for plan, *_ in kept]
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        data=st.data(),
+        k=st.integers(1, 5),
+        na=st.integers(1, 20),
+        eta=st.sampled_from([0.2, 0.05, 0.01, 1e-3]),
+        sizes=st.lists(st.integers(1, 20), min_size=2, max_size=6),
+    )
+    def test_sequence_matches_one_shot_solves(self, data, k, na, eta, sizes):
+        target = data.draw(_simplex_rows(na, k))
+        sources = [data.draw(_simplex_rows(nb, k)) for nb in sizes]
+        warm = data.draw(st.lists(st.booleans(), min_size=len(sizes), max_size=len(sizes)))
+        self._run_sequence(transport.SupportsSolver(target, eta), sources, warm)
+
+    @pytest.mark.parametrize("eta", [0.05, 1e-3])
+    def test_sizes_change_and_starts_alternate(self, eta):
+        # at 1e-3 every solve runs in stages and ignores v0; the 3-atom one
+        # runs out of budget there, as its one-shot solve does
+        rng = np.random.default_rng(23)
+        target = rng.dirichlet(np.ones(4), size=9)
+        sources = [rng.dirichlet(np.ones(4), size=nb) for nb in (7, 12, 7, 3, 12)]
+        staged = [np.ptp(cost_matrix(src, target)) / eta > transport.SCALING_MAX_RANGE for src in sources]
+        assert staged == [eta < 0.01] * len(sources)
+        plans = self._run_sequence(
+            transport.SupportsSolver(target, eta), sources, [False, True, True, False, True]
+        )
+        assert len(plans) >= len(sources) - 1
+
+    def test_bound_over_the_limit_with_range_under_it(self):
+        # codes near the barycenter: the norm bound (max |s| + max |t|)^2 / eta
+        # exceeds the range limit, the cost range does not, so the solve reads
+        # the kernel's minimum and still runs one stage
+        rng = np.random.default_rng(9)
+        source = np.full((12, 2), 0.5) + 0.05 * rng.uniform(-1, 1, size=(12, 1)) * [1, -1]
+        target = np.full((9, 2), 0.5) + 0.05 * rng.uniform(-1, 1, size=(9, 1)) * [1, -1]
+        eta = 0.005
+        bound = (np.linalg.norm(source, axis=1).max() + np.linalg.norm(target, axis=1).max()) ** 2 / eta
+        assert bound > transport.SCALING_MAX_RANGE > np.ptp(cost_matrix(source, target)) / eta
+        solver = transport.SupportsSolver(target, eta)
+        cold, warm = self._run_sequence(solver, [source, source], [False, True])
+        # v0 is read by a one-stage solve only: its own scaling ends it at once
+        assert cold.iters > 1 and warm.iters == 1
+
+    def test_invalid_input_rejected(self):
+        with pytest.raises(ValueError, match="matrix"):
+            transport.SupportsSolver(np.ones(3), 0.1)
+        with pytest.raises(ValueError, match="eta"):
+            transport.SupportsSolver(np.eye(3), 0.0)
+        with pytest.raises(ValueError, match="max_iters"):
+            transport.SupportsSolver(np.eye(3), 0.1, max_iters=0)
+        with pytest.raises(ValueError, match="dimensions"):
+            transport.SupportsSolver(np.eye(3), 0.1).solve(np.ones((2, 4)) / 4)
+
+
 class TestFromSupports:
     def test_singleton(self):
         problem = TransportProblem.from_supports(np.array([[0.75, 0.25]]), np.array([[0.5, 0.5], [0.0, 1.0]]), 0.1)
