@@ -3,8 +3,10 @@ result type as the full method so one evaluation harness covers every row of
 the comparison table.
 
 Uniform baselines apply a fixed increment on ranked levers and re-project the
-changed rows onto the frozen basis; the outcome-only baseline and the
-ablations reuse the full optimizer with one ingredient swapped out.
+changed rows onto the frozen basis; they are constructed, not solved, so
+evaluation scores them and they report no objective or solver work. The
+outcome-only baseline and the ablations reuse the full optimizer with one
+ingredient swapped out.
 """
 
 from __future__ import annotations
@@ -13,22 +15,17 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .factorization import nnls_project_rows, normalize_rows
+from .factorization import nnls_project_rows
 from .optimizer import (
     ALIGNMENT_CENTROID,
     ALIGNMENT_MEAN_MARGIN,
     InterventionProblem,
     InterventionResult,
-    TrajectoryRecord,
     _assemble_result,
-    coupling_residual,
-    coupling_value,
-    lever_penalty,
     optimize,
     project_feasible,
 )
 from .surrogate import PriorityWeights
-from . import transport
 
 KIND_TOP_SINGLE = "top_shapley_single"
 KIND_TOP_K = "top_shapley_topk"
@@ -65,31 +62,16 @@ def _rank_by(scores: np.ndarray) -> np.ndarray:
 
 
 def _uniform_result(problem: InterventionProblem, chosen: np.ndarray, step: float) -> InterventionResult:
-    dataset, latent, groups = problem.dataset, problem.latent, problem.groups
-    X, schema = dataset.X, dataset.schema
-    i_b = groups.i_target
-    levers = schema.policy_levers
-
+    """The constructed result of a uniform step on the chosen levers: Delta
+    and its post projection, scored by evaluation, with no solve behind it."""
+    X, schema = problem.dataset.X, problem.dataset.schema
+    i_b = problem.groups.i_target
     delta = np.zeros_like(X)
     delta[np.ix_(i_b, chosen)] = step
     delta = project_feasible(delta, X, schema, i_b)
-    D = delta[np.ix_(i_b, levers)]
-
-    X_B = X[i_b]
+    result = _assemble_result(problem, delta[np.ix_(i_b, schema.policy_levers)], [], STATUS_CONSTRUCTED, 0, 0.0)
     # post projected in its own call, as evaluation scores it; the result keeps it
-    u_pre = normalize_rows(problem.target_projection)
-    U = nnls_project_rows(X_B + delta[i_b], latent.H)
-    u_tilde = normalize_rows(U)
-    w_ref = normalize_rows(latent.W)[groups.i_reference]
-    plan = transport.sinkhorn(transport.TransportProblem.from_supports(u_tilde, w_ref, problem.eta))
-
-    coupling = coupling_value(coupling_residual(U, D, X_B, latent.H, levers))
-    sparsity = lever_penalty(D, problem.priorities.rho_for(levers))
-    mean_pre = float(np.mean(problem.surrogate.predict_proba(u_pre)))
-    mean_post = float(np.mean(problem.surrogate.predict_proba(u_tilde)))
-    objective = plan.transport_cost + problem.sparsity_weight * sparsity
-    record = TrajectoryRecord(0, objective, plan.transport_cost, coupling, sparsity, mean_post - mean_pre)
-    result = _assemble_result(problem, D, [record], STATUS_CONSTRUCTED, 1, 0.0, n_sinkhorn_iters=plan.iters)
+    U = nnls_project_rows(X[i_b] + delta[i_b], problem.latent.H)
     U.setflags(write=False)
     result.post_projection = U
     return result

@@ -5,8 +5,9 @@ table.
 The target group is scored through one map: its rows before and after the
 intervention, X_B and X_B + delta_B, are each projected onto the frozen basis
 H and row-normalized (`target_codes`). The reference group keeps its model
-codes, the distribution the solver aligns to. A zero intervention therefore
-scores zero conversions and zero discrepancy change.
+codes (`problem.reference_codes`), the distribution the solver aligns to. A
+zero intervention therefore scores zero conversions and zero discrepancy
+change.
 """
 
 from __future__ import annotations
@@ -196,20 +197,20 @@ def evaluate_intervention(problem: InterventionProblem, result: InterventionResu
     and after are the target rows of the movement table, so one pass solves
     each transport problem once. A zero before-value marks the reduction
     ratio degenerate and reports it as 0. The before-value depends on the
-    problem and eta only, so it is solved once per problem and eta and kept
-    in `problem.pre_discrepancy`.
+    problem only, so it is solved once per problem and kept in
+    `problem.pre_discrepancy`.
     """
     groups, model = problem.groups, problem.surrogate
-    ref = normalize_rows(problem.latent.W)[groups.i_reference]
+    ref = problem.reference_codes
     pre, post = target_codes(problem, result)
 
     conv = conversion_metrics(model, pre, post, model.tau_y)
     effort, n_lever = effort_and_levers(result.delta, problem.dataset.schema.s_ctrl, problem.tau_delta)
     eff_conv = conv.n_conv / max(effort, EFFORT_FLOOR)
 
-    movement = group_movement_report(model, ref, pre, post, problem.eta, problem.pre_discrepancy.get(problem.eta))
+    movement = group_movement_report(model, ref, pre, post, problem.eta, problem.pre_discrepancy)
     w_before, w_after = movement[1].ot_discrepancy, movement[2].ot_discrepancy
-    problem.pre_discrepancy[problem.eta] = w_before
+    problem.pre_discrepancy = w_before
     dw = w_before - w_after
     degenerate = not w_before > 0
 

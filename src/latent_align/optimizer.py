@@ -57,12 +57,15 @@ class InterventionProblem:
     beta_couple=None selects a data-scaled coupling weight.
 
     target_projection is nnls_project_rows(X_B, H), the raw codes of the
-    target rows X_B on the frozen basis, projected once here and read-only:
-    the solver starts from it and every pre-intervention score reads it.
-    pre_discrepancy maps eta to the transport cost from those codes to the
-    reference codes at that eta, filled by the first evaluation at each eta
-    (`evaluation.evaluate_intervention`). `with_knobs` copies a problem with
-    other knobs and shares both; a copy at another eta adds its own entry.
+    target rows X_B on the frozen basis, and reference_codes the normalized
+    model codes of the reference rows, the distribution the solver aligns to.
+    Both are computed once here and read-only: the solver starts from the
+    one and aligns to the other, and every score reads them.
+    pre_discrepancy is the transport cost from the normalized target codes to
+    the reference codes at the problem's eta, None until the first evaluation
+    (`evaluation.evaluate_intervention`) solves it. `with_knobs` copies a
+    problem with other knobs, never eta, and keeps all three;
+    dataclasses.replace computes them anew.
     """
 
     dataset: SurveyDataset
@@ -78,18 +81,22 @@ class InterventionProblem:
     alignment: str = ALIGNMENT_OT
     tau_delta: float = DEFAULT_TAU_DELTA
     target_projection: np.ndarray = field(init=False, repr=False, compare=False)
-    pre_discrepancy: dict[float, float] = field(default_factory=dict, init=False, repr=False, compare=False)
+    reference_codes: np.ndarray = field(init=False, repr=False, compare=False)
+    pre_discrepancy: float | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self._check_knobs()
         self.target_projection = nnls_project_rows(self.dataset.X[self.groups.i_target], self.latent.H)
         self.target_projection.setflags(write=False)
+        self.reference_codes = normalize_rows(self.latent.W)[self.groups.i_reference]
+        self.reference_codes.setflags(write=False)
 
     def with_knobs(self, **changes) -> "InterventionProblem":
-        """A copy with solver knobs changed. The dataset, basis and groups
-        stay, so the copy shares target_projection instead of projecting X_B
-        again; use dataclasses.replace to change those."""
-        knobs = {f.name for f in fields(self) if f.init} - {"dataset", "latent", "groups"}
+        """A copy with solver knobs changed. The dataset, basis, groups and
+        eta stay, so the copy shares target_projection, reference_codes and
+        pre_discrepancy instead of computing them again; use
+        dataclasses.replace to change those."""
+        knobs = {f.name for f in fields(self) if f.init} - {"dataset", "latent", "groups", "eta"}
         if not changes.keys() <= knobs:
             raise ValueError(f"with_knobs changes only {sorted(knobs)}, got {sorted(changes.keys() - knobs)}")
         new = copy.copy(self)
@@ -132,11 +139,14 @@ class LeverActivation:
 class InterventionResult:
     """The intervention a solve or a baseline produced, with its counters.
 
-    post_projection holds nnls_project_rows(X_B + delta_B, H), the raw codes
-    of the post rows on the frozen basis, once something has projected them:
-    a uniform baseline when it builds the result, otherwise the first
-    evaluation (`evaluation.target_codes`), which keeps the problem's
-    target_projection when delta_B = 0. Every later post score reads it.
+    objective is the last trajectory record's, and None for a constructed
+    result, which solves nothing: its trajectory is empty and its counters
+    are 0. post_projection holds nnls_project_rows(X_B + delta_B, H), the raw
+    codes of the post rows on the frozen basis, once something has projected
+    them: a uniform baseline when it constructs its intervention, otherwise
+    the first evaluation (`evaluation.target_codes`), which keeps the
+    problem's target_projection when delta_B = 0. Every later post score
+    reads it.
     """
 
     delta: np.ndarray
@@ -146,7 +156,7 @@ class InterventionResult:
     status: str
     n_sinkhorn_calls: int
     beta_used: float
-    objective: float
+    objective: float | None
     # outer iterations entered, and the trial points each block evaluated
     n_outer: int
     n_u_trials: int
@@ -388,7 +398,8 @@ class _CentroidAlignment:
         return _chain_through_normalization(g_tilde, u_t, s)
 
 
-def _make_alignment(problem: InterventionProblem, w_ref: np.ndarray):
+def _make_alignment(problem: InterventionProblem):
+    w_ref = problem.reference_codes
     if problem.alignment == ALIGNMENT_OT:
         return _OTAlignment(w_ref, problem.eta)
     if problem.alignment == ALIGNMENT_MEAN_MARGIN:
@@ -466,12 +477,11 @@ def optimize(problem: InterventionProblem) -> InterventionResult:
     # an index array's gather and scatter in every block trial
     cols = slice(int(levers[0]), int(levers[-1]) + 1) if levers[-1] - levers[0] == levers.size - 1 else levers
 
-    w_ref = normalize_rows(latent.W)[groups.i_reference]
     U = problem.target_projection
     D = np.zeros((n_b, levers.size))
     rho_lev = problem.priorities.rho_for(levers)
     beta = resolve_beta(problem, U)
-    align = _make_alignment(problem, w_ref)
+    align = _make_alignment(problem)
 
     lo = schema.lowers[levers][None, :] - X_B[:, levers]
     hi = schema.uppers[levers][None, :] - X_B[:, levers]
@@ -584,8 +594,9 @@ def _assemble_result(
 ) -> InterventionResult:
     """Scatter the lever block into a full intervention, round it for
     reporting, re-validate every target row, rank the active levers and
-    build the result. The objective is the last trajectory record's; the
-    step counters default to those of a result built without iterating."""
+    build the result. The objective is the last trajectory record's, None
+    for an empty trajectory; the step counters default to those of a result
+    built without iterating."""
     dataset, i_b = problem.dataset, problem.groups.i_target
     X, schema = dataset.X, dataset.schema
     levers = schema.policy_levers
@@ -616,7 +627,7 @@ def _assemble_result(
         status=status,
         n_sinkhorn_calls=n_sinkhorn_calls,
         beta_used=beta_used,
-        objective=trajectory[-1].objective,
+        objective=trajectory[-1].objective if trajectory else None,
         n_outer=n_outer,
         n_u_trials=n_u_trials,
         n_delta_trials=n_delta_trials,

@@ -229,7 +229,7 @@ def run_pipeline(config: ExperimentConfig, seed: int, dataset: SurveyDataset | N
     groups = anchor_groups(labels, dataset.y, config.n_clusters, centroids=centroids)
 
     labels_bin = binarize_outcome(dataset.y, rule=config.binarize_rule, threshold=config.binarize_threshold)
-    surrogate = fit_logistic(codes, labels_bin, l2=config.logistic_l2, seed=seed, tau_y=config.tau_y)
+    surrogate = fit_logistic(codes, labels_bin, l2=config.logistic_l2, tau_y=config.tau_y)
     priorities = build_priorities(
         surrogate,
         codes,

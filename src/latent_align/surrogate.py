@@ -157,7 +157,6 @@ def fit_logistic(
     W_tilde: np.ndarray,
     labels: np.ndarray,
     l2: float = 1e-2,
-    seed: int = 0,
     tau_y: float = 0.5,
     max_iters: int = MAX_NEWTON_ITERS,
     grad_tol: float = GRAD_TOL,
@@ -167,8 +166,8 @@ def fit_logistic(
     Minimizes mean logistic loss plus (l2/2)||beta||^2, bias unpenalized. Each
     direction is a least-squares solve (minimum-norm on the singular Hessian of
     simplex codes at l2 = 0); its step halves until Armijo holds. Stops when the
-    gradient infinity norm falls below grad_tol or after max_iters. The seed is
-    recorded for provenance only; the solve itself is deterministic.
+    gradient infinity norm falls below grad_tol or after max_iters. The solve
+    is deterministic, so it takes no seed.
     """
     W = np.asarray(W_tilde, dtype=float)
     labels = np.asarray(labels, dtype=float)

@@ -15,11 +15,11 @@ and the default eta = 0.05 runs one stage.
 Two front-ends build the stage kernels for the shared `_staged_loop`:
 
 - `sinkhorn(problem)` solves a TransportProblem with its cost matrix M and
-  returns the full plan gamma. Evaluation and the baselines use it.
+  returns the full plan gamma. Evaluation uses it to score the discrepancies
+  before and after an intervention.
 - `SupportsSolver(target, eta).solve(source, v0)` is the solver's
   kernel-first solve between uniform weights on two supports, bound to one
-  target support and eta; `sinkhorn_supports(source, target, eta)` is one
-  solve of a fresh one. It builds each stage's exponent with one GEMM on
+  target support and eta. It builds each stage's exponent with one GEMM on
   augmented supports, exponentiates it in place into the kernel, and forms
   neither M nor gamma. It returns gamma @ target = u * (K (v * target)) and
   the transport cost from the supports identity
@@ -215,20 +215,6 @@ class SupportsPlan:
     def __post_init__(self):
         self.gamma_target.setflags(write=False)
         self.v.setflags(write=False)
-
-
-def sinkhorn_supports(
-    source: np.ndarray,
-    target: np.ndarray,
-    eta: float,
-    max_iters: int = DEFAULT_MAX_ITERS,
-    tol: float = DEFAULT_TOL,
-    v0: np.ndarray | None = None,
-) -> SupportsPlan:
-    """Entropic OT between uniform weights on the rows of two supports,
-    without forming the cost matrix M or the plan gamma: one solve of a
-    `SupportsSolver` bound to the target and eta (see its `solve` for v0)."""
-    return SupportsSolver(target, eta, max_iters, tol).solve(source, v0)
 
 
 class SupportsSolver:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import latent_align as la
+from latent_align import transport
 from latent_align.baselines import (
     ABLATION_KINDS,
     ABLATION_NO_OT,
@@ -16,7 +17,6 @@ from latent_align.baselines import (
 from latent_align.evaluation import evaluate_intervention
 from latent_align.factorization import nnls_project_rows
 from latent_align.optimizer import project_feasible
-from latent_align.transport import TransportProblem, sinkhorn
 
 
 @pytest.fixture(scope="module")
@@ -60,17 +60,26 @@ class TestUniformBaselines:
         active = [a.feature for a in result.active_levers]
         assert active == [expected]
 
-    def test_result_keeps_its_post_projection_and_solve(self, fixture_arts, baseline_results):
-        # evaluation reads the projection the baseline made; the counters
-        # report the baseline's one transport solve
+    def test_result_keeps_its_post_projection_and_solve(self, fixture_arts, baseline_results, monkeypatch):
+        # evaluation reads the projection the baseline made; a constructed
+        # result solves no transport problem and has no trajectory
         problem = fixture_arts.problem
         i_b = problem.groups.i_target
-        w_ref = la.normalize_rows(problem.latent.W)[problem.groups.i_reference]
-        for result in baseline_results.values():
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a constructed baseline solved a transport problem")
+
+        monkeypatch.setattr(transport, "sinkhorn", no_solve)
+        monkeypatch.setattr(transport.SupportsSolver, "solve", no_solve)
+        for kind, kept in baseline_results.items():
+            result = run_baseline(BaselineSpec(kind=kind, k_levers=5, step_magnitude=0.2), problem)
+            assert np.array_equal(result.delta, kept.delta)
             post = nnls_project_rows(problem.dataset.X[i_b] + result.delta[i_b], problem.latent.H)
             assert np.array_equal(result.post_projection, post)
-            plan = sinkhorn(TransportProblem.from_supports(la.normalize_rows(post), w_ref, problem.eta))
-            assert (result.n_sinkhorn_calls, result.n_sinkhorn_iters) == (1, plan.iters)
+            assert result.status == "constructed"
+            assert (result.n_sinkhorn_calls, result.n_sinkhorn_iters) == (0, 0)
+            assert (result.n_outer, result.n_u_trials, result.n_delta_trials) == (0, 0, 0)
+            assert result.trajectory == () and result.objective is None
 
     def test_feasible_after_projection(self, fixture_arts, baseline_results):
         for result in baseline_results.values():

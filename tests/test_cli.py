@@ -303,6 +303,23 @@ class TestBaselinesCommand:
         assert main(["baselines", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
         assert len(calls) == 1 + 8
 
+    def test_solves_no_transport_problem_twice(self, tmp_path, monkeypatch):
+        # every solve is against the reference codes, so its cost matrix
+        # stands for the codes it scores
+        from latent_align import transport
+
+        solved = []
+
+        def counted(problem, *args, _solve=transport.sinkhorn, **kwargs):
+            solved.append((problem.cost.tobytes(), problem.eta))
+            return _solve(problem, *args, **kwargs)
+
+        monkeypatch.setattr(transport, "sinkhorn", counted)
+        cfg = _write_config(tmp_path, max_outer=30)
+        assert main(["baselines", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        repeats = len(solved) - len(set(solved))
+        assert solved and repeats == 0, f"{repeats} of {len(solved)} solves repeat an earlier one"
+
 
 class TestArtifactFormat:
     """The file formats of the run outputs: RFC 4180 CSV with CRLF line ends,

@@ -120,7 +120,8 @@ def _evaluate(pre, ref, post, eta):
         eta=eta,
         tau_delta=1e-6,
         target_projection=nnls_project_rows(pre, np.eye(k)),
-        pre_discrepancy={},
+        reference_codes=la.normalize_rows(W)[groups.i_reference],
+        pre_discrepancy=None,
     )
     delta = np.zeros_like(W)
     delta[groups.i_target] = post - pre
@@ -183,16 +184,20 @@ class TestAlignmentMetrics:
         # a second pass against the same problem solves only the post side
         assert evaluate_intervention(problem, result) == first
         assert len(shapes) == 1
-        # a copy at another eta shares the cache but solves its own pre side,
-        # bit-equal to a problem that solved nothing before it
-        other = problem.with_knobs(eta=0.1)
-        assert other.pre_discrepancy is problem.pre_discrepancy
+        # a with_knobs copy keeps the problem's eta, and with it the pre side
+        with pytest.raises(ValueError, match="with_knobs"):
+            problem.with_knobs(eta=0.1)
+        assert problem.with_knobs(sparsity_weight=0.0).pre_discrepancy == first.w_before
+        # a problem at another eta starts empty and solves its own pre side once
+        other = replace(problem, eta=0.1)
+        assert other.pre_discrepancy is None
         m = evaluate_intervention(other, result)
         assert len(shapes) == 3
-        fresh = evaluate_intervention(replace(problem, eta=0.1), result)
-        assert m.w_before == fresh.w_before != first.w_before
-        assert problem.pre_discrepancy == {problem.eta: first.w_before, 0.1: m.w_before}
-        # and the first eta's value stays
+        assert other.pre_discrepancy == m.w_before != first.w_before
+        assert evaluate_intervention(other, result) == m
+        assert len(shapes) == 4
+        # and the first problem's value stays
+        assert problem.pre_discrepancy == first.w_before
         assert evaluate_intervention(problem, result) == first
 
     def test_dw_matches_independent_recomputation(self, fixture_arts):

@@ -12,10 +12,10 @@ from latent_align.transport import (
     DEFAULT_MAX_ITERS,
     DEFAULT_TOL,
     ConvergenceError,
+    SupportsSolver,
     TransportProblem,
     cost_matrix,
     sinkhorn,
-    sinkhorn_supports,
 )
 
 from oracles import entropic_ot_pg, log_sinkhorn, sinkhorn_allocating
@@ -347,7 +347,7 @@ def _simplex_rows(n, k):
 
 
 class TestKernelFirst:
-    """sinkhorn_supports solves the problem sinkhorn solves on
+    """SupportsSolver solves the problem sinkhorn solves on
     TransportProblem.from_supports, without forming M or gamma."""
 
     @staticmethod
@@ -372,9 +372,9 @@ class TestKernelFirst:
             plan = sinkhorn(TransportProblem.from_supports(source, target, eta))
         except ConvergenceError:
             with pytest.raises(ConvergenceError):
-                sinkhorn_supports(source, target, eta)
+                SupportsSolver(target, eta).solve(source)
             return
-        self._assert_same_solve(sinkhorn_supports(source, target, eta), plan, target)
+        self._assert_same_solve(SupportsSolver(target, eta).solve(source), plan, target)
 
     @pytest.mark.parametrize("shape", [(167, 167, 6), (40, 25, 4)])
     @pytest.mark.parametrize("eta", [0.2, 0.05, 0.01])
@@ -384,7 +384,7 @@ class TestKernelFirst:
         source, target = rng.dirichlet(np.ones(k), size=nb), rng.dirichlet(np.ones(k), size=na)
         problem = TransportProblem.from_supports(source, target, eta)
         assert np.ptp(problem.cost) / eta <= transport.SCALING_MAX_RANGE
-        self._assert_same_solve(sinkhorn_supports(source, target, eta), sinkhorn(problem), target)
+        self._assert_same_solve(SupportsSolver(target, eta).solve(source), sinkhorn(problem), target)
 
     @pytest.mark.parametrize(
         "supports", [(_separated_corners(),) * 2, _far_atom_supports()], ids=["separated_corners", "far_atom"]
@@ -398,22 +398,23 @@ class TestKernelFirst:
             raise AssertionError("kernel-first solve assembled the full problem")
 
         monkeypatch.setattr(transport, "sinkhorn", no_plan)
-        self._assert_same_solve(sinkhorn_supports(source, target, 1e-3), plan, target)
+        self._assert_same_solve(SupportsSolver(target, 1e-3).solve(source), plan, target)
 
     def test_nonfinite_scaling_raises(self, monkeypatch):
         # with the first stage's bound lifted, a kernel row underflows and its
         # scaling with it
         monkeypatch.setattr(transport, "SCALING_MAX_RANGE", math.inf)
+        source, target = _far_atom_supports()
         with pytest.raises(ConvergenceError, match="marginal error nan"):
-            sinkhorn_supports(*_far_atom_supports(), 0.002)
+            SupportsSolver(target, 0.002).solve(source)
 
     def test_budget_exhaustion_raises(self):
         rng = np.random.default_rng(5)
         source, target = rng.dirichlet(np.ones(3), size=20), rng.dirichlet(np.ones(3), size=15)
-        iters = sinkhorn_supports(source, target, 0.01).iters
+        iters = SupportsSolver(target, 0.01).solve(source).iters
         assert iters > 1
         with pytest.raises(ConvergenceError) as err:
-            sinkhorn_supports(source, target, 0.01, max_iters=iters - 1)
+            SupportsSolver(target, 0.01, max_iters=iters - 1).solve(source)
         assert err.value.iters == iters - 1
 
     def test_peak_memory_is_the_kernel(self):
@@ -422,7 +423,7 @@ class TestKernelFirst:
         source, target = rng.dirichlet(np.ones(10), size=500), rng.dirichlet(np.ones(10), size=1000)
         tracemalloc.start()
         try:
-            sinkhorn_supports(source, target, 0.05)
+            SupportsSolver(target, 0.05).solve(source)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -440,7 +441,7 @@ class TestKernelFirst:
         assert np.ptp(cost_matrix(source, target)) / 1e-3 > transport.SCALING_MAX_RANGE
         tracemalloc.start()
         try:
-            sinkhorn_supports(source, target, 1e-3)
+            SupportsSolver(target, 1e-3).solve(source)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -449,16 +450,16 @@ class TestKernelFirst:
     def test_invalid_input_rejected(self):
         U = np.full((2, 3), 1.0 / 3)
         with pytest.raises(ValueError, match="dimensions"):
-            sinkhorn_supports(U, np.ones((2, 4)) / 4, 0.1)
+            SupportsSolver(np.ones((2, 4)) / 4, 0.1).solve(U)
         with pytest.raises(ValueError, match="eta"):
-            sinkhorn_supports(U, U, 0.0)
+            SupportsSolver(U, 0.0).solve(U)
         with pytest.raises(ValueError, match="max_iters"):
-            sinkhorn_supports(U, U, 0.1, max_iters=0)
+            SupportsSolver(U, 0.1, max_iters=0).solve(U)
 
 
 class TestWarmStart:
-    """sinkhorn_supports(..., v0) starts a one-stage solve from the column
-    scaling v0 and solves the same problem; a solve in several stages
+    """SupportsSolver.solve(source, v0) starts a one-stage solve from the
+    column scaling v0 and solves the same problem; a solve in several stages
     ignores v0."""
 
     @staticmethod
@@ -499,11 +500,11 @@ class TestWarmStart:
         source, target = data.draw(_simplex_rows(nb, k)), data.draw(_simplex_rows(na, k))
         v0 = data.draw(arrays(np.float64, (na,), elements=st.floats(1e-300, 1e300)))
         try:
-            cold = sinkhorn_supports(source, target, eta)
+            cold = SupportsSolver(target, eta).solve(source)
         except ConvergenceError:
             return
         try:
-            warm = sinkhorn_supports(source, target, eta, v0=v0)
+            warm = SupportsSolver(target, eta).solve(source, v0)
         except ConvergenceError as err:
             # a far start can stall on a near-permutation plan (see
             # test_far_start_can_stall_a_near_permutation_plan), but it only
@@ -527,11 +528,11 @@ class TestWarmStart:
         moved = source * np.exp(step * data.draw(arrays(np.float64, (nb, k), elements=st.floats(-1.0, 1.0))))
         moved /= moved.sum(axis=1, keepdims=True)
         try:
-            cold = sinkhorn_supports(source, target, eta)
-            near = sinkhorn_supports(moved, target, eta)
+            cold = SupportsSolver(target, eta).solve(source)
+            near = SupportsSolver(target, eta).solve(moved)
         except ConvergenceError:
             return
-        warm = sinkhorn_supports(source, target, eta, v0=near.v)
+        warm = SupportsSolver(target, eta).solve(source, near.v)
         self._assert_solves_the_same_problem(source, target, eta, warm, cold)
 
     def test_far_start_can_stall_a_near_permutation_plan(self):
@@ -542,18 +543,18 @@ class TestWarmStart:
         # mass by a factor of only about 1 - 1.9e-8.
         source = np.array([[8.0, 1, 1, 1, 1], [1, 1, 1, 1, 1]]) / np.array([[12.0], [5.0]])
         target = np.array([[64.0, 1, 1, 1, 1], [1, 1, 1, 1, 1]]) / np.array([[68.0], [5.0]])
-        assert sinkhorn_supports(source, target, 0.01).iters == 1
+        assert SupportsSolver(target, 0.01).solve(source).iters == 1
         with pytest.raises(ConvergenceError) as err:
-            sinkhorn_supports(source, target, 0.01, v0=np.ones(2))
+            SupportsSolver(target, 0.01).solve(source, np.ones(2))
         assert 1e-9 < err.value.marginal_err < 1e-8
 
     @pytest.mark.parametrize("eta", [0.2, 0.05, 0.01])
     def test_own_scaling_stops_after_one_iteration(self, eta):
         rng = np.random.default_rng(21)
         source, target = rng.dirichlet(np.ones(4), size=40), rng.dirichlet(np.ones(4), size=25)
-        cold = sinkhorn_supports(source, target, eta)
+        cold = SupportsSolver(target, eta).solve(source)
         assert cold.iters > 1
-        warm = sinkhorn_supports(source, target, eta, v0=cold.v)
+        warm = SupportsSolver(target, eta).solve(source, cold.v)
         assert warm.iters == 1
         # v0 is rescaled by a power of two, which the row update undoes exactly
         assert np.array_equal(warm.gamma_target, cold.gamma_target)
@@ -565,9 +566,9 @@ class TestWarmStart:
     def test_solve_in_stages_ignores_the_start(self, supports):
         source, target = supports
         assert np.ptp(cost_matrix(source, target)) / 1e-3 > transport.SCALING_MAX_RANGE
-        cold = sinkhorn_supports(source, target, 1e-3)
+        cold = SupportsSolver(target, 1e-3).solve(source)
         v0 = np.random.default_rng(4).uniform(0.1, 10.0, size=target.shape[0])
-        warm = sinkhorn_supports(source, target, 1e-3, v0=v0)
+        warm = SupportsSolver(target, 1e-3).solve(source, v0)
         assert np.array_equal(warm.gamma_target, cold.gamma_target)
         assert np.array_equal(warm.v, cold.v)
         assert (warm.transport_cost, warm.iters, warm.marginal_err) == (
@@ -590,7 +591,7 @@ class TestWarmStart:
     def test_invalid_start_rejected(self, v0, match):
         U = np.full((2, 3), 1.0 / 3)
         with pytest.raises(ValueError, match=match):
-            sinkhorn_supports(U, np.eye(3), 0.1, v0=v0)
+            SupportsSolver(np.eye(3), 0.1).solve(U, v0)
 
 
 def _assert_same_plan(plan, ref):
@@ -601,8 +602,8 @@ def _assert_same_plan(plan, ref):
 
 class TestSupportsSolver:
     """A SupportsSolver bound to one target and eta reuses its buffers from
-    solve to solve. Each plan is bit-identical to a one-shot
-    sinkhorn_supports solve and outlives every later solve unchanged."""
+    solve to solve. Each plan is bit-identical to the solve of a fresh
+    solver and outlives every later solve unchanged."""
 
     def _run_sequence(self, solver, sources, warm):
         target, eta = solver.target, solver.eta
@@ -610,7 +611,7 @@ class TestSupportsSolver:
         for source, use_v0 in zip(sources, warm):
             v0 = kept[-1][0].v if use_v0 and kept else None
             try:
-                expected = sinkhorn_supports(source, target, eta, v0=v0)
+                expected = SupportsSolver(target, eta).solve(source, v0)
             except ConvergenceError as exc:
                 with pytest.raises(ConvergenceError) as err:
                     solver.solve(source, v0)
