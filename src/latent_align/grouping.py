@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+MAX_LLOYD_ITERS = 300
+
 
 @dataclass
 class GroupAssignment:
@@ -73,10 +75,10 @@ def _plus_plus_init(V: np.ndarray, n_clusters: int, rng: np.random.Generator) ->
     return centers
 
 
-def _lloyd(V: np.ndarray, centers: np.ndarray, max_iter: int) -> tuple[np.ndarray, np.ndarray, float]:
+def _lloyd(V: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     n, n_clusters = V.shape[0], centers.shape[0]
     labels = np.full(n, -1, dtype=int)
-    for _ in range(max_iter):
+    for _ in range(MAX_LLOYD_ITERS):
         dists = np.sum((V[:, None, :] - centers[None, :, :]) ** 2, axis=2)
         new_labels = np.argmin(dists, axis=1)
 
@@ -103,7 +105,6 @@ def kmeans(
     n_clusters: int,
     seed: int,
     restarts: int = 10,
-    max_iter: int = 300,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Best-of-restarts Lloyd's algorithm with k-means++ seeding.
 
@@ -126,7 +127,7 @@ def kmeans(
     for r in range(restarts):
         rng = np.random.default_rng(seeds[r])
         centers = _plus_plus_init(codes, n_clusters, rng)
-        labels, centers, wcss = _lloyd(codes, centers, max_iter)
+        labels, centers, wcss = _lloyd(codes, centers)
         if best is None or wcss < best[0]:
             best = (wcss, labels, centers)
     return best[1], best[2]

@@ -189,29 +189,6 @@ def load_or_generate(config: ExperimentConfig) -> SurveyDataset:
     )
 
 
-def build_problem(
-    config: ExperimentConfig,
-    dataset: SurveyDataset,
-    latent: LatentModel,
-    groups: GroupAssignment,
-    priorities: PriorityWeights,
-    surrogate: SurrogateModel,
-) -> InterventionProblem:
-    return InterventionProblem(
-        dataset=dataset,
-        latent=latent,
-        groups=groups,
-        priorities=priorities,
-        surrogate=surrogate,
-        eta=config.eta,
-        sparsity_weight=config.sparsity_weight,
-        beta_couple=config.beta_couple,
-        max_outer=config.max_outer,
-        tol_obj=config.tol_obj,
-        tau_delta=config.tau_delta,
-    )
-
-
 def run_pipeline(config: ExperimentConfig, seed: int, dataset: SurveyDataset | None = None) -> PipelineArtifacts:
     """Execute the whole chain for one seed.
 
@@ -245,7 +222,19 @@ def run_pipeline(config: ExperimentConfig, seed: int, dataset: SurveyDataset | N
             "binarize_rule": config.binarize_rule,
         },
     )
-    problem = build_problem(config, dataset, latent, groups, priorities, surrogate)
+    problem = InterventionProblem(
+        dataset=dataset,
+        latent=latent,
+        groups=groups,
+        priorities=priorities,
+        surrogate=surrogate,
+        eta=config.eta,
+        sparsity_weight=config.sparsity_weight,
+        beta_couple=config.beta_couple,
+        max_outer=config.max_outer,
+        tol_obj=config.tol_obj,
+        tau_delta=config.tau_delta,
+    )
     result = optimize(problem)
     metrics = evaluate_intervention(problem, result)
     return PipelineArtifacts(

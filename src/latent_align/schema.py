@@ -259,7 +259,7 @@ def validate_rows(X: np.ndarray, schema: FeatureSchema, mode: str = "optimize") 
     def add(mask, message):
         for i, j in zip(*np.nonzero(mask)):
             f = schema.features[j]
-            found.append((i, j, Violation(f.name, message.format(v=X[i, j], f=f), row=int(i))))
+            found.append((i, j, Violation(f.name, message.format(v=float(X[i, j]), f=f), row=int(i))))
 
     # inf - inf and overflowing block sums are judged by the comparisons below
     with np.errstate(all="ignore"):
@@ -301,6 +301,8 @@ def validate_row(x: np.ndarray, schema: FeatureSchema, mode: str = "optimize") -
 class SurveyDataset:
     """Validated encoded survey matrix with outcome scores.
 
+    Construction is the one validity gate for survey data, however it was
+    read or built: every row must pass `validate_rows` in report mode.
     Immutable after construction: the arrays are marked read-only so the
     dataset can be shared across parallel workers.
     """
@@ -327,7 +329,7 @@ class SurveyDataset:
         if not np.all(np.isfinite(y)):
             bad = int(np.flatnonzero(~np.isfinite(y))[0])
             raise DataValidationError([Violation(self.schema.outcome, "missing or non-finite outcome", row=bad)])
-        violations = validate_rows(X, self.schema)
+        violations = validate_rows(X, self.schema, mode="report")
         if violations:
             raise DataValidationError(violations)
         if not self.respondent_ids:
@@ -352,8 +354,8 @@ def load_dataset(csv_path: str | Path, schema_path: str | Path) -> SurveyDataset
     """Load and validate a dataset from a CSV file and a JSON schema.
 
     The CSV header must contain exactly the schema feature names plus the
-    declared outcome column, in any order. Rows are validated in report mode;
-    every failure is reported with its row index and feature name.
+    declared outcome column, in any order. SurveyDataset validates the rows in
+    report mode; every failure is reported with its row index and feature name.
     """
     schema = FeatureSchema.from_json(schema_path)
     with open(csv_path, newline="", encoding="utf-8") as fh:
@@ -394,9 +396,6 @@ def load_dataset(csv_path: str | Path, schema_path: str | Path) -> SurveyDataset
             y[i] = float(cell)
         except ValueError:
             violations.append(Violation(schema.outcome, f"cannot parse {cell!r} as a number", row=i))
-    if violations:
-        raise DataValidationError(violations)
-    violations = validate_rows(X, schema, mode="report")
     if violations:
         raise DataValidationError(violations)
     return SurveyDataset(X=X, y=y, schema=schema)

@@ -67,9 +67,9 @@ class SurrogateModel:
             bias=float(d["bias"]),
             tau_y=float(d["tau_y"]),
             train_accuracy=float(d["train_accuracy"]),
-            l2=float(d.get("l2", 0.0)),
-            n_iters=int(d.get("n_iters", 0)),
-            grad_norm=float(d.get("grad_norm", 0.0)),
+            l2=float(d["l2"]),
+            n_iters=int(d["n_iters"]),
+            grad_norm=float(d["grad_norm"]),
         )
 
 
@@ -81,7 +81,6 @@ class PriorityWeights:
     in schema order); rho_j = 1 / (omega_j + eps_omega) exactly.
     """
 
-    phi: np.ndarray
     varphi: np.ndarray
     top_factors: np.ndarray
     omega: np.ndarray
@@ -91,7 +90,7 @@ class PriorityWeights:
     provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        for arr in (self.phi, self.varphi, self.top_factors, self.omega, self.rho, self.s_ctrl):
+        for arr in (self.varphi, self.top_factors, self.omega, self.rho, self.s_ctrl):
             arr.setflags(write=False)
 
     def _positions(self, feature_indices: np.ndarray) -> list[int]:
@@ -158,7 +157,6 @@ def fit_logistic(
     labels: np.ndarray,
     l2: float = 1e-2,
     tau_y: float = 0.5,
-    max_iters: int = MAX_NEWTON_ITERS,
     grad_tol: float = GRAD_TOL,
 ) -> SurrogateModel:
     """Fit the probe by damped Newton from zero parameters.
@@ -166,8 +164,8 @@ def fit_logistic(
     Minimizes mean logistic loss plus (l2/2)||beta||^2, bias unpenalized. Each
     direction is a least-squares solve (minimum-norm on the singular Hessian of
     simplex codes at l2 = 0); its step halves until Armijo holds. Stops when the
-    gradient infinity norm falls below grad_tol or after max_iters. The solve
-    is deterministic, so it takes no seed.
+    gradient infinity norm falls below grad_tol or after MAX_NEWTON_ITERS
+    iterations. The solve is deterministic, so it takes no seed.
     """
     W = np.asarray(W_tilde, dtype=float)
     labels = np.asarray(labels, dtype=float)
@@ -180,7 +178,7 @@ def fit_logistic(
     theta = np.zeros(W.shape[1] + 1)
     loss, grad, hess = _logistic_terms(W, labels, theta, l2)
     it = 0
-    for it in range(1, max_iters + 1):
+    for it in range(1, MAX_NEWTON_ITERS + 1):
         if np.max(np.abs(grad)) < grad_tol:
             break
         step = np.linalg.lstsq(hess, -grad, rcond=None)[0]
@@ -274,16 +272,15 @@ def build_priorities(
     """Full attribution chain: Shapley, aggregate, top-q, feature transfer.
 
     The background for the Shapley attribution is the mean normalized code
-    over all respondents.
+    over all respondents; only the target rows are attributed.
     """
     codes = np.asarray(codes, dtype=float)
-    background = codes.mean(axis=0)
-    phi = shapley_latent(model, codes, background)
-    varphi = aggregate_relevance(phi, i_target)
+    i_target = np.asarray(i_target, dtype=int)
+    phi_target = shapley_latent(model, codes[i_target], codes.mean(axis=0))
+    varphi = aggregate_relevance(phi_target, np.arange(i_target.size))
     top = select_topq(varphi, q)
     omega, rho = feature_priorities(top, varphi, H, s_ctrl, eps_omega)
     return PriorityWeights(
-        phi=phi,
         varphi=varphi,
         top_factors=top,
         omega=omega,

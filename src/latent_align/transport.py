@@ -8,9 +8,9 @@ matrix-vector products, written into vectors allocated once per stage, with
 the kernel K = exp((min M + f_p + g_q - M_pq) / eta_s). The potentials f, g
 start at 0, and each stage's scalings are absorbed into them,
 f += eta_s log u and g += eta_s log v, so the next kernel is the last plan,
-sharpened. Stages above eta stop at STAGE_TOL and the last at tol, and
-max_iters is one budget for all of them. Codes lie on the simplex, so M <= 2,
-and the default eta = 0.05 runs one stage.
+sharpened. Stages above eta stop at STAGE_TOL and the last at DEFAULT_TOL,
+and max_iters is one budget for all of them. Codes lie on the simplex, so
+M <= 2, and the default eta = 0.05 runs one stage.
 
 Two front-ends build the stage kernels for the shared `_staged_loop`:
 
@@ -57,7 +57,7 @@ DEFAULT_TOL = 1e-9
 SCALING_MAX_RANGE = 300.0
 # Marginal error at which a stage above eta hands its potentials on. Only the
 # last stage's plan is returned; an earlier one only warm-starts the next, so
-# solving it to tol would spend iterations on a plan that is then discarded.
+# solving it to DEFAULT_TOL would spend iterations on a plan then discarded.
 STAGE_TOL = 1e-4
 # Relative margin on the bound (max |s| + max |t|)^2 / eta that lets a solve
 # skip the kernel's minimum: far above the relative rounding of a GEMM over
@@ -149,11 +149,7 @@ def cost_matrix(source: np.ndarray, target: np.ndarray) -> np.ndarray:
     return np.maximum(M, 0.0, out=M)
 
 
-def sinkhorn(
-    problem: TransportProblem,
-    max_iters: int = DEFAULT_MAX_ITERS,
-    tol: float = DEFAULT_TOL,
-) -> TransportPlan:
+def sinkhorn(problem: TransportProblem, max_iters: int = DEFAULT_MAX_ITERS) -> TransportPlan:
     """Solve the entropic OT problem with Sinkhorn iterations.
 
     Each iteration updates the column scaling, then the row scaling, so the
@@ -179,7 +175,7 @@ def sinkhorn(
         return np.exp(K, out=K)
 
     eta0 = eta * max(1.0, (float(M.max()) - shift) / eta / SCALING_MAX_RANGE)
-    K, u, v, col, f, g, iters, err = _staged_loop(kernel(eta0), eta0, kernel, a, b, eta, max_iters, tol)
+    K, u, v, col, f, g, iters, err = _staged_loop(kernel(eta0), eta0, kernel, a, b, eta, max_iters)
 
     gamma = K  # diag(u) K diag(v), built in place of the kernel
     gamma *= u[:, None]
@@ -229,9 +225,7 @@ class SupportsSolver:
     leaves it as it was. One solver serves one caller at a time.
     """
 
-    def __init__(
-        self, target: np.ndarray, eta: float, max_iters: int = DEFAULT_MAX_ITERS, tol: float = DEFAULT_TOL
-    ):
+    def __init__(self, target: np.ndarray, eta: float, max_iters: int = DEFAULT_MAX_ITERS):
         target = np.asarray(target, dtype=float)
         if target.ndim != 2:
             raise ValueError(f"target support must be a matrix, got shape {target.shape}")
@@ -239,7 +233,7 @@ class SupportsSolver:
             raise ValueError(f"eta must be positive, got {eta}")
         if max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {max_iters}")
-        self.target, self.eta, self.max_iters, self.tol = target, float(eta), max_iters, tol
+        self.target, self.eta, self.max_iters = target, float(eta), max_iters
         na, k = target.shape
         self._t2 = np.einsum("qk,qk->q", target, target)
         self._t_max = math.sqrt(float(self._t2.max(initial=0.0)))
@@ -321,14 +315,14 @@ class SupportsSolver:
             K = exponent(eta_s, shift + f, rhs, out)
             return np.exp(K, out=K)
 
-        K, u, v, col, _, _, iters, err = _staged_loop(K, eta0, kernel, a, self._b, eta, self.max_iters, self.tol, v0)
+        K, u, v, col, _, _, iters, err = _staged_loop(K, eta0, kernel, a, self._b, eta, self.max_iters, v0)
         gamma_target = K @ (v[:, None] * target)
         gamma_target *= u[:, None]
         transport_cost = float(a @ s2 + col @ t2) - 2.0 * float(np.einsum("pk,pk->", source, gamma_target))
         return SupportsPlan(gamma_target, transport_cost, iters, err, v)
 
 
-def _staged_loop(K, eta_s, kernel, a, b, eta, max_iters, tol, v0=None):
+def _staged_loop(K, eta_s, kernel, a, b, eta, max_iters, v0=None):
     """Sinkhorn at eta through stages eta_s, eta_s / 2, ... down to eta,
     from the first stage's kernel K; kernel(eta_s, f, g, K) overwrites K with
     a later stage's. v0, if given, starts every stage, so callers pass it
@@ -339,7 +333,7 @@ def _staged_loop(K, eta_s, kernel, a, b, eta, max_iters, tol, v0=None):
     f = g = None  # the potentials, allocated when a second stage runs
     done = 0
     while True:
-        stage_tol = tol if eta_s == eta else max(tol, STAGE_TOL)
+        stage_tol = DEFAULT_TOL if eta_s == eta else STAGE_TOL
         try:
             u, v, col, iters, err = _scaling_loop(K, a, b, max_iters - done, stage_tol, v0)
         except ConvergenceError as exc:
@@ -348,7 +342,7 @@ def _staged_loop(K, eta_s, kernel, a, b, eta, max_iters, tol, v0=None):
         if eta_s == eta:
             return K, u, v, col, f, g, done, err
         if done == max_iters:
-            raise ConvergenceError(done, err, tol)
+            raise ConvergenceError(done, err, DEFAULT_TOL)
         if f is None:
             f, g = np.zeros_like(a), np.zeros_like(b)
         f += eta_s * np.log(u)

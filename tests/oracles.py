@@ -206,7 +206,7 @@ def validate_row_loop(x, schema, mode):
     x = np.asarray(x, dtype=float)
     violations = []
     for j, f in enumerate(schema.features):
-        v = x[j]
+        v = float(x[j])
         if not np.isfinite(v):
             violations.append(Violation(f.name, f"value {v} is not finite"))
             continue

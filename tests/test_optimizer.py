@@ -257,7 +257,6 @@ def _tiny_problem(aligned=True, lam=1e-3):
         cluster_means=np.array([0.0, 1.0]),
     )
     priorities = PriorityWeights(
-        phi=np.zeros((6, 2)),
         varphi=np.array([1.0, 1.0]),
         top_factors=np.array([0, 1]),
         omega=np.array([0.5, 0.5]),
@@ -302,7 +301,6 @@ def _random_problem(seed, lam, max_outer=30, controllable=(True, True, True)):
             labels=labels, centroids=np.zeros((2, k)), reference=1, target=0, cluster_means=np.array([0.0, 1.0])
         ),
         priorities=PriorityWeights(
-            phi=np.zeros((n, k)),
             varphi=np.ones(k),
             top_factors=np.arange(k),
             omega=omega,

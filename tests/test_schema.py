@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import latent_align as la
+import latent_align.schema as la_schema
 from latent_align.schema import (
     BLOCK_SUM_TOL,
     DataValidationError,
@@ -188,6 +189,20 @@ class TestLoadDataset:
         with pytest.raises(DataValidationError, match="row 0.*'b'"):
             la.load_dataset(tmp_path / "d.csv", tmp_path / "s.json")
 
+    def test_rows_validated_once(self, tmp_path, monkeypatch):
+        _schema_4().to_json(tmp_path / "s.json")
+        _write_csv(tmp_path / "d.csv", ["age", "sat", "use", "opt", "y"], [[30, 4, 2.5, 1, 0.7], [41, 2, 0.0, 0, 0.1]])
+        modes = []
+        validate_rows = la_schema.validate_rows
+
+        def counted(*args, **kwargs):
+            modes.append(kwargs.get("mode"))
+            return validate_rows(*args, **kwargs)
+
+        monkeypatch.setattr(la_schema, "validate_rows", counted)
+        la.load_dataset(tmp_path / "d.csv", tmp_path / "s.json")
+        assert modes == ["report"]
+
 
 class TestSynthetic:
     def test_determinism(self):
@@ -233,6 +248,15 @@ class TestDatasetConstruction:
         X = np.array([[1.0, 1.0, 0.0], [2.0, 0.7, 0.2]])
         with pytest.raises(DataValidationError):
             la.SurveyDataset(X=X, y=np.array([0.1, 0.2]), schema=schema)
+
+    def test_fractional_fixed_likert_rejected(self):
+        # an in-memory dataset meets the report-mode rules a CSV meets
+        ds = la.generate_synthetic(40, la.default_synthetic_schema(), k_true=4, seed=0)
+        X = ds.X.copy()
+        X[3, ds.schema.names.index("attitude_1")] = 1.3
+        with pytest.raises(DataValidationError) as err:
+            la.SurveyDataset(X=X, y=ds.y, schema=ds.schema)
+        assert err.value.violations == [Violation("attitude_1", "Likert value 1.3 is not an integer level", row=3)]
 
     def test_minimum_size(self, small_schema):
         with pytest.raises(DataValidationError, match="n >= 2"):

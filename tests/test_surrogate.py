@@ -21,6 +21,7 @@ from latent_align.surrogate import (
     shapley_latent,
 )
 
+from conftest import fixture_config
 from oracles import central_difference, logistic_bfgs, logistic_loss_grad, shapley_permutations, sigmoid_two_branch
 
 
@@ -120,6 +121,15 @@ class TestFitLogistic:
         assert doc["grad_norm"] == model.grad_norm > 0.0
         assert SurrogateModel.from_dict(doc).grad_norm == model.grad_norm
 
+    @pytest.mark.parametrize("key", ["l2", "n_iters", "grad_norm"])
+    def test_from_dict_requires_fit_record(self, key):
+        # a missing grad_norm must not load as 0.0, which reads as converged
+        W = np.array([[0.0], [0.1], [0.2], [0.8], [0.9], [1.0]])
+        doc = fit_logistic(W, np.array([0, 1, 0, 1, 0, 1]), l2=0.1).to_dict()
+        del doc[key]
+        with pytest.raises(KeyError, match=key):
+            SurrogateModel.from_dict(doc)
+
 
 @settings(max_examples=40, deadline=None)
 @given(
@@ -206,6 +216,18 @@ class TestAggregationSelection:
             select_topq(np.array([1.0, 2.0]), 3)
 
 
+def test_priorities_match_the_all_respondent_chain(fixture_arts):
+    # build_priorities attributes only the target rows; the result is the
+    # chain that attributes every respondent and then averages the target's
+    arts, p = fixture_arts, fixture_arts.priorities
+    phi = shapley_latent(arts.surrogate, arts.codes, arts.codes.mean(0))
+    varphi = aggregate_relevance(phi, arts.groups.i_target)
+    top = select_topq(varphi, fixture_config().resolved_q())
+    omega, rho = feature_priorities(top, varphi, arts.latent.H, arts.dataset.schema.s_ctrl, p.eps_omega)
+    assert np.array_equal(p.varphi, varphi) and np.array_equal(p.top_factors, top)
+    assert np.array_equal(p.omega, omega) and np.array_equal(p.rho, rho)
+
+
 class TestFeaturePriorities:
     def test_single_factor_transfer(self):
         H = np.array([[0.5, 0.5, 0.0], [0.2, 0.3, 0.5]])
@@ -240,7 +262,6 @@ class TestFeaturePriorities:
     @pytest.mark.parametrize("lookup, expected", [("rho_for", [4.0, 2.0]), ("omega_for", [0.25, 0.5])])
     def test_lookup_rejects_non_controllable_feature(self, lookup, expected):
         weights = PriorityWeights(
-            phi=np.zeros((1, 1)),
             varphi=np.ones(1),
             top_factors=np.array([0]),
             omega=np.array([0.5, 0.25]),
