@@ -28,8 +28,6 @@ import numpy as np
 
 from . import __version__, baselines as bl
 from .evaluation import GroupMovementRow, MetricsReport, evaluate_intervention, target_codes
-from .factorization import LatentModel
-from .grouping import GroupAssignment
 from .optimizer import TrajectoryRecord
 from .pipeline import (
     ConfigError,
@@ -39,9 +37,9 @@ from .pipeline import (
     load_or_generate,
     run_pipeline,
 )
+from .records import JSONRecord
 from .schema import DataValidationError, SchemaError, SurveyDataset
 from .schema import default_synthetic_schema, generate_synthetic, save_dataset
-from .surrogate import SurrogateModel
 
 AGGREGATE_FIELDS = ("n_conv", "r_conv", "mean_dp", "n_lever", "effort")
 
@@ -124,16 +122,16 @@ def _codes_rows(arts: PipelineArtifacts) -> list[dict]:
 
 
 def _write_seed_artifacts(arts: PipelineArtifacts, seed_dir: Path) -> None:
-    docs = {
-        "latent_model.json": arts.latent.to_dict(),
-        "groups.json": arts.groups.to_dict(),
-        "surrogate.json": arts.surrogate.to_dict(),
-        "priorities.json": arts.priorities.to_dict(),
-        "intervention.json": arts.result.to_dict(),
-        "metrics.json": arts.metrics.to_dict(),
+    objects = {
+        "latent_model.json": arts.latent,
+        "groups.json": arts.groups,
+        "surrogate.json": arts.surrogate,
+        "priorities.json": arts.priorities,
+        "intervention.json": arts.result,
+        "metrics.json": arts.metrics,
     }
-    for name, doc in docs.items():
-        _write_json(doc, seed_dir / name, indent=None)
+    for name, obj in objects.items():
+        _write_json(obj.to_dict(), seed_dir / name, indent=None)
     trajectory_header = [f.name for f in fields(TrajectoryRecord)]
     _write_rows_csv(_record_rows(arts.result.trajectory), trajectory_header, seed_dir / "trajectory.csv")
     movement_header = [f.name for f in fields(GroupMovementRow)]
@@ -141,11 +139,11 @@ def _write_seed_artifacts(arts: PipelineArtifacts, seed_dir: Path) -> None:
     codes_header = ["respondent_id", "cluster", "role", "phase"] + [f"c{r}" for r in range(arts.latent.k)]
     _write_rows_csv(_codes_rows(arts), codes_header, seed_dir / "latent_codes.csv")
 
-    # read-back check: every artifact parses, and the typed ones re-validate
-    read = {name: json.loads((seed_dir / name).read_text()) for name in docs}
-    LatentModel.from_dict(read["latent_model.json"])
-    GroupAssignment.from_dict(read["groups.json"])
-    SurrogateModel.from_dict(read["surrogate.json"])
+    # read-back check: every artifact parses, and the typed records re-validate
+    for name, obj in objects.items():
+        doc = json.loads((seed_dir / name).read_text())
+        if isinstance(obj, JSONRecord):
+            type(obj).from_dict(doc)
 
 
 def _run_one_seed(config_dict: dict, seed: int, out_root: str, dataset: SurveyDataset) -> dict:
@@ -238,6 +236,9 @@ def cmd_sweep(config: ExperimentConfig, param: str, values: list[str]) -> int:
 def cmd_baselines(config: ExperimentConfig) -> int:
     config.validate()
     dataset = load_or_generate(config)
+    n_levers = dataset.schema.policy_levers.size
+    if config.baseline_k_levers > n_levers:
+        raise ConfigError(f"baseline_k_levers={config.baseline_k_levers} exceeds the {n_levers} eligible levers")
     out = _open_run_dir(config)
     seed = config.seeds[0]
 

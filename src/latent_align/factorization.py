@@ -19,6 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .records import JSONRecord
+
 MU_EPS = 1e-12  # multiplicative-update denominator guard
 ZERO_ROW_TOL = 1e-12
 H_ROW_SUM_TOL = 1e-9
@@ -27,7 +29,7 @@ NNLS_BACKUP_PASSES = 3  # full swaps allowed after the infeasible count stops fa
 
 
 @dataclass
-class LatentModel:
+class LatentModel(JSONRecord):
     """Frozen nonnegative basis with training coefficients.
 
     Attributes
@@ -38,7 +40,8 @@ class LatentModel:
     iters_run : multiplicative-update iterations run.
     hit_cap : True when the fit stopped at its iteration cap without meeting
         its stop test.
-    loss_history : per-iteration loss values (index 0 is the initial loss).
+    loss_history : per-iteration loss values (index 0 is the initial loss);
+        not part of the JSON record.
     """
 
     W: np.ndarray
@@ -48,35 +51,12 @@ class LatentModel:
     seed: int
     iters_run: int
     hit_cap: bool = False
-    loss_history: tuple[float, ...] = field(default=(), repr=False)
+    loss_history: tuple[float, ...] = field(default=(), repr=False, metadata={"record": False})
 
     def __post_init__(self):
         _check_latent_invariants(self.W, self.H, self.k)
         self.W.setflags(write=False)
         self.H.setflags(write=False)
-
-    def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "H": self.H.tolist(),
-            "W": self.W.tolist(),
-            "fit_loss": float(self.fit_loss),
-            "seed": self.seed,
-            "iters_run": self.iters_run,
-            "hit_cap": self.hit_cap,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "LatentModel":
-        return cls(
-            W=np.array(d["W"], dtype=float),
-            H=np.array(d["H"], dtype=float),
-            k=int(d["k"]),
-            fit_loss=float(d["fit_loss"]),
-            seed=int(d["seed"]),
-            iters_run=int(d["iters_run"]),
-            hit_cap=bool(d["hit_cap"]),
-        )
 
 
 def _check_latent_invariants(W: np.ndarray, H: np.ndarray, k: int) -> None:

@@ -12,11 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .records import JSONRecord
+
 MAX_LLOYD_ITERS = 300
 
 
 @dataclass
-class GroupAssignment:
+class GroupAssignment(JSONRecord):
     labels: np.ndarray
     centroids: np.ndarray
     reference: int
@@ -39,25 +41,6 @@ class GroupAssignment:
     @property
     def i_target(self) -> np.ndarray:
         return np.flatnonzero(self.labels == self.target)
-
-    def to_dict(self) -> dict:
-        return {
-            "labels": self.labels.tolist(),
-            "centroids": self.centroids.tolist(),
-            "reference": int(self.reference),
-            "target": int(self.target),
-            "cluster_means": self.cluster_means.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GroupAssignment":
-        return cls(
-            labels=np.array(d["labels"], dtype=int),
-            centroids=np.array(d["centroids"], dtype=float),
-            reference=int(d["reference"]),
-            target=int(d["target"]),
-            cluster_means=np.array(d["cluster_means"], dtype=float),
-        )
 
 
 def _plus_plus_init(V: np.ndarray, n_clusters: int, rng: np.random.Generator) -> np.ndarray:

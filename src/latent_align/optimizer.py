@@ -202,25 +202,19 @@ def project_feasible(
 ) -> np.ndarray:
     """Project an intervention matrix onto the feasible set.
 
-    Rows outside the target group and columns that are fixed or categorical
-    become exact zeros; surviving entries are clipped so the post value stays
-    inside the feature bounds. Idempotent.
+    Only the target-row x policy-lever block survives, clipped so the post
+    value stays inside the feature bounds; every other entry (rows outside
+    the target group, fixed and categorical columns) is an exact zero.
+    Idempotent.
     """
-    delta = np.array(delta, dtype=float)
-    n, d = X.shape
-    if delta.shape != (n, d):
+    delta = np.asarray(delta, dtype=float)
+    if delta.shape != X.shape:
         raise ValueError(f"delta has shape {delta.shape}, expected {X.shape}")
-    mask_rows = np.zeros(n, dtype=bool)
-    mask_rows[np.asarray(i_target, dtype=int)] = True
-    delta[~mask_rows, :] = 0.0
-    blocked = np.concatenate([schema.s_fixed, schema.s_categorical])
-    delta[:, np.unique(blocked)] = 0.0
-    lo = schema.lowers[None, :] - X
-    hi = schema.uppers[None, :] - X
-    rows = np.flatnonzero(mask_rows)
-    delta[rows, :] = np.clip(delta[rows, :], lo[rows, :], hi[rows, :])
-    delta[:, np.unique(blocked)] = 0.0
-    return delta
+    levers = schema.policy_levers
+    block = np.ix_(np.asarray(i_target, dtype=int), levers)
+    out = np.zeros_like(delta)
+    out[block] = np.clip(delta[block], schema.lowers[levers] - X[block], schema.uppers[levers] - X[block])
+    return out
 
 
 def prox_weighted_l21(block: np.ndarray, rho: np.ndarray, t_lambda: float) -> np.ndarray:

@@ -16,6 +16,7 @@ from .factorization import LatentModel, fit_nmf, normalize_rows
 from .grouping import GroupAssignment, anchor_groups, kmeans
 from .optimizer import InterventionProblem, InterventionResult, optimize
 from .schema import (
+    DataValidationError,
     SurveyDataset,
     default_synthetic_schema,
     generate_synthetic,
@@ -111,9 +112,11 @@ class ExperimentConfig:
             raise ConfigError("eps_omega must be positive")
         if self.logistic_l2 < 0:
             raise ConfigError("logistic_l2 must be >= 0")
-        for name in ("max_outer", "nmf_max_iters", "kmeans_restarts"):
+        for name in ("max_outer", "nmf_max_iters", "kmeans_restarts", "baseline_k_levers"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not self.baseline_step > 0:
+            raise ConfigError("baseline_step must be positive")
         if not self.seeds:
             raise ConfigError("at least one seed required")
         if min(self.seeds) < 0 or len(set(self.seeds)) < len(self.seeds):
@@ -181,12 +184,17 @@ def load_or_generate(config: ExperimentConfig) -> SurveyDataset:
             return load_dataset(config.dataset_csv, config.schema_json)
         except (OSError, UnicodeError, json.JSONDecodeError) as exc:  # an unreadable file is a usage error
             raise ConfigError(f"cannot read dataset {config.dataset_csv} or schema {config.schema_json}: {exc}") from exc
-    return generate_synthetic(
-        n=config.synthetic_n,
-        schema=default_synthetic_schema(),
-        k_true=config.synthetic_k_true,
-        seed=config.synthetic_seed,
-    )
+    try:
+        return generate_synthetic(
+            n=config.synthetic_n,
+            schema=default_synthetic_schema(),
+            k_true=config.synthetic_k_true,
+            seed=config.synthetic_seed,
+        )
+    except DataValidationError:
+        raise
+    except ValueError as exc:  # synthetic settings the generator rejects are a usage error
+        raise ConfigError(f"cannot generate synthetic data: {exc}") from exc
 
 
 def run_pipeline(config: ExperimentConfig, seed: int, dataset: SurveyDataset | None = None) -> PipelineArtifacts:

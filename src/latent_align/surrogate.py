@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .records import JSONRecord
+
 DEFAULT_EPS_OMEGA = 1e-6
 GRAD_TOL = 1e-7
 MAX_NEWTON_ITERS = 50
@@ -26,7 +28,7 @@ def _sigmoid(m: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class SurrogateModel:
+class SurrogateModel(JSONRecord):
     """Logistic probe: predict(w) = sigmoid(beta . w + bias)."""
 
     beta: np.ndarray
@@ -49,32 +51,9 @@ class SurrogateModel:
     def predict_proba(self, W: np.ndarray) -> np.ndarray:
         return _sigmoid(self.margin(W))
 
-    def to_dict(self) -> dict:
-        return {
-            "beta": self.beta.tolist(),
-            "bias": float(self.bias),
-            "tau_y": float(self.tau_y),
-            "train_accuracy": float(self.train_accuracy),
-            "l2": float(self.l2),
-            "n_iters": int(self.n_iters),
-            "grad_norm": float(self.grad_norm),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SurrogateModel":
-        return cls(
-            beta=np.array(d["beta"], dtype=float),
-            bias=float(d["bias"]),
-            tau_y=float(d["tau_y"]),
-            train_accuracy=float(d["train_accuracy"]),
-            l2=float(d["l2"]),
-            n_iters=int(d["n_iters"]),
-            grad_norm=float(d["grad_norm"]),
-        )
-
 
 @dataclass
-class PriorityWeights:
+class PriorityWeights(JSONRecord):
     """Latent-factor relevance and the derived controllable-feature priorities.
 
     omega and rho are aligned with s_ctrl (the controllable feature indices,
@@ -107,17 +86,6 @@ class PriorityWeights:
     def omega_for(self, feature_indices: np.ndarray) -> np.ndarray:
         """Priority scores for a subset of controllable features."""
         return self.omega[self._positions(feature_indices)]
-
-    def to_dict(self) -> dict:
-        return {
-            "varphi": self.varphi.tolist(),
-            "top_factors": self.top_factors.tolist(),
-            "omega": self.omega.tolist(),
-            "rho": self.rho.tolist(),
-            "s_ctrl": self.s_ctrl.tolist(),
-            "eps_omega": float(self.eps_omega),
-            "provenance": self.provenance,
-        }
 
 
 def binarize_outcome(y: np.ndarray, rule: str = "median", threshold: float | None = None) -> np.ndarray:

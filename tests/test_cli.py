@@ -73,6 +73,8 @@ class TestConfig:
             {"dataset_csv": ""},
             {"out_dir": ""},
             {"logistic_l2": -1.0},
+            {"baseline_k_levers": 0},
+            {"baseline_step": -1.0},
         ],
     )
     def test_wrong_value_type_rejected(self, overrides):
@@ -171,7 +173,19 @@ class TestRun:
 
     @pytest.mark.parametrize(
         "content",
-        [None, b"{not json", b"[1, 2]", b"\xff\xfe", b'{"k": "x"}', b'{"seeds": 5}', b'{"logistic_l2": -1.0}'],
+        [
+            None,
+            b"{not json",
+            b"[1, 2]",
+            b"\xff\xfe",
+            b'{"k": "x"}',
+            b'{"seeds": 5}',
+            b'{"logistic_l2": -1.0}',
+            # synthetic settings the generator rejects
+            b'{"synthetic_n": 3}',
+            b'{"synthetic_k_true": 1}',
+            b'{"synthetic_seed": -1}',
+        ],
     )
     def test_bad_config_file_is_a_config_error(self, tmp_path, capsys, content):
         cfg = tmp_path / "config.json"
@@ -287,6 +301,14 @@ class TestBaselinesCommand:
         n_target_col = header.index("n_target")
         sizes = {r.split(",")[n_target_col] for r in rows[1:]}
         assert len(sizes) == 1
+
+    # 50 exceeds the 9 policy levers of the default synthetic schema
+    @pytest.mark.parametrize("overrides", [{"baseline_k_levers": 0}, {"baseline_step": -1.0}, {"baseline_k_levers": 50}])
+    def test_bad_baseline_settings_fail_before_artifacts(self, tmp_path, capsys, overrides):
+        out = tmp_path / "o"
+        assert main(["baselines", "--config", str(_write_config(tmp_path, **overrides)), "--out", str(out)]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+        assert not out.exists()
 
     def test_projects_the_target_rows_once_per_result(self, tmp_path, monkeypatch):
         # X_B once for all eight rows, then X_B + delta_B once per result
