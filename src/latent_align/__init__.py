@@ -17,14 +17,12 @@ from .schema import (  # noqa: F401
     load_dataset,
     save_dataset,
     synthetic_lever_index,
-    validate_row,
     validate_rows,
 )
 from .factorization import (  # noqa: F401
     LatentModel,
     NNLSError,
     fit_nmf,
-    nnls_project,
     nnls_project_rows,
     normalize_rows,
 )

@@ -10,7 +10,7 @@ feature vectors are projected onto the frozen basis by one batched NNLS
 solver, block principal pivoting: every row keeps its own passive set, rows
 that share a passive set are solved together by one multi-right-hand-side
 least-squares call, and each row's sign tests use a tolerance scaled to that
-row. `nnls_project` is the one-row call of the same solver.
+row.
 """
 
 from __future__ import annotations
@@ -180,16 +180,6 @@ def fit_nmf(X: np.ndarray, k: int, seed: int, max_iters: int = 500, tol: float =
 
 class NNLSError(RuntimeError):
     """Block principal pivoting exceeded NNLS_MAX_PASSES exchange passes."""
-
-
-def nnls_project(x: np.ndarray, H: np.ndarray) -> np.ndarray:
-    """Solve argmin_{w >= 0} ||x - wH||_2^2 for one row: `nnls_project_rows`
-    on the (1, d) batch holding x."""
-    H = np.asarray(H, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if H.ndim != 2 or x.shape != (H.shape[1],):
-        raise ValueError(f"x has shape {x.shape}, basis expects ({H.shape[-1]},)")
-    return nnls_project_rows(x[None, :], H)[0]
 
 
 def nnls_project_rows(X: np.ndarray, H: np.ndarray) -> np.ndarray:

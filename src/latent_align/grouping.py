@@ -116,22 +116,21 @@ def kmeans(
     return best[1], best[2]
 
 
-def anchor_groups(
-    labels: np.ndarray,
-    y: np.ndarray,
-    n_clusters: int,
-    centroids: np.ndarray | None = None,
-) -> GroupAssignment:
+def anchor_groups(labels: np.ndarray, y: np.ndarray, centroids: np.ndarray) -> GroupAssignment:
     """Pick reference and target clusters by mean outcome.
 
-    Reference is the argmax of the cluster-wise outcome mean, target the
-    argmin; ties break toward the lower cluster id. Raises if the two
+    centroids holds one row per cluster, so the cluster count is its length;
+    every label must name one of its rows and every cluster must have a
+    member. Reference is the argmax of the cluster-wise outcome mean, target
+    the argmin; ties break toward the lower cluster id. Raises if the two
     coincide (all cluster means equal).
     """
     labels = np.asarray(labels, dtype=int)
     y = np.asarray(y, dtype=float)
+    centroids = np.asarray(centroids, dtype=float)
     if labels.shape != y.shape:
         raise ValueError(f"labels {labels.shape} and y {y.shape} must align")
+    n_clusters = centroids.shape[0]
     if labels.min() < 0 or labels.max() >= n_clusters:
         raise ValueError("labels out of range")
     means = np.empty(n_clusters)
@@ -142,13 +141,10 @@ def anchor_groups(
         means[c] = y[members].mean()
     reference = int(np.argmax(means))
     target = int(np.argmin(means))
-    if centroids is None:
-        centroids = np.full((n_clusters, 1), np.nan)
     return GroupAssignment(
         labels=labels.copy(),
-        centroids=np.asarray(centroids, dtype=float).copy(),
+        centroids=centroids.copy(),
         reference=reference,
         target=target,
         cluster_means=means,
     )
-

@@ -146,7 +146,8 @@ class InterventionResult:
     them: a uniform baseline when it constructs its intervention, otherwise
     the first evaluation (`evaluation.target_codes`), which keeps the
     problem's target_projection when delta_B = 0. Every later post score
-    reads it.
+    reads it. It is not an init field, so a `dataclasses.replace` copy starts
+    without it and is projected again when it is scored.
     """
 
     delta: np.ndarray
@@ -163,7 +164,7 @@ class InterventionResult:
     n_delta_trials: int
     # Sinkhorn iterations summed over the n_sinkhorn_calls solves
     n_sinkhorn_iters: int
-    post_projection: np.ndarray | None = field(default=None, repr=False, compare=False)
+    post_projection: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.delta.setflags(write=False)

@@ -211,7 +211,7 @@ def run_pipeline(config: ExperimentConfig, seed: int, dataset: SurveyDataset | N
     latent = fit_nmf(dataset.X, k=config.k, seed=seed, max_iters=config.nmf_max_iters, tol=config.nmf_tol)
     codes = normalize_rows(latent.W)
     labels, centroids = kmeans(codes, config.n_clusters, seed=seed, restarts=config.kmeans_restarts)
-    groups = anchor_groups(labels, dataset.y, config.n_clusters, centroids=centroids)
+    groups = anchor_groups(labels, dataset.y, centroids)
 
     labels_bin = binarize_outcome(dataset.y, rule=config.binarize_rule, threshold=config.binarize_threshold)
     surrogate = fit_logistic(codes, labels_bin, l2=config.logistic_l2, tau_y=config.tau_y)

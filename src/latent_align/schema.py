@@ -1,6 +1,6 @@
 """Mixed-type survey data model: feature schema, validation of whole response
-matrices in vectorized passes (`validate_rows`, with `validate_row` as its
-one-row call), CSV ingestion, and deterministic synthetic data generation.
+matrices in vectorized passes (`validate_rows`), CSV ingestion, and
+deterministic synthetic data generation.
 
 Encoding happens upstream of this package. A dataset is a nonnegative matrix of
 already one-hot-expanded responses plus an outcome column; the schema declares
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
@@ -149,25 +149,12 @@ class FeatureSchema:
         return self._indices(lambda f: f.kind is FeatureKind.LIKERT)
 
     @cached_property
-    def s_categorical(self) -> np.ndarray:
-        return self._indices(lambda f: f.kind is FeatureKind.CATEGORICAL)
-
-    @cached_property
-    def s_numeric(self) -> np.ndarray:
-        """Numeric indices; binary is a subset of numeric."""
-        return self._indices(lambda f: f.kind in (FeatureKind.NUMERIC, FeatureKind.BINARY))
-
-    @cached_property
     def s_binary(self) -> np.ndarray:
         return self._indices(lambda f: f.kind is FeatureKind.BINARY)
 
     @cached_property
     def s_ctrl(self) -> np.ndarray:
         return self._indices(lambda f: f.controllable)
-
-    @cached_property
-    def s_fixed(self) -> np.ndarray:
-        return self._indices(lambda f: not f.controllable)
 
     @cached_property
     def policy_levers(self) -> np.ndarray:
@@ -289,14 +276,6 @@ def validate_rows(X: np.ndarray, schema: FeatureSchema, mode: str = "optimize") 
     return [v for _, _, v in found]
 
 
-def validate_row(x: np.ndarray, schema: FeatureSchema, mode: str = "optimize") -> list[Violation]:
-    """The one-row call of `validate_rows`; the violations carry no row."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (schema.n_features,):
-        raise ValueError(f"row has shape {x.shape}, schema expects ({schema.n_features},)")
-    return [replace(v, row=None) for v in validate_rows(x[None, :], schema, mode)]
-
-
 @dataclass
 class SurveyDataset:
     """Validated encoded survey matrix with outcome scores.
@@ -344,10 +323,6 @@ class SurveyDataset:
     @property
     def n(self) -> int:
         return self.X.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.X.shape[1]
 
 
 def load_dataset(csv_path: str | Path, schema_path: str | Path) -> SurveyDataset:

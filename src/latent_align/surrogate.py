@@ -45,11 +45,8 @@ class SurrogateModel(JSONRecord):
         if not 0.0 < self.tau_y < 1.0:
             raise ValueError(f"tau_y must lie in (0, 1), got {self.tau_y}")
 
-    def margin(self, W: np.ndarray) -> np.ndarray:
-        return np.asarray(W, dtype=float) @ self.beta + self.bias
-
     def predict_proba(self, W: np.ndarray) -> np.ndarray:
-        return _sigmoid(self.margin(W))
+        return _sigmoid(np.asarray(W, dtype=float) @ self.beta + self.bias)
 
 
 @dataclass
@@ -186,12 +183,13 @@ def shapley_latent(model: SurrogateModel, W_tilde: np.ndarray, background: np.nd
     return model.beta[None, :] * (W - background[None, :])
 
 
-def aggregate_relevance(phi: np.ndarray, i_target: np.ndarray) -> np.ndarray:
-    """Mean absolute attribution over the target group, per factor."""
-    i_target = np.asarray(i_target, dtype=int)
-    if i_target.size == 0:
-        raise ValueError("empty target index set")
-    return np.mean(np.abs(np.asarray(phi, dtype=float)[i_target]), axis=0)
+def aggregate_relevance(phi: np.ndarray) -> np.ndarray:
+    """Mean absolute attribution per factor over the rows of phi, the
+    target group's (n_target, k) attributions."""
+    phi = np.asarray(phi, dtype=float)
+    if phi.shape[0] == 0:
+        raise ValueError("no target rows to aggregate")
+    return np.mean(np.abs(phi), axis=0)
 
 
 def select_topq(varphi: np.ndarray, q: int) -> np.ndarray:
@@ -245,7 +243,7 @@ def build_priorities(
     codes = np.asarray(codes, dtype=float)
     i_target = np.asarray(i_target, dtype=int)
     phi_target = shapley_latent(model, codes[i_target], codes.mean(axis=0))
-    varphi = aggregate_relevance(phi_target, np.arange(i_target.size))
+    varphi = aggregate_relevance(phi_target)
     top = select_topq(varphi, q)
     omega, rho = feature_priorities(top, varphi, H, s_ctrl, eps_omega)
     return PriorityWeights(

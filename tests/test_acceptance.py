@@ -16,7 +16,7 @@ import latent_align as la
 from latent_align.baselines import ABLATION_NO_SPARSITY, BASELINE_KINDS, BaselineSpec, run_ablation, run_baseline
 from latent_align.cli import main
 from latent_align.evaluation import evaluate_intervention
-from latent_align.factorization import nnls_project
+from latent_align.factorization import nnls_project_rows
 from latent_align.optimizer import (
     coupling_grad_codes,
     coupling_grad_levers,
@@ -56,7 +56,7 @@ class TestCriterion1KernelOracles:
             rng = np.random.default_rng(9000 + seed)
             H = rng.uniform(0.05, 1.0, size=(3, 6))
             x = np.clip(rng.uniform(-0.5, 2.0, size=6), 0.0, None)
-            w = nnls_project(x, H)
+            w = nnls_project_rows(x[None, :], H)[0]
             ref = nnls_enumerate(x, H)
             assert np.max(np.abs(w - ref)) < 1e-6
 
@@ -157,17 +157,12 @@ class TestCriterion3Feasibility:
             assert i in i_b and j in levers
 
     def test_post_rows_pass_optimize_mode(self, fixture_arts):
-        ds = fixture_arts.dataset
-        for i in fixture_arts.groups.i_target:
-            assert la.validate_row(ds.X[i] + fixture_arts.result.delta[i], ds.schema) == []
+        ds, i_b = fixture_arts.dataset, fixture_arts.groups.i_target
+        assert la.validate_rows(ds.X[i_b] + fixture_arts.result.delta[i_b], ds.schema) == []
 
     def test_rounded_rows_pass_report_mode(self, fixture_arts):
-        ds = fixture_arts.dataset
-        for i in fixture_arts.groups.i_target:
-            assert (
-                la.validate_row(ds.X[i] + fixture_arts.result.rounded_delta[i], ds.schema, mode="report")
-                == []
-            )
+        ds, i_b = fixture_arts.dataset, fixture_arts.groups.i_target
+        assert la.validate_rows(ds.X[i_b] + fixture_arts.result.rounded_delta[i_b], ds.schema, mode="report") == []
 
     def test_projection_idempotent_1000_matrices(self, fixture_dataset):
         schema = fixture_dataset.schema

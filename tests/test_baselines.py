@@ -83,9 +83,8 @@ class TestUniformBaselines:
 
     def test_feasible_after_projection(self, fixture_arts, baseline_results):
         for result in baseline_results.values():
-            ds = fixture_arts.dataset
-            for i in fixture_arts.groups.i_target:
-                assert la.validate_row(ds.X[i] + result.delta[i], ds.schema) == []
+            ds, i_b = fixture_arts.dataset, fixture_arts.groups.i_target
+            assert la.validate_rows(ds.X[i_b] + result.delta[i_b], ds.schema) == []
 
     def test_pre_projection_effort_identity(self, fixture_arts):
         # uniform step on k columns before projection: step * sqrt(n_B) * k

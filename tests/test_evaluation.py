@@ -13,7 +13,7 @@ from latent_align.evaluation import (
     evaluate_intervention,
     group_movement_report,
 )
-from latent_align.factorization import nnls_project, nnls_project_rows
+from latent_align.factorization import nnls_project_rows
 from latent_align.grouping import GroupAssignment
 from latent_align.pipeline import ExperimentConfig, run_pipeline
 from latent_align.surrogate import SurrogateModel
@@ -93,8 +93,8 @@ def _projected_one_row_at_a_time(arts):
     i_b, H = arts.groups.i_target, arts.latent.H
     X_B = arts.dataset.X[i_b]
     post_rows = X_B + arts.result.delta[i_b]
-    pre = la.normalize_rows(np.array([nnls_project(x, H) for x in X_B]))
-    post = la.normalize_rows(np.array([nnls_project(x, H) for x in post_rows]))
+    pre = la.normalize_rows(np.array([nnls_project_rows(x[None, :], H)[0] for x in X_B]))
+    post = la.normalize_rows(np.array([nnls_project_rows(x[None, :], H)[0] for x in post_rows]))
     return pre, post
 
 
@@ -261,13 +261,23 @@ class TestOneLatentMap:
         m = arts.metrics
         assert m.n_conv == 0 and m.mean_dp == 0.0 and m.dw == 0.0
 
+    def test_replace_copy_is_projected_again(self, fixture_arts):
+        # the fixture's result keeps the post projection of its own delta; a
+        # zero copy made by replace must not score that stale projection
+        result = fixture_arts.result
+        assert result.post_projection is not None and np.any(result.delta)
+        zero = replace(result, delta=np.zeros_like(result.delta))
+        report = evaluate_intervention(fixture_arts.problem, zero)
+        assert report.n_conv == 0 and report.dw == 0.0 and report.effort == 0.0
+
     def test_zero_intervention_reuses_the_pre_side(self, fixture_arts, monkeypatch):
-        # copies made by replace have solved nothing yet
+        # copies made by replace have solved and projected nothing yet
         problem, result = replace(fixture_arts.problem), fixture_arts.result
-        zero = replace(result, delta=np.zeros_like(result.delta), post_projection=None)
+        zero = replace(result, delta=np.zeros_like(result.delta))
         i_b = problem.groups.i_target
         # the old way: X_B + 0 projected in its own call and the post side solved
-        old = replace(zero, post_projection=nnls_project_rows(problem.dataset.X[i_b] + 0.0, problem.latent.H))
+        old = replace(zero)
+        old.post_projection = nnls_project_rows(problem.dataset.X[i_b] + 0.0, problem.latent.H)
         expected = evaluate_intervention(replace(problem), old)
         ref = la.normalize_rows(problem.latent.W)[problem.groups.i_reference]
         post = la.normalize_rows(old.post_projection)

@@ -14,7 +14,6 @@ from latent_align.factorization import (
     LatentModel,
     NNLSError,
     fit_nmf,
-    nnls_project,
     nnls_project_rows,
     normalize_rows,
 )
@@ -148,13 +147,13 @@ class TestNNLSProject:
         rng = np.random.default_rng(0)
         H = rng.uniform(0.1, 1.0, size=(3, 6))
         w0 = rng.uniform(0.0, 2.0, size=3)
-        w = nnls_project(w0 @ H, H)
+        w = nnls_project_rows((w0 @ H)[None, :], H)[0]
         assert np.linalg.norm(w @ H - w0 @ H) <= 1e-6
 
     def test_zero_input_gives_zero(self):
         rng = np.random.default_rng(1)
         H = rng.uniform(0.1, 1.0, size=(4, 5))
-        assert np.array_equal(nnls_project(np.zeros(5), H), np.zeros(4))
+        assert np.array_equal(nnls_project_rows(np.zeros((1, 5)), H), np.zeros((1, 4)))
 
     def test_matches_enumeration_oracle(self):
         # 50 seeded instances, k=3, d=6
@@ -163,7 +162,7 @@ class TestNNLSProject:
             H = rng.uniform(0.05, 1.0, size=(3, 6))
             x = rng.uniform(0.0, 2.0, size=6) - 0.5 * rng.uniform(size=6)
             x = np.clip(x, 0.0, None)
-            w = nnls_project(x, H)
+            w = nnls_project_rows(x[None, :], H)[0]
             w_ref = nnls_enumerate(x, H)
             assert np.max(np.abs(w - w_ref)) < 1e-6, f"seed {seed}"
 
@@ -172,7 +171,7 @@ class TestNNLSProject:
             rng = np.random.default_rng(seed)
             H = rng.uniform(0.05, 1.0, size=(5, 9))
             x = rng.uniform(0.0, 3.0, size=9)
-            w = nnls_project(x, H)
+            w = nnls_project_rows(x[None, :], H)[0]
             g = 2.0 * (w @ H - x) @ H.T
             assert np.all(g >= -1e-6)
             assert np.max(np.abs(w * g)) <= 1e-6
@@ -181,7 +180,7 @@ class TestNNLSProject:
         rng = np.random.default_rng(77)
         H = rng.uniform(0.05, 1.0, size=(4, 8))
         x = rng.uniform(0.0, 2.0, size=8)
-        w = nnls_project(x, H)
+        w = nnls_project_rows(x[None, :], H)[0]
         best = np.sum((w @ H - x) ** 2)
         for _ in range(100):
             cand = rng.uniform(0.0, 2.0, size=4)
@@ -189,7 +188,7 @@ class TestNNLSProject:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="shape"):
-            nnls_project(np.ones(4), np.ones((2, 5)))
+            nnls_project_rows(np.ones((1, 4)), np.ones((2, 5)))
 
 
 @st.composite

@@ -55,11 +55,15 @@ class TestKMeans:
             kmeans(codes2, 4, seed=0)
 
 
+# one row per cluster; anchor_groups reads the cluster count from it
+CENTROIDS = np.arange(6.0).reshape(3, 2)
+
+
 class TestAnchorGroups:
     def test_argmax_argmin(self):
         labels = np.array([0, 0, 1, 1, 2, 2])
         y = np.array([0.2, 0.2, 0.9, 0.9, 0.5, 0.5])
-        g = anchor_groups(labels, y, 3)
+        g = anchor_groups(labels, y, CENTROIDS)
         assert g.reference == 1 and g.target == 0
         assert set(g.i_reference.tolist()) == {2, 3}
         assert set(g.i_target.tolist()) == {0, 1}
@@ -67,36 +71,44 @@ class TestAnchorGroups:
     def test_tie_broken_to_lower_id(self):
         labels = np.array([0, 1, 2])
         y = np.array([0.9, 0.9, 0.1])
-        g = anchor_groups(labels, y, 3)
+        g = anchor_groups(labels, y, CENTROIDS)
         assert g.reference == 0 and g.target == 2
+
+    def test_cluster_count_is_the_centroid_count(self):
+        labels = np.array([0, 1, 2])
+        y = np.array([0.9, 0.5, 0.1])
+        g = anchor_groups(labels, y, CENTROIDS)
+        assert np.array_equal(g.centroids, CENTROIDS) and g.cluster_means.shape == (3,)
+        with pytest.raises(ValueError, match="out of range"):
+            anchor_groups(labels, y, CENTROIDS[:2])
 
     def test_empty_cluster_rejected(self):
         labels = np.array([0, 0, 2, 2])
         y = np.array([0.1, 0.2, 0.8, 0.9])
         with pytest.raises(ValueError, match="empty"):
-            anchor_groups(labels, y, 3)
+            anchor_groups(labels, y, CENTROIDS)
 
     def test_all_equal_means_is_error(self):
         labels = np.array([0, 1, 2])
         y = np.array([0.5, 0.5, 0.5])
         with pytest.raises(ValueError, match="coincide"):
-            anchor_groups(labels, y, 3)
+            anchor_groups(labels, y, CENTROIDS)
 
     def test_outcome_scaling_invariance(self):
         rng = np.random.default_rng(3)
         labels = rng.integers(0, 3, size=60)
         y = rng.uniform(0.0, 5.0, size=60)
-        g1 = anchor_groups(labels, y, 3)
-        g2 = anchor_groups(labels, 7.5 * y, 3)
+        g1 = anchor_groups(labels, y, CENTROIDS)
+        g2 = anchor_groups(labels, 7.5 * y, CENTROIDS)
         assert g1.reference == g2.reference and g1.target == g2.target
 
     def test_relabeling_permutation_keeps_index_sets(self):
         rng = np.random.default_rng(4)
         labels = rng.integers(0, 3, size=50)
         y = rng.uniform(size=50)
-        g1 = anchor_groups(labels, y, 3)
+        g1 = anchor_groups(labels, y, CENTROIDS)
         perm = np.array([2, 0, 1])
-        g2 = anchor_groups(perm[labels], y, 3)
+        g2 = anchor_groups(perm[labels], y, CENTROIDS)
         assert set(g1.i_reference.tolist()) == set(g2.i_reference.tolist())
         assert set(g1.i_target.tolist()) == set(g2.i_target.tolist())
 

@@ -55,7 +55,7 @@ class TestProjectFeasible:
 
     def test_fixed_feature_zeroed(self):
         ds, schema = self._data()
-        j = int(schema.s_fixed[0])
+        j = int(np.setdiff1d(np.arange(schema.n_features), schema.s_ctrl)[0])
         delta = np.zeros_like(ds.X)
         delta[0, j] = 100.0
         out = project_feasible(delta, ds.X, schema, np.array([0]))
@@ -352,8 +352,7 @@ class TestOptimize:
         objs = [t.objective for t in result.trajectory]
         assert all(b < a for a, b in zip(objs, objs[1:]))
         i_b = problem.groups.i_target
-        for i in i_b:
-            assert la.validate_row(problem.dataset.X[i] + result.delta[i], problem.dataset.schema) == []
+        assert la.validate_rows(problem.dataset.X[i_b] + result.delta[i_b], problem.dataset.schema) == []
 
     def test_infeasible_lever_block_names_dataset_row(self):
         problem = _tiny_problem()
@@ -377,7 +376,7 @@ class TestOptimize:
         groups = fixture_arts.groups
         outside_rows = np.setdiff1d(np.arange(fixture_arts.dataset.n), groups.i_target)
         assert np.all(result.delta[outside_rows] == 0.0)
-        blocked = np.concatenate([schema.s_fixed, schema.s_categorical])
+        blocked = np.setdiff1d(np.arange(schema.n_features), schema.policy_levers)
         assert np.all(result.delta[:, blocked] == 0.0)
 
     def test_strictly_decreasing_objective_on_fixture(self, fixture_arts):
@@ -602,9 +601,8 @@ class TestRoundReport:
 
     def test_rounded_passes_report_mode(self, fixture_arts):
         ds = fixture_arts.dataset
-        rounded = fixture_arts.result.rounded_delta
-        for i in fixture_arts.groups.i_target:
-            assert la.validate_row(ds.X[i] + rounded[i], ds.schema, mode="report") == []
+        rounded, i_b = fixture_arts.result.rounded_delta, fixture_arts.groups.i_target
+        assert la.validate_rows(ds.X[i_b] + rounded[i_b], ds.schema, mode="report") == []
 
 
 @st.composite

@@ -42,11 +42,14 @@ class TestSchemaInvariants:
     def test_partitions_exhaustive_and_disjoint(self):
         schema = la.default_synthetic_schema()
         d = schema.n_features
-        typed = np.concatenate([schema.s_likert, schema.s_categorical, schema.s_numeric])
-        assert sorted(typed.tolist()) == list(range(d))
-        ctrl = np.concatenate([schema.s_ctrl, schema.s_fixed])
-        assert sorted(ctrl.tolist()) == list(range(d))
-        assert set(schema.s_binary) <= set(schema.s_numeric)
+        kinds = [f.kind for f in schema.features]
+        categorical = np.concatenate(list(schema.blocks.values()))
+        typed = np.concatenate([schema.s_likert, schema.s_binary, categorical])
+        assert len(set(typed.tolist())) == typed.size
+        numeric = sorted(set(range(d)) - set(typed.tolist()))
+        assert all(kinds[j] is FeatureKind.NUMERIC for j in numeric)
+        assert all(kinds[j] is FeatureKind.CATEGORICAL for j in categorical)
+        assert set(schema.policy_levers) == set(schema.s_ctrl) - set(categorical)
 
     def test_likert_needs_integer_bounds(self):
         with pytest.raises(SchemaError, match="integer"):
@@ -93,22 +96,22 @@ class TestSchemaInvariants:
 
 class TestValidateRow:
     def test_clean_row_passes(self, small_schema):
-        assert la.validate_row(np.array([1.0, 2.0, 3.0, 1.0]), small_schema) == []
+        assert la.validate_rows(np.array([[1.0, 2.0, 3.0, 1.0]]), small_schema) == []
 
     def test_below_lower_bound(self, small_schema):
-        out = la.validate_row(np.array([-0.5, 2.0, 3.0, 1.0]), small_schema)
+        out = la.validate_rows(np.array([[-0.5, 2.0, 3.0, 1.0]]), small_schema)
         assert len(out) == 1 and out[0].feature == "a" and "below" in out[0].message
 
     def test_binary_relaxation_mode_dependent(self, small_schema):
         x = np.array([1.0, 2.0, 3.0, 0.4])
-        assert la.validate_row(x, small_schema, mode="optimize") == []
-        report = la.validate_row(x, small_schema, mode="report")
+        assert la.validate_rows(x[None, :], small_schema, mode="optimize") == []
+        report = la.validate_rows(x[None, :], small_schema, mode="report")
         assert [v.feature for v in report] == ["bin"]
 
     def test_likert_fractional_only_flagged_in_report(self, small_schema):
         x = np.array([1.0, 2.0, 3.4, 1.0])
-        assert la.validate_row(x, small_schema, mode="optimize") == []
-        assert [v.feature for v in la.validate_row(x, small_schema, mode="report")] == ["lik"]
+        assert la.validate_rows(x[None, :], small_schema, mode="optimize") == []
+        assert [v.feature for v in la.validate_rows(x[None, :], small_schema, mode="report")] == ["lik"]
 
     def test_block_sum_checked(self):
         schema = FeatureSchema(
@@ -118,8 +121,8 @@ class TestValidateRow:
             ),
             outcome="y",
         )
-        assert la.validate_row(np.array([0.5, 0.5]), schema) == []
-        bad = la.validate_row(np.array([0.5, 0.4]), schema)
+        assert la.validate_rows(np.array([[0.5, 0.5]]), schema) == []
+        bad = la.validate_rows(np.array([[0.5, 0.4]]), schema)
         assert len(bad) == 1 and bad[0].feature == "b" and "sums" in bad[0].message
 
 
@@ -133,7 +136,7 @@ class TestLoadDataset:
         )
         schema.to_json(tmp_path / "s.json")
         ds = la.load_dataset(tmp_path / "d.csv", tmp_path / "s.json")
-        assert ds.n == 3 and ds.d == 4
+        assert ds.X.shape == (3, 4)
 
         la.save_dataset(ds, tmp_path / "d2.csv", tmp_path / "s2.json")
         ds2 = la.load_dataset(tmp_path / "d2.csv", tmp_path / "s2.json")
@@ -216,8 +219,7 @@ class TestSynthetic:
     def test_rows_valid_in_report_mode(self):
         schema = la.default_synthetic_schema()
         ds = la.generate_synthetic(100, schema, 3, seed=3)
-        for i in range(ds.n):
-            assert la.validate_row(ds.X[i], schema, mode="report") == []
+        assert la.validate_rows(ds.X, schema, mode="report") == []
 
     def test_outcome_tracks_planted_lever(self):
         # frozen fixture seed; observed correlation 0.91 at build time
@@ -291,7 +293,7 @@ def test_validate_row_accepts_any_in_bounds_row(a, b, lik, bin_):
         ),
         outcome="score",
     )
-    assert la.validate_row(np.array([a, b, float(lik), float(bin_)]), schema, mode="report") == []
+    assert la.validate_rows(np.array([[a, b, float(lik), float(bin_)]]), schema, mode="report") == []
 
 
 # Block members are interleaved with other features, and the nine-member block
@@ -343,8 +345,8 @@ def test_validate_rows_matches_per_row_oracle(X, mode):
     expected = [Violation(v.feature, v.message, row=i) for i, found in enumerate(per_row) for v in found]
     # no errstate here: the suite turns any RuntimeWarning into an error
     assert la.validate_rows(X, _MIXED_SCHEMA, mode) == expected
-    if per_row:
-        assert la.validate_row(X[0], _MIXED_SCHEMA, mode) == per_row[0]
+    if per_row:  # a row alone is checked as it is in the batch
+        assert la.validate_rows(X[:1], _MIXED_SCHEMA, mode) == [v for v in expected if v.row == 0]
 
 
 def test_schema_json_round_trip(tmp_path):

@@ -200,11 +200,15 @@ class TestShapley:
 class TestAggregationSelection:
     def test_absolute_value_semantics(self):
         phi = np.array([[1.0, -1.0], [-1.0, 1.0]])
-        np.testing.assert_allclose(aggregate_relevance(phi, np.array([0, 1])), [1.0, 1.0])
+        np.testing.assert_allclose(aggregate_relevance(phi), [1.0, 1.0])
 
     def test_single_member(self):
         phi = np.array([[1.0, -2.0], [3.0, 4.0]])
-        np.testing.assert_allclose(aggregate_relevance(phi, np.array([0])), [1.0, 2.0])
+        np.testing.assert_allclose(aggregate_relevance(phi[[0]]), [1.0, 2.0])
+
+    def test_no_rows_rejected(self):
+        with pytest.raises(ValueError, match="no target rows"):
+            aggregate_relevance(np.zeros((0, 2)))
 
     def test_topq_ordering_and_ties(self):
         assert select_topq(np.array([0.1, 0.9, 0.5]), 2).tolist() == [1, 2]
@@ -221,7 +225,7 @@ def test_priorities_match_the_all_respondent_chain(fixture_arts):
     # chain that attributes every respondent and then averages the target's
     arts, p = fixture_arts, fixture_arts.priorities
     phi = shapley_latent(arts.surrogate, arts.codes, arts.codes.mean(0))
-    varphi = aggregate_relevance(phi, arts.groups.i_target)
+    varphi = aggregate_relevance(phi[arts.groups.i_target])
     top = select_topq(varphi, fixture_config().resolved_q())
     omega, rho = feature_priorities(top, varphi, arts.latent.H, arts.dataset.schema.s_ctrl, p.eps_omega)
     assert np.array_equal(p.varphi, varphi) and np.array_equal(p.top_factors, top)
