@@ -68,7 +68,6 @@ from .evaluation import (  # noqa: F401
     conversion_metrics,
     effort_and_levers,
     evaluate_intervention,
-    group_movement_report,
 )
 from .baselines import BaselineSpec, run_ablation, run_baseline  # noqa: F401
 from .pipeline import ExperimentConfig, PipelineArtifacts, run_pipeline  # noqa: F401

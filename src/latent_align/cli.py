@@ -38,8 +38,7 @@ from .pipeline import (
     run_pipeline,
 )
 from .records import JSONRecord
-from .schema import DataValidationError, SchemaError, SurveyDataset
-from .schema import default_synthetic_schema, generate_synthetic, save_dataset
+from .schema import DataValidationError, SchemaError, SurveyDataset, save_dataset
 
 AGGREGATE_FIELDS = ("n_conv", "r_conv", "mean_dp", "n_lever", "effort")
 
@@ -180,10 +179,18 @@ def _open_run_dir(config: ExperimentConfig) -> Path:
     return out
 
 
+def _load_for_run(config: ExperimentConfig) -> SurveyDataset:
+    """The dataset of a run or baselines command; k must not exceed its min(n, d)."""
+    dataset = load_or_generate(config)
+    if config.k > min(dataset.X.shape):
+        raise ConfigError(f"k={config.k} exceeds min(n, d) = {min(dataset.X.shape)} of the data")
+    return dataset
+
+
 def cmd_run(config: ExperimentConfig) -> int:
     config.validate()
     cap = _thread_cap()
-    dataset = load_or_generate(config)
+    dataset = _load_for_run(config)
     out = _open_run_dir(config)
 
     seeds = list(config.seeds)
@@ -222,12 +229,15 @@ def _sweep_cell(config_dict: dict, param: str, dataset: SurveyDataset) -> dict:
 
 def cmd_sweep(config: ExperimentConfig, param: str, values: list[str]) -> int:
     config.validate()
-    cells = [config.with_param(param, v).to_dict() for v in values]
+    # a value its cell's config rejects fails the sweep; one that fails against the data is an error row
+    cells = [config.with_param(param, v) for v in values]
+    for cell in cells:
+        cell.validate()
     cap = _thread_cap()
     dataset = load_or_generate(config)  # no sweepable parameter changes the data
     out = _open_run_dir(config)
 
-    rows = _fan_out(cap, _sweep_cell, cells, [param] * len(cells), [dataset] * len(cells))
+    rows = _fan_out(cap, _sweep_cell, [c.to_dict() for c in cells], [param] * len(cells), [dataset] * len(cells))
     header = ["param", "value", "seed"] + list(MetricsReport.CSV_FIELDS) + ["status"]
     _write_rows_csv(rows, header, out / f"sweep_{param}.csv")
     return 0
@@ -235,7 +245,7 @@ def cmd_sweep(config: ExperimentConfig, param: str, values: list[str]) -> int:
 
 def cmd_baselines(config: ExperimentConfig) -> int:
     config.validate()
-    dataset = load_or_generate(config)
+    dataset = _load_for_run(config)
     n_levers = dataset.schema.policy_levers.size
     if config.baseline_k_levers > n_levers:
         raise ConfigError(f"baseline_k_levers={config.baseline_k_levers} exceeds the {n_levers} eligible levers")
@@ -268,9 +278,9 @@ def cmd_baselines(config: ExperimentConfig) -> int:
 
 
 def cmd_synth(n: int, k_true: int, seed: int, out_dir: str) -> int:
+    dataset = load_or_generate(ExperimentConfig(synthetic_n=n, synthetic_k_true=k_true, synthetic_seed=seed))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    dataset = generate_synthetic(n=n, schema=default_synthetic_schema(), k_true=k_true, seed=seed)
     save_dataset(dataset, out / "dataset.csv", out / "schema.json")
     return 0
 

@@ -1,6 +1,6 @@
 """Metrics for intervention runs: conversion counts, effort and lever
 sparsity, transport-discrepancy reduction, and the pre/post group-movement
-table.
+table, all scored by one pass, `evaluate_intervention`.
 
 The target group is scored through one map: its rows before and after the
 intervention, X_B and X_B + delta_B, are each projected onto the frozen basis
@@ -18,7 +18,6 @@ import numpy as np
 
 from .factorization import nnls_project_rows, normalize_rows
 from .optimizer import InterventionProblem, InterventionResult
-from .surrogate import SurrogateModel
 from . import transport
 
 EFFORT_FLOOR = 1e-12
@@ -78,23 +77,17 @@ class MetricsReport:
         return {k: d[k] for k in self.CSV_FIELDS}
 
 
-def conversion_metrics(
-    model: SurrogateModel,
-    codes_pre: np.ndarray,
-    codes_post: np.ndarray,
-    tau_y: float,
-) -> ConversionMetrics:
-    """Count target respondents whose predicted score crosses tau_y upward.
+def conversion_metrics(p_pre: np.ndarray, p_post: np.ndarray, tau_y: float) -> ConversionMetrics:
+    """Count target respondents whose predicted probability crosses tau_y
+    upward.
 
     A respondent converts when the pre probability is strictly below tau_y
     and the post probability reaches it (>=).
     """
     if not 0.0 < tau_y < 1.0:
         raise ValueError(f"tau_y must lie in (0, 1), got {tau_y}")
-    p_pre = model.predict_proba(codes_pre)
-    p_post = model.predict_proba(codes_post)
     if p_pre.shape != p_post.shape:
-        raise ValueError("pre and post code sets differ in length")
+        raise ValueError("pre and post probabilities differ in length")
     converted = (p_pre < tau_y) & (p_post >= tau_y)
     n_conv = int(np.sum(converted))
     return ConversionMetrics(
@@ -141,91 +134,64 @@ def target_codes(problem: InterventionProblem, result: InterventionResult) -> tu
     return normalize_rows(problem.target_projection), normalize_rows(result.post_projection)
 
 
-def group_movement_report(
-    model: SurrogateModel,
-    ref: np.ndarray,
-    pre: np.ndarray,
-    post: np.ndarray,
-    eta: float,
-    w_pre: float | None = None,
-) -> tuple[GroupMovementRow, ...]:
-    """Reference vs target-before vs target-after movement table.
-
-    The reference row reports zero distance and zero discrepancy to itself by
-    convention. Distances are between group centroids in normalized latent
-    space; discrepancies are entropic transport costs to the reference, and
-    post codes equal to the pre codes reuse the pre discrepancy instead of
-    solving the same problem again. w_pre, when given, is the pre
-    discrepancy, already solved at eta.
-    """
-    ref, pre, post = (np.asarray(a, dtype=float) for a in (ref, pre, post))
-    if post.shape != pre.shape:
-        raise ValueError("pre and post codes must cover the same target rows")
-    c_ref = ref.mean(axis=0)
-
-    def ot_to_ref(supp):
-        problem = transport.TransportProblem.from_supports(supp, ref, eta)
-        return transport.sinkhorn(problem).transport_cost
-
-    if w_pre is None:
-        w_pre = ot_to_ref(pre)
-    rows = [
-        GroupMovementRow("reference", ref.shape[0], float(np.mean(model.predict_proba(ref))), 0.0, 0.0),
-        GroupMovementRow(
-            "target_pre",
-            pre.shape[0],
-            float(np.mean(model.predict_proba(pre))),
-            float(np.linalg.norm(pre.mean(axis=0) - c_ref)),
-            w_pre,
-        ),
-        GroupMovementRow(
-            "target_post",
-            post.shape[0],
-            float(np.mean(model.predict_proba(post))),
-            float(np.linalg.norm(post.mean(axis=0) - c_ref)),
-            w_pre if np.array_equal(post, pre) else ot_to_ref(post),
-        ),
-    ]
-    return tuple(rows)
-
-
 def evaluate_intervention(problem: InterventionProblem, result: InterventionResult) -> MetricsReport:
-    """Standard metrics harness shared by the full method, baselines and
-    ablations, scored against the problem the result solves.
+    """Score a result against the problem it solves: the one metrics pass
+    shared by the full method, baselines and ablations.
 
-    The conversion threshold is the probe's tau_y. The discrepancies before
-    and after are the target rows of the movement table, so one pass solves
-    each transport problem once. A zero before-value marks the reduction
-    ratio degenerate and reports it as 0. The before-value depends on the
-    problem only, so it is solved once per problem and kept in
-    `problem.pre_discrepancy`.
+    Each code set (reference, target pre, target post) is scored by the probe
+    once. A respondent converts at the probe's tau_y (`conversion_metrics`).
+    The movement table has three rows: reference, target_pre and
+    target_post. Each reports the group's mean probability, the distance of
+    its centroid in normalized latent space from the reference centroid, and
+    its entropic transport cost to the reference codes. The reference row's
+    distance to itself is 0, and its discrepancy is 0 by convention, not the
+    positive entropic cost of transporting the reference onto itself.
+
+    The pre discrepancy depends on the problem only, so it is solved once per
+    problem and kept in `problem.pre_discrepancy`. The post discrepancy is
+    solved once per pass, or not at all when the post codes equal the pre
+    codes, which reuse the pre value. A zero pre discrepancy marks the
+    reduction ratio degenerate and reports it as 0.
     """
-    groups, model = problem.groups, problem.surrogate
+    model = problem.surrogate
     ref = problem.reference_codes
     pre, post = target_codes(problem, result)
+    p_ref, p_pre, p_post = (model.predict_proba(codes) for codes in (ref, pre, post))
 
-    conv = conversion_metrics(model, pre, post, model.tau_y)
+    conv = conversion_metrics(p_pre, p_post, model.tau_y)
     effort, n_lever = effort_and_levers(result.delta, problem.dataset.schema.s_ctrl, problem.tau_delta)
-    eff_conv = conv.n_conv / max(effort, EFFORT_FLOOR)
 
-    movement = group_movement_report(model, ref, pre, post, problem.eta, problem.pre_discrepancy)
-    w_before, w_after = movement[1].ot_discrepancy, movement[2].ot_discrepancy
-    problem.pre_discrepancy = w_before
+    def ot_to_ref(codes):
+        return transport.sinkhorn(transport.TransportProblem.from_supports(codes, ref, problem.eta)).transport_cost
+
+    if problem.pre_discrepancy is None:
+        problem.pre_discrepancy = ot_to_ref(pre)
+    w_before = problem.pre_discrepancy
+    w_after = w_before if np.array_equal(post, pre) else ot_to_ref(post)
     dw = w_before - w_after
     degenerate = not w_before > 0
 
+    c_ref = ref.mean(axis=0)
+    movement = tuple(
+        GroupMovementRow(group, codes.shape[0], float(np.mean(p)), float(np.linalg.norm(codes.mean(axis=0) - c_ref)), w)
+        for group, codes, p, w in (
+            ("reference", ref, p_ref, 0.0),
+            ("target_pre", pre, p_pre, w_before),
+            ("target_post", post, p_post, w_after),
+        )
+    )
     return MetricsReport(
         n_conv=conv.n_conv,
         r_conv=conv.r_conv,
         mean_dp=conv.mean_dp,
         effort=effort,
         n_lever=n_lever,
-        eff_conv=eff_conv,
+        eff_conv=conv.n_conv / max(effort, EFFORT_FLOOR),
         w_before=w_before,
         w_after=w_after,
         dw=dw,
         rho_reduction=0.0 if degenerate else dw / w_before,
         degenerate_alignment=degenerate,
         group_movement=movement,
-        n_target=int(groups.i_target.size),
+        n_target=int(problem.groups.i_target.size),
     )

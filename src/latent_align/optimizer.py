@@ -250,15 +250,13 @@ def prox_weighted_l21(block: np.ndarray, rho: np.ndarray, t_lambda: float) -> np
     return block * (1.0 - thresh / denom)
 
 
-def coupling_residual(
-    U: np.ndarray, D: np.ndarray, X_B: np.ndarray, H: np.ndarray, levers: np.ndarray | slice
-) -> np.ndarray:
+def coupling_residual(gap: np.ndarray, D: np.ndarray, levers: np.ndarray | slice) -> np.ndarray:
     """Mismatch between the post rows and their latent image over the target
-    block: X_B - U H, with the lever block D added on the lever columns (an
-    index array, or the slice of a contiguous range)."""
-    R = X_B - U @ H
-    R[:, levers] += D
-    return R
+    block, X_B + D - U H: the lever block D is added in place to the lever
+    columns (an index array, or the slice of a contiguous range) of
+    gap = X_B - U H, which is returned."""
+    gap[:, levers] += D
+    return gap
 
 
 def coupling_value(R: np.ndarray) -> float:
@@ -497,7 +495,7 @@ def optimize(problem: InterventionProblem) -> InterventionResult:
         return float(np.add.reduce(p)) / p.size - mean_prob_pre
 
     align_val, plan = align.refresh(tilde[0])
-    R = coupling_residual(U, D, X_B, H, cols)
+    R = coupling_residual(X_B - U @ H, D, cols)
     coup = coupling_value(R)
     spars = lever_penalty(D, rho_lev)
     J = align_val + beta * coup + lam * spars
@@ -517,7 +515,7 @@ def optimize(problem: InterventionProblem) -> InterventionResult:
             U_try = np.maximum(U - t_u * g_u, 0.0)
             tilde_try = _tilde(U_try)
             align_try, plan_try = align.refresh(tilde_try[0], plan, plan_try)
-            R_try = coupling_residual(U_try, D, X_B, H, cols)
+            R_try = coupling_residual(X_B - U_try @ H, D, cols)
             coup_try = coupling_value(R_try)
             if align_try + beta * coup_try < part_u:
                 U_c, tilde_c, align_c, plan_c, R_c, coup_c = U_try, tilde_try, align_try, plan_try, R_try, coup_try
@@ -537,8 +535,7 @@ def optimize(problem: InterventionProblem) -> InterventionResult:
                 break  # a shorter step leaves D in place too
             if gap_c is None:
                 gap_c = X_B - U_c @ H
-            R_try = gap_c.copy()
-            R_try[:, cols] += D_try
+            R_try = coupling_residual(gap_c.copy(), D_try, cols)
             coup_try = coupling_value(R_try)
             spars_try = lever_penalty(D_try, rho_lev)
             if beta * coup_try + lam * spars_try < part_d:

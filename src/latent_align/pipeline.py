@@ -104,6 +104,8 @@ class ExperimentConfig:
             raise ConfigError("eta must be positive")
         if self.sparsity_weight < 0:
             raise ConfigError("lambda must be >= 0")
+        if self.beta_couple is not None and not self.beta_couple > 0:
+            raise ConfigError(f"beta_couple must be positive or null, got {self.beta_couple}")
         if not 0 < self.tau_y < 1:
             raise ConfigError("tau_y must lie in (0, 1)")
         if self.tau_delta < 0:

@@ -119,9 +119,9 @@ class TestCriterion2Gradients:
             X_B = rng.uniform(0.0, 3.0, size=(4, 7))
             U = rng.uniform(0.1, 2.0, size=(4, 3))
             delta = rng.normal(scale=0.3, size=(4, 7))
-            fd_d = central_difference(lambda D: coupling_value(coupling_residual(U, D, X_B, H, levers)), delta)
-            fd_u = central_difference(lambda V: coupling_value(coupling_residual(V, delta, X_B, H, levers)), U)
-            R = coupling_residual(U, delta, X_B, H, levers)
+            fd_d = central_difference(lambda D: coupling_value(coupling_residual(X_B - U @ H, D, levers)), delta)
+            fd_u = central_difference(lambda V: coupling_value(coupling_residual(X_B - V @ H, delta, levers)), U)
+            R = coupling_residual(X_B - U @ H, delta, levers)
             g_d = coupling_grad_levers(R, levers)
             g_u = coupling_grad_codes(R, H)
             assert np.max(np.abs(g_d - fd_d)) / max(1.0, np.max(np.abs(fd_d))) < 1e-5

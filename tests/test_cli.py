@@ -68,6 +68,8 @@ class TestConfig:
             {"dataset_csv": 3},
             {"tau_delta": float("nan")},
             {"beta_couple": float("inf")},
+            {"beta_couple": 0.0},
+            {"beta_couple": -1.0},
             {"seeds": (3, 3)},
             {"seeds": (-1,)},
             {"dataset_csv": ""},
@@ -506,3 +508,28 @@ def test_each_flag_lands_on_its_config_key(tmp_path, monkeypatch, flags, expecte
     assert main(["run", "--config", str(cfg), "--out", "o", *flags]) == 0
     config = json.loads(Path("o/manifest.json").read_text())["config"]
     assert {key: config[key] for key in expected} == expected
+
+
+# settings rejected before any work: by the config, by the config of a sweep
+# cell, against the loaded data (k <= min(n, d) = 15), or by the generator
+REJECTED_CASES = {
+    "run beta_couple 0": ["run", "--beta-couple", "0"],
+    "baselines beta_couple -1": ["baselines", "--beta-couple", "-1"],
+    "run k above d": ["run", "--k", "20"],
+    "baselines k above d": ["baselines", "--k", "20"],
+    "sweep eta -1": ["sweep", "--param", "eta", "--values", "0.05,-1"],
+    "sweep G 1": ["sweep", "--param", "G", "--values", "1"],
+    "synth n 3": ["synth", "--n", "3"],
+    "synth k_true 1": ["synth", "--k-true", "1"],
+}
+
+
+@pytest.mark.parametrize("argv", REJECTED_CASES.values(), ids=REJECTED_CASES.keys())
+def test_rejected_setting_exits_2_and_writes_nothing(tmp_path, capsys, argv):
+    out = tmp_path / "o"
+    config = [] if argv[0] == "synth" else ["--config", str(_write_config(tmp_path))]
+    assert main([*argv, *config, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert json.loads(err)["error"] == "ConfigError"
+    assert not out.exists()

@@ -7,12 +7,7 @@ import pytest
 
 import latent_align as la
 from latent_align import evaluation, transport
-from latent_align.evaluation import (
-    conversion_metrics,
-    effort_and_levers,
-    evaluate_intervention,
-    group_movement_report,
-)
+from latent_align.evaluation import conversion_metrics, effort_and_levers, evaluate_intervention
 from latent_align.factorization import nnls_project_rows
 from latent_align.grouping import GroupAssignment
 from latent_align.pipeline import ExperimentConfig, run_pipeline
@@ -20,48 +15,44 @@ from latent_align.surrogate import SurrogateModel
 from latent_align.transport import TransportProblem, sinkhorn
 
 
-def _prob_model():
-    # identity margin on a single factor: codes are logits
-    return SurrogateModel(beta=np.array([1.0]), bias=0.0)
-
-
-def _logit(p):
-    return np.log(p / (1 - p))
-
-
-def _codes_for(probs):
-    return _logit(np.asarray(probs))[:, None]
-
-
 class TestConversion:
     def test_crossing_definition(self):
-        m = conversion_metrics(_prob_model(), _codes_for([0.4, 0.6]), _codes_for([0.6, 0.7]), 0.5)
+        m = conversion_metrics(np.array([0.4, 0.6]), np.array([0.6, 0.7]), 0.5)
         assert m.n_conv == 1
         assert m.r_conv == 0.5
         assert m.mean_dp == pytest.approx(0.15)
 
     def test_no_change(self):
-        m = conversion_metrics(_prob_model(), _codes_for([0.3, 0.4]), _codes_for([0.3, 0.4]), 0.5)
+        m = conversion_metrics(np.array([0.3, 0.4]), np.array([0.3, 0.4]), 0.5)
         assert m.n_conv == 0 and m.mean_dp == 0.0
 
     def test_boundary_inclusive(self):
-        m = conversion_metrics(_prob_model(), _codes_for([0.49]), _codes_for([0.50]), 0.5)
+        m = conversion_metrics(np.array([0.49]), np.array([0.50]), 0.5)
         assert m.n_conv == 1
 
     def test_matches_naive_loop(self):
         rng = np.random.default_rng(0)
         pre = rng.uniform(0.05, 0.95, size=40)
         post = np.clip(pre + rng.normal(scale=0.2, size=40), 0.05, 0.95)
-        m = conversion_metrics(_prob_model(), _codes_for(pre), _codes_for(post), 0.5)
-        naive = sum(1 for a, b in zip(pre, post) if a < 0.5 <= b + 1e-15)
+        m = conversion_metrics(pre, post, 0.5)
+        naive = sum(1 for a, b in zip(pre, post) if a < 0.5 <= b)
         assert m.n_conv == naive
 
     def test_removing_converted_respondent(self):
         pre, post = np.array([0.3, 0.4, 0.6]), np.array([0.6, 0.45, 0.7])
-        m_all = conversion_metrics(_prob_model(), _codes_for(pre), _codes_for(post), 0.5)
-        m_drop = conversion_metrics(_prob_model(), _codes_for(pre[1:]), _codes_for(post[1:]), 0.5)
+        m_all = conversion_metrics(pre, post, 0.5)
+        m_drop = conversion_metrics(pre[1:], post[1:], 0.5)
         assert m_all.n_conv - m_drop.n_conv == 1
         assert m_drop.r_conv == pytest.approx(m_drop.n_conv / 2)
+
+    @pytest.mark.parametrize("tau_y", [0.0, 1.0, -0.5])
+    def test_threshold_outside_unit_interval_rejected(self, tau_y):
+        with pytest.raises(ValueError, match="tau_y"):
+            conversion_metrics(np.array([0.4]), np.array([0.6]), tau_y)
+
+    def test_length_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="differ in length"):
+            conversion_metrics(np.array([0.4, 0.5]), np.array([0.6]), 0.5)
 
 
 class TestEffort:
@@ -223,13 +214,26 @@ class TestGroupMovement:
         assert rows["target_post"].mean_probability > rows["target_pre"].mean_probability
 
     def test_degenerate_identical_groups(self):
-        codes = np.tile([0.5, 0.5], (6, 1))
-        model = SurrogateModel(beta=np.array([1.0, -1.0]), bias=0.0)
-        rows = group_movement_report(model, codes[3:], codes[:3], codes[:3], eta=0.1)
-        pre, post = rows[1], rows[2]
+        same = np.tile([0.5, 0.5], (3, 1))
+        ref, pre, post = _evaluate(same, same, same, eta=0.1).group_movement
         assert pre.centroid_distance == post.centroid_distance == 0.0
         assert pre.ot_discrepancy == pytest.approx(0.0, abs=1e-12)
-        assert pre.mean_probability == post.mean_probability == rows[0].mean_probability
+        assert pre.mean_probability == post.mean_probability == ref.mean_probability
+
+    def test_one_pass_scores_each_code_set_once(self, fixture_arts, monkeypatch):
+        # reference, target pre and target post: one probe call each
+        scored = []
+        predict = SurrogateModel.predict_proba
+
+        def counted(model, W):
+            scored.append(W.shape)
+            return predict(model, W)
+
+        monkeypatch.setattr(SurrogateModel, "predict_proba", counted)
+        m = evaluate_intervention(replace(fixture_arts.problem), fixture_arts.result)
+        n_ref, n_b, k = fixture_arts.groups.i_reference.size, fixture_arts.groups.i_target.size, fixture_arts.latent.k
+        assert sorted(scored) == sorted([(n_ref, k), (n_b, k), (n_b, k)])
+        assert m == fixture_arts.metrics
 
 
 class TestMetricsReport:
