@@ -20,7 +20,7 @@ import platform
 import sys
 import traceback
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -39,6 +39,7 @@ from .pipeline import (
 )
 from .records import JSONRecord
 from .schema import DataValidationError, SchemaError, SurveyDataset, save_dataset
+from .surrogate import binarize_outcome
 
 AGGREGATE_FIELDS = ("n_conv", "r_conv", "mean_dp", "n_lever", "effort")
 
@@ -145,8 +146,7 @@ def _write_seed_artifacts(arts: PipelineArtifacts, seed_dir: Path) -> None:
             type(obj).from_dict(doc)
 
 
-def _run_one_seed(config_dict: dict, seed: int, out_root: str, dataset: SurveyDataset) -> dict:
-    config = ExperimentConfig.from_dict(config_dict)
+def _run_one_seed(config: ExperimentConfig, seed: int, out_root: str, dataset: SurveyDataset) -> dict:
     arts = run_pipeline(config, seed, dataset)
     _write_seed_artifacts(arts, Path(out_root) / f"seed_{seed}")
     row = arts.metrics.csv_row()
@@ -159,9 +159,9 @@ def _run_one_seed(config_dict: dict, seed: int, out_root: str, dataset: SurveyDa
 def _open_run_dir(config: ExperimentConfig) -> Path:
     """Make config.out_dir and write its manifest.json; returns the directory.
 
-    Every check that can reject the run (the config, the worker cap, the
-    sweep values, the dataset) comes before this call, so a rejected run
-    writes nothing.
+    The config is valid once built. Every other check that can reject the
+    run (the worker cap, the sweep values, the dataset and the settings it
+    cannot support) comes before this call, so a rejected run writes nothing.
     """
     out = Path(config.out_dir)
     manifest = {
@@ -180,22 +180,32 @@ def _open_run_dir(config: ExperimentConfig) -> Path:
 
 
 def _load_for_run(config: ExperimentConfig) -> SurveyDataset:
-    """The dataset of a run or baselines command; k must not exceed its min(n, d)."""
+    """The dataset of a run or baselines command, checked against the settings
+    that would otherwise fail only after the run directory exists."""
     dataset = load_or_generate(config)
     if config.k > min(dataset.X.shape):
         raise ConfigError(f"k={config.k} exceeds min(n, d) = {min(dataset.X.shape)} of the data")
+    if config.n_clusters > dataset.n:
+        raise ConfigError(f"G={config.n_clusters} exceeds the {dataset.n} rows of the data")
+    try:
+        labels = binarize_outcome(dataset.y, rule=config.binarize_rule, threshold=config.binarize_threshold)
+    except ValueError as exc:  # a constant outcome under the median rule
+        raise ConfigError(f"cannot binarize the outcome: {exc}") from exc
+    if np.unique(labels).size < 2:
+        raise ConfigError(f"{config.binarize_rule} binarization leaves one outcome class; the probe needs both")
+    if dataset.schema.policy_levers.size == 0:
+        raise ConfigError("the schema has no controllable non-categorical feature to intervene on")
     return dataset
 
 
 def cmd_run(config: ExperimentConfig) -> int:
-    config.validate()
     cap = _thread_cap()
     dataset = _load_for_run(config)
     out = _open_run_dir(config)
 
     seeds = list(config.seeds)
     n = len(seeds)
-    rows = _fan_out(cap, _run_one_seed, [config.to_dict()] * n, seeds, [str(out)] * n, [dataset] * n)
+    rows = _fan_out(cap, _run_one_seed, [config] * n, seeds, [str(out)] * n, [dataset] * n)
     rows.sort(key=lambda r: r["seed"])
     header = ["seed"] + list(MetricsReport.CSV_FIELDS) + ["objective", "status"]
     _write_rows_csv(rows, header, out / "runs.csv")
@@ -214,10 +224,9 @@ def cmd_run(config: ExperimentConfig) -> int:
     return 0
 
 
-def _sweep_cell(config_dict: dict, param: str, dataset: SurveyDataset) -> dict:
-    config = ExperimentConfig.from_dict(config_dict)
+def _sweep_cell(config: ExperimentConfig, param: str, dataset: SurveyDataset) -> dict:
     seed = config.seeds[0]
-    base = {"param": param, "value": config_dict[param], "seed": seed}
+    base = {"param": param, "value": config.to_dict()[param], "seed": seed}
     try:
         arts = run_pipeline(config, seed, dataset)
         row = arts.metrics.csv_row()
@@ -228,23 +237,19 @@ def _sweep_cell(config_dict: dict, param: str, dataset: SurveyDataset) -> dict:
 
 
 def cmd_sweep(config: ExperimentConfig, param: str, values: list[str]) -> int:
-    config.validate()
     # a value its cell's config rejects fails the sweep; one that fails against the data is an error row
     cells = [config.with_param(param, v) for v in values]
-    for cell in cells:
-        cell.validate()
     cap = _thread_cap()
     dataset = load_or_generate(config)  # no sweepable parameter changes the data
     out = _open_run_dir(config)
 
-    rows = _fan_out(cap, _sweep_cell, [c.to_dict() for c in cells], [param] * len(cells), [dataset] * len(cells))
+    rows = _fan_out(cap, _sweep_cell, cells, [param] * len(cells), [dataset] * len(cells))
     header = ["param", "value", "seed"] + list(MetricsReport.CSV_FIELDS) + ["status"]
     _write_rows_csv(rows, header, out / f"sweep_{param}.csv")
     return 0
 
 
 def cmd_baselines(config: ExperimentConfig) -> int:
-    config.validate()
     dataset = _load_for_run(config)
     n_levers = dataset.schema.policy_levers.size
     if config.baseline_k_levers > n_levers:
@@ -295,6 +300,7 @@ def cmd_inspect(path: str) -> int:
 
 
 def _load_config(args) -> ExperimentConfig:
+    doc = {}
     if args.config:
         try:
             doc = json.loads(Path(args.config).read_text())
@@ -302,11 +308,8 @@ def _load_config(args) -> ExperimentConfig:
             raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
         if not isinstance(doc, dict):
             raise ConfigError(f"config {args.config} is not a JSON object")
-        config = ExperimentConfig.from_dict(doc)
-    else:
-        config = ExperimentConfig()
     overrides = {f.name: v for f in fields(ExperimentConfig) if (v := getattr(args, f.name, None)) is not None}
-    return replace(config, **overrides)
+    return ExperimentConfig.from_dict(doc, **overrides)
 
 
 def _seed_list(text: str) -> tuple[int, ...]:

@@ -113,6 +113,8 @@ class InterventionProblem:
             raise ValueError("eta must be positive")
         if self.max_outer < 1:
             raise ValueError("max_outer must be >= 1")
+        if self.tau_delta < 0:
+            raise ValueError("tau_delta must be >= 0")
         if self.alignment not in (ALIGNMENT_OT, ALIGNMENT_MEAN_MARGIN, ALIGNMENT_CENTROID):
             raise ValueError(f"unknown alignment kind {self.alignment!r}")
 
@@ -400,14 +402,6 @@ def _make_alignment(problem: InterventionProblem):
     return _CentroidAlignment(w_ref.mean(axis=0))
 
 
-def resolve_beta(problem: InterventionProblem, U0: np.ndarray) -> float:
-    if problem.beta_couple is not None:
-        return problem.beta_couple
-    n_b = U0.shape[0]
-    s_med = float(np.median(U0.sum(axis=1)))
-    return BETA_AUTO_SCALE / (n_b * max(s_med, 1.0) ** 2)
-
-
 def optimize(problem: InterventionProblem) -> InterventionResult:
     """Run the alternating solve and return the final feasible intervention.
 
@@ -473,7 +467,9 @@ def optimize(problem: InterventionProblem) -> InterventionResult:
     U = problem.target_projection
     D = np.zeros((n_b, levers.size))
     rho_lev = problem.priorities.rho_for(levers)
-    beta = resolve_beta(problem, U)
+    # median target row mass, floored at 1; the auto coupling weight and the U curvature read its square
+    mass_sq = max(float(np.median(U.sum(axis=1))), 1.0) ** 2
+    beta = problem.beta_couple if problem.beta_couple is not None else BETA_AUTO_SCALE / (n_b * mass_sq)
     align = _make_alignment(problem)
 
     lo = schema.lowers[levers][None, :] - X_B[:, levers]
@@ -481,8 +477,7 @@ def optimize(problem: InterventionProblem) -> InterventionResult:
 
     lam = problem.sparsity_weight
     lam_h = float(np.max(np.linalg.eigvalsh(H @ H.T)))
-    s_med = float(np.median(U.sum(axis=1)))
-    curvature_u = 2.0 * beta * lam_h + 2.0 / (n_b * max(s_med, 1.0) ** 2)
+    curvature_u = 2.0 * beta * lam_h + 2.0 / (n_b * mass_sq)
     t_u = STEP_FRACTION / curvature_u
     t_d = STEP_FRACTION / (2.0 * beta)
 

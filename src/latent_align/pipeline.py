@@ -49,9 +49,10 @@ def _has_type(value, annotation: str) -> bool:
     return isinstance(value, _VALUE_TYPES[kind]) and not isinstance(value, bool)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
-    """Every field has a default; the config round-trips through JSON."""
+    """Every field has a default; the config round-trips through JSON. It is
+    frozen and checked when built, so an invalid value raises ConfigError."""
 
     dataset_csv: str | None = None
     schema_json: str | None = None
@@ -86,7 +87,7 @@ class ExperimentConfig:
     def resolved_q(self) -> int:
         return self.q if self.q is not None else math.ceil(self.k / 2)
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         for f in fields(self):
             value = getattr(self, f.name)
             name = _RENAMES.get(f.name, f.name)
@@ -142,7 +143,9 @@ class ExperimentConfig:
         return out
 
     @classmethod
-    def from_dict(cls, d: dict) -> "ExperimentConfig":
+    def from_dict(cls, d: dict, **overrides) -> "ExperimentConfig":
+        """The config of d's keys, with each keyword override (a field name)
+        laid over them; the merged config is checked as a whole."""
         known = {f.name for f in fields(cls)}
         kwargs = {}
         for key, val in d.items():
@@ -150,7 +153,7 @@ class ExperimentConfig:
             if name not in known:
                 raise ConfigError(f"unknown config key {key!r}")
             kwargs[name] = tuple(val) if name == "seeds" and isinstance(val, list) else val
-        return cls(**kwargs)
+        return cls(**{**kwargs, **overrides})
 
     def with_param(self, param: str, value) -> "ExperimentConfig":
         """This config with sweep parameter param set to value. A string
@@ -206,7 +209,6 @@ def run_pipeline(config: ExperimentConfig, seed: int, dataset: SurveyDataset | N
     anchor groups by outcome, fit the probe on binarized labels, derive
     lever priorities, then solve the intervention and score it.
     """
-    config.validate()
     if dataset is None:
         dataset = load_or_generate(config)
 

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 from dataclasses import fields
 from pathlib import Path
@@ -17,9 +18,12 @@ from conftest import small_config
 
 
 def _write_config(tmp_path, **overrides) -> Path:
-    config = small_config(**overrides)
+    """The small config with overrides as a JSON file; the overrides are written
+    as given, so the file may hold a setting the command must reject."""
+    doc = small_config().to_dict()
+    doc.update(overrides)
     path = tmp_path / "config.json"
-    path.write_text(json.dumps(config.to_dict(), indent=2))
+    path.write_text(json.dumps(doc, indent=2))
     return path
 
 
@@ -53,9 +57,29 @@ class TestConfig:
 
     def test_validation_errors(self):
         with pytest.raises(Exception, match="G"):
-            ExperimentConfig(n_clusters=1).validate()
+            ExperimentConfig(n_clusters=1)
         with pytest.raises(Exception, match="eta"):
-            ExperimentConfig(eta=0.0).validate()
+            ExperimentConfig(eta=0.0)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: ExperimentConfig(eta=0.0),
+            lambda: ExperimentConfig.from_dict({"eta": 0.0}),
+            lambda: dataclasses.replace(ExperimentConfig(), eta=0.0),
+            lambda: ExperimentConfig().with_param("eta", "0"),
+        ],
+        ids=["constructor", "from_dict", "replace", "with_param"],
+    )
+    def test_every_way_to_build_checks(self, build):
+        with pytest.raises(ConfigError, match="^eta must be positive$"):
+            build()
+
+    def test_config_is_immutable(self):
+        config = ExperimentConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.eta = 0.0
+        assert config.eta == 0.05
 
     @pytest.mark.parametrize(
         "overrides",
@@ -82,10 +106,11 @@ class TestConfig:
     def test_wrong_value_type_rejected(self, overrides):
         (name,) = overrides
         with pytest.raises(ConfigError, match=f"^{name} must be "):
-            ExperimentConfig(**overrides).validate()
+            ExperimentConfig(**overrides)
 
     def test_integer_accepted_for_float(self):
-        ExperimentConfig(eta=1, tau_delta=0).validate()
+        config = ExperimentConfig(eta=1, tau_delta=0)
+        assert (config.eta, config.tau_delta) == (1, 0)
 
     @pytest.mark.parametrize(
         "param, text, field, value",
@@ -115,7 +140,7 @@ class TestConfig:
     @pytest.mark.parametrize("name", ["max_outer", "nmf_max_iters", "kmeans_restarts"])
     def test_iteration_budgets_below_one_rejected(self, name):
         with pytest.raises(ConfigError, match=name):
-            ExperimentConfig(**{name: 0}).validate()
+            ExperimentConfig(**{name: 0})
 
 
 class TestRun:
@@ -510,24 +535,65 @@ def test_each_flag_lands_on_its_config_key(tmp_path, monkeypatch, flags, expecte
     assert {key: config[key] for key in expected} == expected
 
 
+def test_flag_beats_the_file_under_either_name(tmp_path):
+    # the file names G twice, by its field name first; the flag still wins
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"n_clusters": 5, **small_config(max_outer=1).to_dict()}))
+    assert main(["run", "--config", str(cfg), "--g", "4", "--out", str(tmp_path / "o")]) == 0
+    assert json.loads((tmp_path / "o" / "manifest.json").read_text())["config"]["G"] == 4
+
+
 # settings rejected before any work: by the config, by the config of a sweep
-# cell, against the loaded data (k <= min(n, d) = 15), or by the generator
+# cell, against the loaded data (the small config's 200 rows and 15 features,
+# or a file under data/), or by the generator; each case is (argv, config keys)
+FIXED_ABOVE_EVERY_SCORE = {"binarize_rule": "fixed", "binarize_threshold": 1e9}
+CONSTANT_OUTCOME = ["--dataset", "data/constant.csv", "--schema", "data/schema.json"]
+NO_LEVERS = ["--dataset", "data/dataset.csv", "--schema", "data/no_levers.json"]
 REJECTED_CASES = {
-    "run beta_couple 0": ["run", "--beta-couple", "0"],
-    "baselines beta_couple -1": ["baselines", "--beta-couple", "-1"],
-    "run k above d": ["run", "--k", "20"],
-    "baselines k above d": ["baselines", "--k", "20"],
-    "sweep eta -1": ["sweep", "--param", "eta", "--values", "0.05,-1"],
-    "sweep G 1": ["sweep", "--param", "G", "--values", "1"],
-    "synth n 3": ["synth", "--n", "3"],
-    "synth k_true 1": ["synth", "--k-true", "1"],
+    "run beta_couple 0": (["run", "--beta-couple", "0"], {}),
+    "baselines beta_couple -1": (["baselines", "--beta-couple", "-1"], {}),
+    "run k above d": (["run", "--k", "20"], {}),
+    "baselines k above d": (["baselines", "--k", "20"], {}),
+    "run G above n": (["run", "--g", "201"], {}),
+    "baselines G above n": (["baselines", "--g", "201"], {}),
+    "run threshold above every score": (["run"], FIXED_ABOVE_EVERY_SCORE),
+    "baselines threshold above every score": (["baselines"], FIXED_ABOVE_EVERY_SCORE),
+    "run constant outcome": (["run", *CONSTANT_OUTCOME], {}),
+    "baselines constant outcome": (["baselines", *CONSTANT_OUTCOME], {}),
+    "run no lever": (["run", *NO_LEVERS], {}),
+    "baselines no lever": (["baselines", *NO_LEVERS], {}),
+    "sweep eta -1": (["sweep", "--param", "eta", "--values", "0.05,-1"], {}),
+    "sweep G 1": (["sweep", "--param", "G", "--values", "1"], {}),
+    "synth n 3": (["synth", "--n", "3"], {}),
+    "synth k_true 1": (["synth", "--k-true", "1"], {}),
 }
 
 
-@pytest.mark.parametrize("argv", REJECTED_CASES.values(), ids=REJECTED_CASES.keys())
-def test_rejected_setting_exits_2_and_writes_nothing(tmp_path, capsys, argv):
+def _write_rejected_data(data: Path) -> None:
+    """Synthetic data under data/, plus a copy whose outcome is constant and
+    a schema in which no feature is controllable."""
+    assert main(["synth", "--n", "60", "--out", str(data)]) == 0
+    schema = json.loads((data / "schema.json").read_text())
+    with open(data / "dataset.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    col = rows[0].index(schema["outcome"])
+    for row in rows[1:]:
+        row[col] = "3.0"
+    with open(data / "constant.csv", "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    for feature in schema["features"]:
+        feature["controllable"] = False
+    (data / "no_levers.json").write_text(json.dumps(schema))
+
+
+@pytest.mark.parametrize("argv, keys", REJECTED_CASES.values(), ids=REJECTED_CASES.keys())
+def test_rejected_setting_exits_2_and_writes_nothing(tmp_path, capsys, monkeypatch, argv, keys):
+    monkeypatch.chdir(tmp_path)
+    if any(a.startswith("data/") for a in argv):
+        _write_rejected_data(tmp_path / "data")
+        capsys.readouterr()
     out = tmp_path / "o"
-    config = [] if argv[0] == "synth" else ["--config", str(_write_config(tmp_path))]
+    config = [] if argv[0] == "synth" else ["--config", str(_write_config(tmp_path, **keys))]
     assert main([*argv, *config, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1

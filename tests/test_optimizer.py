@@ -421,6 +421,11 @@ class TestWithKnobs:
         with pytest.raises(ValueError, match="sparsity_weight"):
             fixture_arts.problem.with_knobs(sparsity_weight=-1.0)
 
+    def test_rejects_a_negative_activity_threshold(self, fixture_arts):
+        # a negative tau_delta would count every lever of a zero intervention as active
+        with pytest.raises(ValueError, match="tau_delta must be >= 0"):
+            fixture_arts.problem.with_knobs(tau_delta=-1.0)
+
 
 class TestStepRule:
     """Each block keeps its own step and backtracks on its own part of J."""
