@@ -13,13 +13,11 @@ from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import json
 import os
 import platform
 import sys
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, fields
 from datetime import datetime, timezone
 from pathlib import Path
@@ -59,6 +57,8 @@ def _config_hash(config: ExperimentConfig) -> str:
     # identifies the experiment, not where it is written
     doc = {k: v for k, v in config.to_dict().items() if k != "out_dir"}
     canon = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    import hashlib  # imported here, off the start-up path of every command
+
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
@@ -80,6 +80,8 @@ def _fan_out(cap: int, fn, *arg_lists) -> list:
     the cap allows more than one worker."""
     workers = min(cap, len(arg_lists[0]))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only a multi-worker run pays its import
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, *arg_lists))
     return list(map(fn, *arg_lists))

@@ -58,21 +58,60 @@ def _plus_plus_init(V: np.ndarray, n_clusters: int, rng: np.random.Generator) ->
     return centers
 
 
+def _sq_dists(V: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Squared distances from each row of V to each center, summed over
+    coordinate differences: the values the labels are defined by."""
+    return np.sum((V[:, None, :] - centers[None, :, :]) ** 2, axis=2)
+
+
 def _lloyd(V: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    n, n_clusters = V.shape[0], centers.shape[0]
+    """Lloyd iterations from the given centers; each step labels every row
+    with the argmin of `_sq_dists`, lowest center id on a tie.
+
+    A step scores the distances by one GEMM, |v|^2 - 2 v.c + |c|^2, in place
+    of the n x G x k temporary of `_sq_dists`. The two forms differ by less
+    than (k + 2) eps S each, S = (|v| + |c|)^2 (sums of k products in any
+    order, two additions), so a row whose two nearest centers lie further
+    apart than twice that in the GEMM form has the same argmin in both; only
+    the other rows, and every row when a cluster needs the empty-cluster
+    repair, are scored again by `_sq_dists`. Labels and centers are those of
+    scoring every step by `_sq_dists` alone.
+    """
+    n, k = V.shape
+    n_clusters = centers.shape[0]
+    Vt = np.ascontiguousarray(V.T)
+    v2 = np.einsum("ik,ik->i", V, V)
+    v_max = np.sqrt(v2.max())
+    slack = 2.0 * (k + 3) * np.finfo(float).eps  # one spare term over the bound
     labels = np.full(n, -1, dtype=int)
     for _ in range(MAX_LLOYD_ITERS):
-        dists = np.sum((V[:, None, :] - centers[None, :, :]) ** 2, axis=2)
-        new_labels = np.argmin(dists, axis=1)
+        c2 = np.einsum("ck,ck->c", centers, centers)
+        d = centers @ Vt  # one row per center
+        d *= -2.0
+        d += v2
+        d += c2[:, None]
+        # nearest and second-nearest center per point, a center at a time
+        new_labels = np.zeros(n, dtype=int)
+        best, second = d[0].copy(), np.full(n, np.inf)
+        for c in range(1, n_clusters):
+            closer = d[c] < best
+            np.minimum(second, np.where(closer, best, d[c]), out=second)
+            new_labels[closer] = c
+            np.minimum(best, d[c], out=best)
+        second -= best
+        near = np.flatnonzero(second <= slack * (v_max + np.sqrt(c2.max())) ** 2)
+        if near.size:
+            new_labels[near] = np.argmin(_sq_dists(V[near], centers), axis=1)
 
         # Repair empty clusters by stealing the point currently farthest
         # from its own centroid, lowest empty cluster id first.
-        point_d2 = dists[np.arange(n), new_labels]
-        for c in range(n_clusters):
-            if not np.any(new_labels == c):
-                j = int(np.argmax(point_d2))
-                new_labels[j] = c
-                point_d2[j] = -np.inf
+        if np.bincount(new_labels, minlength=n_clusters).min() == 0:
+            point_d2 = _sq_dists(V, centers)[np.arange(n), new_labels]
+            for c in range(n_clusters):
+                if not np.any(new_labels == c):
+                    j = int(np.argmax(point_d2))
+                    new_labels[j] = c
+                    point_d2[j] = -np.inf
 
         if np.array_equal(new_labels, labels):
             break
@@ -93,7 +132,10 @@ def kmeans(
 
     Deterministic for a fixed seed: each restart draws from its own spawned
     generator and the winner is the restart with the lowest within-cluster
-    sum of squares, ties broken by restart index.
+    sum of squares, ties broken by restart index. Each Lloyd step scores the
+    point-center distances by one GEMM and rescores coordinate by coordinate
+    only the points whose two nearest centers the GEMM's rounding could swap
+    (`_lloyd`), so labels and centroids are those of per-coordinate scoring.
     """
     n = codes.shape[0]
     if n_clusters < 2:

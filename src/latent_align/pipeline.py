@@ -145,13 +145,18 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, d: dict, **overrides) -> "ExperimentConfig":
         """The config of d's keys, with each keyword override (a field name)
-        laid over them; the merged config is checked as a whole."""
+        laid over them; the merged config is checked as a whole. A field that
+        d names twice, by its external key and its attribute name (G and
+        n_clusters, lambda and sparsity_weight), is a ConfigError."""
         known = {f.name for f in fields(cls)}
-        kwargs = {}
+        kwargs, keys = {}, {}
         for key, val in d.items():
             name = _FIELD_NAMES.get(key, key)
             if name not in known:
                 raise ConfigError(f"unknown config key {key!r}")
+            if name in keys:
+                raise ConfigError(f"config keys {keys[name]!r} and {key!r} name the same field")
+            keys[name] = key
             kwargs[name] = tuple(val) if name == "seeds" and isinstance(val, list) else val
         return cls(**{**kwargs, **overrides})
 

@@ -7,12 +7,13 @@ values, bounded scalar minimization for the group prox, central finite
 differences for gradients, a row-at-a-time loop for schema validation, and
 quasi-Newton (BFGS) on an explicit [W, 1] design for the logistic probe.
 
-Four more are the plain forms of hot code that the package runs in a leaner
+Five more are the plain forms of hot code that the package runs in a leaner
 form with the same floating-point operations: the two-branch sigmoid, the
 staged Sinkhorn loop that allocates its vectors every iteration, the NMF
-loop that takes its stop-test loss from the residual X - WH, and the group
-prox's shrink factor scattered into a zero-filled vector. The package must
-match them bit for bit.
+loop that takes its stop-test loss from the residual X - WH, the group
+prox's shrink factor scattered into a zero-filled vector, and the Lloyd loop
+that scores every point-center distance coordinate by coordinate. The
+package must match them bit for bit.
 """
 
 import itertools
@@ -198,6 +199,31 @@ def random_assignment_wcss(V, n_clusters, trials, seed):
             wcss += float(np.sum((pts - pts.mean(axis=0)) ** 2))
         best = min(best, wcss)
     return best
+
+
+def lloyd_per_coordinate(V, centers, max_iters=300):
+    """Lloyd's algorithm from the given centers (changed in place), each step
+    scoring the full n x G x k table of coordinate differences; the
+    empty-cluster repair steals the point farthest from its own center,
+    lowest empty cluster id first. Returns (labels, centers, wcss)."""
+    n, n_clusters = V.shape[0], centers.shape[0]
+    labels = np.full(n, -1, dtype=int)
+    for _ in range(max_iters):
+        dists = np.sum((V[:, None, :] - centers[None, :, :]) ** 2, axis=2)
+        new_labels = np.argmin(dists, axis=1)
+        point_d2 = dists[np.arange(n), new_labels]
+        for c in range(n_clusters):
+            if not np.any(new_labels == c):
+                j = int(np.argmax(point_d2))
+                new_labels[j] = c
+                point_d2[j] = -np.inf
+        if np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+        for c in range(n_clusters):
+            centers[c] = V[labels == c].mean(axis=0)
+    wcss = float(np.sum((V - centers[labels]) ** 2))
+    return labels, centers, wcss
 
 
 def validate_row_loop(x, schema, mode):

@@ -1,6 +1,9 @@
 import csv
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -49,6 +52,21 @@ class TestConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(Exception, match="unknown config key"):
             ExperimentConfig.from_dict({"nope": 1})
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"G": 3, "n_clusters": 5},
+            {"n_clusters": 5, "G": 3},
+            {"lambda": 0.1, "sparsity_weight": 0.2},
+            {"sparsity_weight": 0.2, "lambda": 0.1},
+        ],
+    )
+    def test_a_field_named_twice_is_rejected(self, doc):
+        # neither key wins, in either order; the error names both
+        first, second = doc
+        with pytest.raises(ConfigError, match=f"^config keys {first!r} and {second!r} name the same field$"):
+            ExperimentConfig.from_dict(doc)
 
     def test_default_q_is_half_k(self):
         assert ExperimentConfig(k=10).resolved_q() == 5
@@ -536,11 +554,26 @@ def test_each_flag_lands_on_its_config_key(tmp_path, monkeypatch, flags, expecte
 
 
 def test_flag_beats_the_file_under_either_name(tmp_path):
-    # the file names G twice, by its field name first; the flag still wins
-    cfg = tmp_path / "config.json"
-    cfg.write_text(json.dumps({"n_clusters": 5, **small_config(max_outer=1).to_dict()}))
-    assert main(["run", "--config", str(cfg), "--g", "4", "--out", str(tmp_path / "o")]) == 0
-    assert json.loads((tmp_path / "o" / "manifest.json").read_text())["config"]["G"] == 4
+    # the file names G once, by its external key or by its field name; the flag wins
+    for key in ("G", "n_clusters"):
+        doc = small_config(max_outer=1).to_dict()
+        del doc["G"]
+        doc[key] = 5
+        cfg = tmp_path / f"config_{key}.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / key
+        assert main(["run", "--config", str(cfg), "--g", "4", "--out", str(out)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["config"]["G"] == 4
+
+
+def test_import_defers_the_pool_and_hashing():
+    # a command pays for the process pool only when it starts one, and for
+    # hashlib only when it writes a manifest
+    src = str(Path(la.__file__).resolve().parents[1])
+    code = "import sys, latent_align.cli; print(sorted({'concurrent.futures.process', 'hashlib'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 # settings rejected before any work: by the config, by the config of a sweep
@@ -551,6 +584,8 @@ CONSTANT_OUTCOME = ["--dataset", "data/constant.csv", "--schema", "data/schema.j
 NO_LEVERS = ["--dataset", "data/dataset.csv", "--schema", "data/no_levers.json"]
 REJECTED_CASES = {
     "run beta_couple 0": (["run", "--beta-couple", "0"], {}),
+    "run G named twice": (["run"], {"n_clusters": 4}),
+    "baselines lambda named twice under a flag": (["baselines", "--lambda", "0.1"], {"sparsity_weight": 0.01}),
     "baselines beta_couple -1": (["baselines", "--beta-couple", "-1"], {}),
     "run k above d": (["run", "--k", "20"], {}),
     "baselines k above d": (["baselines", "--k", "20"], {}),

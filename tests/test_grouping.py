@@ -2,12 +2,16 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import latent_align as la
+from latent_align import grouping
 from latent_align.factorization import normalize_rows
-from latent_align.grouping import GroupAssignment, anchor_groups, kmeans
+from latent_align.grouping import GroupAssignment, _lloyd, anchor_groups, kmeans
 
-from oracles import random_assignment_wcss
+from oracles import lloyd_per_coordinate, random_assignment_wcss
 
 
 def _codes(rows):
@@ -53,6 +57,63 @@ class TestKMeans:
         codes2 = _codes(np.eye(3) + 0.1)
         with pytest.raises(ValueError, match="clusters"):
             kmeans(codes2, 4, seed=0)
+
+
+class TestLloydStep:
+    """_lloyd scores distances by GEMM and rescores the rows it cannot
+    separate; its labels, centers and wcss are those of the loop that scores
+    every distance coordinate by coordinate."""
+
+    @staticmethod
+    def _assert_matches_oracle(V, centers):
+        labels, got, wcss = _lloyd(V, centers.copy())
+        ref_labels, ref, ref_wcss = lloyd_per_coordinate(V, centers.copy(), grouping.MAX_LLOYD_ITERS)
+        assert np.array_equal(labels, ref_labels)
+        assert np.array_equal(got, ref) and wcss == ref_wcss
+        return labels
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        data=st.data(),
+        n=st.integers(2, 60),
+        k=st.integers(1, 6),
+        n_clusters=st.integers(2, 5),
+        decimals=st.sampled_from([None, 1, 2]),
+    )
+    def test_labels_of_the_per_coordinate_formula(self, data, n, k, n_clusters, decimals):
+        # codes rounded to a few decimals put many points at equal or
+        # near-equal distances from two centers
+        V = data.draw(arrays(np.float64, (n, k), elements=st.floats(0.1, 1.0)))
+        if decimals is not None:
+            V = np.round(V, decimals)
+        V /= V.sum(axis=1, keepdims=True)
+        # kmeans starts from distinct points, as many as there are clusters
+        distinct = np.unique(V, axis=0)
+        assume(distinct.shape[0] >= n_clusters)
+        start = data.draw(
+            st.lists(st.integers(0, distinct.shape[0] - 1), min_size=n_clusters, max_size=n_clusters, unique=True)
+        )
+        self._assert_matches_oracle(V, distinct[start])
+
+    def test_exact_tie_goes_to_the_lower_center(self, monkeypatch):
+        # v lies at the same per-coordinate distance 0.4718 from a and b,
+        # while the GEMM form puts it nearer b; one step from centers a and b
+        # must put it with a, the lower id
+        monkeypatch.setattr(grouping, "MAX_LLOYD_ITERS", 1)
+        a, b = [0.0, 0.45, 0.55], [0.05, 0.55, 0.3999999999999999]
+        v = [0.55, 0.08, 0.37]
+        V, centers = np.array([a, b, v]), np.array([a, b])
+        d = np.sum((V[2] - centers) ** 2, axis=1)
+        g = V[2] @ V[2] - 2.0 * centers @ V[2] + np.einsum("ck,ck->c", centers, centers)
+        assert d[0] == d[1] and g[1] < g[0]
+        assert self._assert_matches_oracle(V, centers).tolist() == [0, 1, 0]
+
+    def test_empty_cluster_takes_the_farthest_point(self):
+        # no point is nearest the third center, so it steals the first of
+        # the two points farthest from their own centers
+        V = np.array([[1.0, 0.0], [0.9, 0.1], [0.0, 1.0], [0.1, 0.9]])
+        centers = np.array([[1.0, 0.0], [0.0, 1.0], [5.0, 5.0]])
+        assert self._assert_matches_oracle(V, centers).tolist() == [0, 2, 1, 1]
 
 
 # one row per cluster; anchor_groups reads the cluster count from it

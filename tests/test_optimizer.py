@@ -469,38 +469,52 @@ class TestStepRule:
         assert len(iters) == result.n_sinkhorn_calls and sum(iters) == result.n_sinkhorn_iters
 
     def test_u_trials_are_warm_started(self, fixture_arts, monkeypatch):
-        # only the first solve starts cold; the first trial of an iteration
-        # starts from the scaling of the plan kept at the current codes (the
-        # plan its gradient reads), and a retrial from the geometric mean of
-        # that scaling and the rejected trial's
+        # only the first solve starts cold. The first trial of an iteration
+        # starts from the scaling v of the plan kept at the current codes (the
+        # plan its gradient reads), carried along the last accepted move:
+        # v * (v / v_prev)^c, c the trial step's projection onto that move,
+        # clipped to [0, 2]; before the first move it starts from v. A retrial
+        # starts from the geometric mean of v and the rejected trial's scaling.
         events, solve = [], transport.SupportsSolver.solve
 
         def recording_solve(self, source, v0=None):
             sol = solve(self, source, v0)
-            events.append((v0, sol))
+            events.append((source.copy(), v0, sol))
             return sol
 
         def recording_grad(U, gamma_w, row_mass, tilde=None):
-            events.append((None, gamma_w))
+            events.append((None, None, gamma_w))
             return ot_grad_wrt_U(U, gamma_w, row_mass, tilde)
 
         monkeypatch.setattr(transport.SupportsSolver, "solve", recording_solve)
         monkeypatch.setattr(opt_mod, "ot_grad_wrt_U", recording_grad)
         result = optimize(fixture_arts.problem)
-        solves = [sol for _, sol in events if isinstance(sol, transport.SupportsPlan)]
-        assert events[0][0] is None and len(solves) == result.n_sinkhorn_calls
-        retrials = 0
-        for (_, prev), (v0, event) in zip(events, events[1:]):
+        solves = [(source, sol) for source, _, sol in events if isinstance(sol, transport.SupportsPlan)]
+        assert events[0][1] is None and len(solves) == result.n_sinkhorn_calls
+        kept = move = None  # (codes, plan) kept, and the last accepted move
+        retrials = carried = 0
+        for (_, _, prev), (source, v0, event) in zip(events, events[1:]):
             if not isinstance(event, transport.SupportsPlan):
-                kept = next(sol for sol in solves if sol.gamma_target is event)
-            elif not isinstance(prev, transport.SupportsPlan):
-                assert np.array_equal(v0, kept.v)
-            else:
-                assert np.array_equal(v0, np.sqrt(kept.v) * np.sqrt(prev.v))
+                now = next((codes, sol) for codes, sol in solves if sol.gamma_target is event)
+                if kept is not None and now[1] is not kept[1]:
+                    move = (kept[0], now[0], kept[1].v)
+                kept = now
+            elif isinstance(prev, transport.SupportsPlan):
+                assert np.array_equal(v0, np.sqrt(kept[1].v) * np.sqrt(prev.v))
                 retrials += 1
+            elif move is None:
+                assert np.array_equal(v0, kept[1].v)
+            else:
+                before, after, v_prev = move
+                step = after - before
+                c = np.clip(np.sum((source - after) * step) / np.sum(step * step), 0.0, 2.0)
+                np.testing.assert_allclose(v0, kept[1].v * (kept[1].v / v_prev) ** c, rtol=1e-12)
+                carried += c > 0
         assert retrials == result.n_u_trials - result.n_outer > 0
-        # a cold solve takes about 16 iterations on the fixture
-        assert result.n_sinkhorn_iters <= 10 * result.n_sinkhorn_calls
+        assert carried > result.n_outer // 2
+        # a cold solve takes about 16 iterations on the fixture, a start from
+        # the kept scaling alone about 8
+        assert result.n_sinkhorn_iters <= 7 * result.n_sinkhorn_calls
 
     def test_unmoved_delta_never_halves(self, fixture_arts, monkeypatch):
         # a lambda this large keeps D = 0; its prox-and-clip trial leaves D

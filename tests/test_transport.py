@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from latent_align import transport
+from latent_align.optimizer import _extrapolated_start
 from latent_align.transport import (
     DEFAULT_MAX_ITERS,
     DEFAULT_TOL,
@@ -534,6 +535,37 @@ class TestWarmStart:
             return
         warm = SupportsSolver(target, eta).solve(source, near.v)
         self._assert_solves_the_same_problem(source, target, eta, warm, cold)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=st.data(),
+        k=st.integers(1, 6),
+        nb=st.integers(1, 30),
+        na=st.integers(1, 30),
+        eta=st.sampled_from([0.2, 0.05, 0.01]),
+        step=st.sampled_from([1e-3, 1e-2, 1e-1]),
+        reach=st.floats(-1.0, 3.0),
+    )
+    def test_extrapolated_start_solves_the_same_problem(self, data, k, nb, na, eta, step, reach):
+        # the solver's first U trial: the scalings solved at two codes of a
+        # move, carried on to codes a multiple `reach` of that move further
+        target, before = data.draw(_simplex_rows(na, k)), data.draw(_simplex_rows(nb, k))
+        direction = step * data.draw(arrays(np.float64, (nb, k), elements=st.floats(-1.0, 1.0)))
+
+        def along(t):
+            codes = before * np.exp(t * direction)
+            return codes / codes.sum(axis=1, keepdims=True)
+
+        after, trial = along(1.0), along(1.0 + reach)
+        try:
+            plan_before = SupportsSolver(target, eta).solve(before)
+            kept = SupportsSolver(target, eta).solve(after)
+            cold = SupportsSolver(target, eta).solve(trial)
+        except ConvergenceError:
+            return
+        v0 = _extrapolated_start(kept.v, trial, (before, after, plan_before))
+        warm = SupportsSolver(target, eta).solve(trial, v0)
+        self._assert_solves_the_same_problem(trial, target, eta, warm, cold)
 
     def test_far_start_can_stall_a_near_permutation_plan(self):
         # The plan is diagonal up to an entry of 7.5e-13 at (0, 1). The cold
