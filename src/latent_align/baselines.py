@@ -2,11 +2,11 @@
 result type as the full method so one evaluation harness covers every row of
 the comparison table.
 
-Uniform baselines apply a fixed increment on ranked levers and re-project the
-changed rows onto the frozen basis; they are constructed, not solved, so
-evaluation scores them and they report no objective or solver work. The
-outcome-only baseline and the ablations reuse the full optimizer with one
-ingredient swapped out.
+Uniform baselines are lever blocks, a fixed increment on ranked levers
+clipped to the problem's lever box, whose rows are re-projected onto the
+frozen basis; they are constructed, not solved, so evaluation scores them and
+they report no objective or solver work. The outcome-only baseline and the
+ablations reuse the full optimizer with one ingredient swapped out.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from .optimizer import (
     InterventionResult,
     _assemble_result,
     optimize,
-    project_feasible,
 )
 from .surrogate import PriorityWeights
 
@@ -62,16 +61,16 @@ def _rank_by(scores: np.ndarray) -> np.ndarray:
 
 
 def _uniform_result(problem: InterventionProblem, chosen: np.ndarray, step: float) -> InterventionResult:
-    """The constructed result of a uniform step on the chosen levers: Delta
-    and its post projection, scored by evaluation, with no solve behind it."""
-    X, schema = problem.dataset.X, problem.dataset.schema
-    i_b = problem.groups.i_target
-    delta = np.zeros_like(X)
-    delta[np.ix_(i_b, chosen)] = step
-    delta = project_feasible(delta, X, schema, i_b)
-    result = _assemble_result(problem, delta[np.ix_(i_b, schema.policy_levers)], [], STATUS_CONSTRUCTED, 0, 0.0)
+    """The constructed result of a uniform step on the chosen lever columns:
+    the step there and 0 elsewhere, clipped to the problem's lever box as
+    `project_feasible` clips, and its post projection; nothing is solved."""
+    lo, hi = problem.lever_box
+    raw = np.zeros_like(lo)
+    raw[:, chosen] = step
+    result = _assemble_result(problem, np.clip(raw, lo, hi), [], STATUS_CONSTRUCTED, 0, 0.0)
     # post projected in its own call, as evaluation scores it; the result keeps it
-    U = nnls_project_rows(X[i_b] + delta[i_b], problem.latent.H)
+    i_b = problem.groups.i_target
+    U = nnls_project_rows(problem.dataset.X[i_b] + result.delta[i_b], problem.latent.H)
     U.setflags(write=False)
     result.post_projection = U
     return result
@@ -85,25 +84,20 @@ def run_baseline(spec: BaselineSpec, problem: InterventionProblem) -> Interventi
     without clipping; the outcome-only kind runs the full solver with the
     transport term swapped for the negative mean surrogate margin.
     """
-    schema = problem.dataset.schema
-    levers = schema.policy_levers
+    levers = problem.dataset.schema.policy_levers
     if spec.kind != KIND_TOP_SINGLE and spec.k_levers > levers.size:
         raise ValueError(f"k_levers={spec.k_levers} exceeds the {levers.size} eligible levers")
 
     if spec.kind == KIND_OUTCOME_ONLY:
         return optimize(problem.with_knobs(alignment=ALIGNMENT_MEAN_MARGIN))
 
-    omega = problem.priorities.omega_for(levers)
-    if spec.kind == KIND_TOP_SINGLE:
-        chosen = levers[_rank_by(omega)[:1]]
-    elif spec.kind == KIND_TOP_K:
-        chosen = levers[_rank_by(omega)[: spec.k_levers]]
+    if spec.kind == KIND_MAX_COVERAGE:
+        hi = problem.lever_box[1]
+        scores = np.sum(hi >= spec.step_magnitude - 1e-12, axis=0).astype(float)
     else:
-        X_B = problem.dataset.X[np.ix_(problem.groups.i_target, levers)]
-        headroom = schema.uppers[levers][None, :] - X_B
-        coverage = np.sum(headroom >= spec.step_magnitude - 1e-12, axis=0).astype(float)
-        chosen = levers[_rank_by(coverage)[: spec.k_levers]]
-    return _uniform_result(problem, np.sort(chosen), spec.step_magnitude)
+        scores = problem.priorities.omega_for(levers)
+    k = 1 if spec.kind == KIND_TOP_SINGLE else spec.k_levers
+    return _uniform_result(problem, _rank_by(scores)[:k], spec.step_magnitude)
 
 
 def uniform_priorities(priorities: PriorityWeights) -> PriorityWeights:

@@ -51,6 +51,8 @@ def _plus_plus_init(V: np.ndarray, n_clusters: int, rng: np.random.Generator) ->
     d2 = np.sum((V - centers[0]) ** 2, axis=1)
     for c in range(1, n_clusters):
         total = d2.sum()
+        if not total > 0:  # every row coincides with a center drawn so far
+            raise ValueError(f"fewer than {n_clusters} distinct rows")
         probs = d2 / total
         idx = int(rng.choice(n, p=probs))
         centers[c] = V[idx]
@@ -136,14 +138,14 @@ def kmeans(
     point-center distances by one GEMM and rescores coordinate by coordinate
     only the points whose two nearest centers the GEMM's rounding could swap
     (`_lloyd`), so labels and centroids are those of per-coordinate scoring.
+    Codes with fewer than n_clusters distinct rows raise ValueError in the
+    first k-means++ seeding, once every row coincides with a drawn center.
     """
     n = codes.shape[0]
     if n_clusters < 2:
         raise ValueError(f"need at least 2 clusters, got {n_clusters}")
     if n_clusters > n:
         raise ValueError(f"cannot form {n_clusters} clusters from {n} points")
-    if np.unique(codes, axis=0).shape[0] < n_clusters:
-        raise ValueError(f"fewer than {n_clusters} distinct rows")
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
 

@@ -60,11 +60,13 @@ class InterventionProblem:
     target rows X_B on the frozen basis, and reference_codes the normalized
     model codes of the reference rows, the distribution the solver aligns to.
     Both are computed once here and read-only: the solver starts from the
-    one and aligns to the other, and every score reads them.
+    one and aligns to the other, and every score reads them. lever_box,
+    also read-only, stacks the lever block's bounds lowers - X_B and
+    uppers - X_B: the D step and the uniform baselines clip to it.
     pre_discrepancy is the transport cost from the normalized target codes to
     the reference codes at the problem's eta, None until the first evaluation
     (`evaluation.evaluate_intervention`) solves it. `with_knobs` copies a
-    problem with other knobs, never eta, and keeps all three;
+    problem with other knobs, never eta, and keeps all four;
     dataclasses.replace computes them anew.
     """
 
@@ -82,6 +84,7 @@ class InterventionProblem:
     tau_delta: float = DEFAULT_TAU_DELTA
     target_projection: np.ndarray = field(init=False, repr=False, compare=False)
     reference_codes: np.ndarray = field(init=False, repr=False, compare=False)
+    lever_box: np.ndarray = field(init=False, repr=False, compare=False)
     pre_discrepancy: float | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -90,11 +93,13 @@ class InterventionProblem:
         self.target_projection.setflags(write=False)
         self.reference_codes = normalize_rows(self.latent.W)[self.groups.i_reference]
         self.reference_codes.setflags(write=False)
+        self.lever_box = _lever_box(self.dataset.X, self.dataset.schema, self.groups.i_target)
+        self.lever_box.setflags(write=False)
 
     def with_knobs(self, **changes) -> "InterventionProblem":
         """A copy with solver knobs changed. The dataset, basis, groups and
-        eta stay, so the copy shares target_projection, reference_codes and
-        pre_discrepancy instead of computing them again; use
+        eta stay, so the copy shares target_projection, reference_codes,
+        lever_box and pre_discrepancy instead of computing them again; use
         dataclasses.replace to change those."""
         knobs = {f.name for f in fields(self) if f.init} - {"dataset", "latent", "groups", "eta"}
         if not changes.keys() <= knobs:
@@ -213,11 +218,18 @@ def project_feasible(
     delta = np.asarray(delta, dtype=float)
     if delta.shape != X.shape:
         raise ValueError(f"delta has shape {delta.shape}, expected {X.shape}")
-    levers = schema.policy_levers
-    block = np.ix_(np.asarray(i_target, dtype=int), levers)
+    block = np.ix_(np.asarray(i_target, dtype=int), schema.policy_levers)
     out = np.zeros_like(delta)
-    out[block] = np.clip(delta[block], schema.lowers[levers] - X[block], schema.uppers[levers] - X[block])
+    out[block] = np.clip(delta[block], *_lever_box(X, schema, i_target))
     return out
+
+
+def _lever_box(X: np.ndarray, schema: FeatureSchema, i_target: np.ndarray) -> np.ndarray:
+    """The feasible box of the target-row x policy-lever block: lowers - X_B
+    stacked on uppers - X_B, the changes that keep each post value in bounds."""
+    levers = schema.policy_levers
+    X_B = X[np.ix_(np.asarray(i_target, dtype=int), levers)]
+    return np.stack((schema.lowers[levers] - X_B, schema.uppers[levers] - X_B))
 
 
 def prox_weighted_l21(block: np.ndarray, rho: np.ndarray, t_lambda: float) -> np.ndarray:
@@ -386,49 +398,40 @@ class _OTAlignment:
         return ot_grad_wrt_U(U, plan.gamma_target, 1.0 / U.shape[0], tilde=tilde)
 
 
-class _MeanMarginAlignment:
-    """Outcome-only stand-in: minimize the negative mean surrogate margin."""
+class _MeanCodeAlignment:
+    """Transport-free stand-in: a term of the mean normalized code m.
+    refresh returns value(u_tilde), the term at the codes; grad_u spreads
+    grad(m), the term's gradient in m, as grad(m) / n_b on every row's
+    normalized code and pulls it back to the raw codes."""
 
-    def __init__(self, beta: np.ndarray, bias: float):
-        self.beta = beta
-        self.bias = bias
+    def __init__(self, value, grad):
+        self.value, self.grad = value, grad
         self.n_calls = self.n_iters = 0
 
     def refresh(self, u_tilde: np.ndarray, kept=None, rejected=None, path=None) -> tuple[float, None]:
-        return -float(np.mean(u_tilde @ self.beta + self.bias)), None
-
-    def grad_u(self, U: np.ndarray, plan: None, tilde) -> np.ndarray:
-        n_b = U.shape[0]
-        g_tilde = np.tile(-self.beta / n_b, (n_b, 1))
-        return _chain_through_normalization(g_tilde, *tilde)
-
-
-class _CentroidAlignment:
-    """Distribution-free stand-in: squared distance between group mean codes."""
-
-    def __init__(self, centroid_ref: np.ndarray):
-        self.centroid_ref = centroid_ref
-        self.n_calls = self.n_iters = 0
-
-    def refresh(self, u_tilde: np.ndarray, kept=None, rejected=None, path=None) -> tuple[float, None]:
-        diff = u_tilde.mean(axis=0) - self.centroid_ref
-        return float(diff @ diff), None
+        return self.value(u_tilde), None
 
     def grad_u(self, U: np.ndarray, plan: None, tilde) -> np.ndarray:
         u_t, s = tilde
-        n_b = U.shape[0]
-        diff = u_t.mean(axis=0) - self.centroid_ref
-        g_tilde = np.tile(2.0 * diff / n_b, (n_b, 1))
-        return _chain_through_normalization(g_tilde, u_t, s)
+        return _chain_through_normalization(self.grad(u_t.mean(axis=0)) / U.shape[0], u_t, s)
 
 
 def _make_alignment(problem: InterventionProblem):
+    """Transport to the reference codes, or a stand-in: -mean(u~ beta + b)
+    (outcome only) or ||m - c_ref||^2, c_ref the reference centroid."""
     w_ref = problem.reference_codes
     if problem.alignment == ALIGNMENT_OT:
         return _OTAlignment(w_ref, problem.eta)
     if problem.alignment == ALIGNMENT_MEAN_MARGIN:
-        return _MeanMarginAlignment(problem.surrogate.beta, problem.surrogate.bias)
-    return _CentroidAlignment(w_ref.mean(axis=0))
+        beta, bias = problem.surrogate.beta, problem.surrogate.bias
+        return _MeanCodeAlignment(lambda u_tilde: -float(np.mean(u_tilde @ beta + bias)), lambda m: -beta)
+    c_ref = w_ref.mean(axis=0)
+
+    def centroid_gap(u_tilde):
+        diff = u_tilde.mean(axis=0) - c_ref
+        return float(diff @ diff)
+
+    return _MeanCodeAlignment(centroid_gap, lambda m: 2.0 * (m - c_ref))
 
 
 def optimize(problem: InterventionProblem) -> InterventionResult:
@@ -483,15 +486,12 @@ def optimize(problem: InterventionProblem) -> InterventionResult:
     start, then one per U trial) and their Sinkhorn iterations summed
     (n_sinkhorn_iters); both are 0 for the transport-free alignments.
     """
-    dataset, latent, groups = problem.dataset, problem.latent, problem.groups
-    schema = dataset.schema
-    levers = schema.policy_levers
+    levers = problem.dataset.schema.policy_levers
     if levers.size == 0:
         raise ValueError("no controllable non-categorical features to intervene on")
-    i_b = groups.i_target
-    X_B = dataset.X[i_b]
-    H = latent.H
-    n_b = i_b.size
+    X_B = problem.dataset.X[problem.groups.i_target]
+    H = problem.latent.H
+    n_b = X_B.shape[0]
     # a contiguous lever range indexes the residual's columns by view, without
     # an index array's gather and scatter in every block trial
     cols = slice(int(levers[0]), int(levers[-1]) + 1) if levers[-1] - levers[0] == levers.size - 1 else levers
@@ -503,9 +503,7 @@ def optimize(problem: InterventionProblem) -> InterventionResult:
     mass_sq = max(float(np.median(U.sum(axis=1))), 1.0) ** 2
     beta = problem.beta_couple if problem.beta_couple is not None else BETA_AUTO_SCALE / (n_b * mass_sq)
     align = _make_alignment(problem)
-
-    lo = schema.lowers[levers][None, :] - X_B[:, levers]
-    hi = schema.uppers[levers][None, :] - X_B[:, levers]
+    lo, hi = problem.lever_box
 
     lam = problem.sparsity_weight
     lam_h = float(np.max(np.linalg.eigvalsh(H @ H.T)))

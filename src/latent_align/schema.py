@@ -329,17 +329,17 @@ def load_dataset(csv_path: str | Path, schema_path: str | Path) -> SurveyDataset
     """Load and validate a dataset from a CSV file and a JSON schema.
 
     The CSV header must contain exactly the schema feature names plus the
-    declared outcome column, in any order. SurveyDataset validates the rows in
-    report mode; every failure is reported with its row index and feature name.
+    declared outcome column, in any order. A leading UTF-8 byte order mark is
+    accepted and blank lines are skipped, so row indices count data rows.
+    SurveyDataset validates the rows in report mode; every failure is reported
+    with its row index and feature name.
     """
     schema = FeatureSchema.from_json(schema_path)
-    with open(csv_path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataValidationError([Violation("<csv>", "empty file, header row required")])
-        rows = list(reader)
+    with open(csv_path, newline="", encoding="utf-8-sig") as fh:
+        rows = [row for row in csv.reader(fh) if row]
+    if not rows:
+        raise DataValidationError([Violation("<csv>", "empty file, header row required")])
+    header, rows = rows[0], rows[1:]
     required = set(schema.names) | {schema.outcome}
     present = set(header)
     missing = sorted(required - present)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -113,6 +115,48 @@ class TestUniformBaselines:
         expected = set(levers[order[:3]].tolist())
         active = {a.feature for a in result.active_levers}
         assert active <= expected
+
+
+def _over_bound_problem(problem):
+    """The problem on data whose numeric lever usage_1 sits 5e-10 above its
+    upper bound (within the data's bound tolerance) wherever it was at it."""
+    ds = problem.dataset
+    j = ds.schema.names.index("usage_1")
+    X = ds.X.copy()
+    X[X[:, j] == ds.schema.uppers[j], j] += 5e-10
+    return replace(problem, dataset=la.SurveyDataset(X=X, y=ds.y, schema=ds.schema))
+
+
+class TestUniformStepIsTheProjectedFullStep:
+    """A uniform baseline's Delta is `project_feasible` applied to the raw
+    n x d step (the step on the target rows' chosen levers, 0 elsewhere),
+    bit for bit, also where a row sits above a bound."""
+
+    @staticmethod
+    def _chosen(problem, kind, k, step):
+        levers = problem.dataset.schema.policy_levers
+        if kind == "max_coverage_topk":
+            X_B = problem.dataset.X[np.ix_(problem.groups.i_target, levers)]
+            scores = np.sum(problem.dataset.schema.uppers[levers] - X_B >= step - 1e-12, axis=0).astype(float)
+        else:
+            scores = problem.priorities.omega_for(levers)
+        order = np.lexsort((np.arange(levers.size), -scores))
+        return levers[order[: 1 if kind == "top_shapley_single" else k]]
+
+    @pytest.mark.parametrize("over_bound", [False, True])
+    @pytest.mark.parametrize("kind", ["top_shapley_single", "top_shapley_topk", "max_coverage_topk"])
+    def test_delta_equals_the_projected_raw_step(self, fixture_arts, kind, over_bound):
+        problem = _over_bound_problem(fixture_arts.problem) if over_bound else fixture_arts.problem
+        X, schema, i_b = problem.dataset.X, problem.dataset.schema, problem.groups.i_target
+        raw = np.zeros_like(X)
+        raw[np.ix_(i_b, self._chosen(problem, kind, 5, 0.2))] = 0.2
+        result = run_baseline(BaselineSpec(kind=kind, k_levers=5, step_magnitude=0.2), problem)
+        assert np.array_equal(result.delta, project_feasible(raw, X, schema, i_b))
+        if over_bound:
+            # the clip moves usage_1 down to the bound in the over-bound rows, chosen or not
+            j = schema.names.index("usage_1")
+            assert (X[i_b, j] > schema.uppers[j]).any()
+            assert (result.delta[i_b, j] < 0).any()
 
 
 class TestOutcomeOnly:

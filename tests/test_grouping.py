@@ -58,6 +58,17 @@ class TestKMeans:
         with pytest.raises(ValueError, match="clusters"):
             kmeans(codes2, 4, seed=0)
 
+    @pytest.mark.parametrize("n_clusters", [2, 3, 5])
+    def test_one_distinct_row_too_few_is_caught_while_seeding(self, n_clusters):
+        # G - 1 distinct rows, each repeated many times: the seeding draws them
+        # all, then finds no squared-distance mass left, and raises before its
+        # division (a RuntimeWarning is an error under the test settings)
+        rng = np.random.default_rng(n_clusters)
+        distinct = _codes(rng.uniform(0.1, 1.0, size=(n_clusters - 1, 4)))
+        codes = distinct[rng.permutation(np.repeat(np.arange(n_clusters - 1), 40))]
+        with pytest.raises(ValueError, match=f"fewer than {n_clusters} distinct rows"):
+            kmeans(codes, n_clusters, seed=3)
+
 
 class TestLloydStep:
     """_lloyd scores distances by GEMM and rescores the rows it cannot

@@ -14,6 +14,7 @@ from latent_align.grouping import GroupAssignment
 from latent_align.optimizer import (
     InterventionProblem,
     _assemble_result,
+    _make_alignment,
     _tilde,
     coupling_grad_codes,
     coupling_grad_levers,
@@ -404,13 +405,52 @@ class TestOptimize:
         assert result.trajectory[-1].alignment <= result.trajectory[0].alignment
 
 
+class TestTransportFreeAlignments:
+    """The two stand-ins for the transport term, each a term of the mean
+    normalized code: grad_u is the gradient of refresh's value through the
+    row normalization."""
+
+    @pytest.mark.parametrize("alignment", ["mean_margin", "centroid"])
+    def test_grad_matches_finite_differences(self, fixture_arts, alignment):
+        align = _make_alignment(fixture_arts.problem.with_knobs(alignment=alignment))
+        k = fixture_arts.problem.target_projection.shape[1]
+        for seed in range(5):
+            U = np.random.default_rng(seed).uniform(0.5, 2.0, size=(7, k))
+            grad = align.grad_u(U, None, _tilde(U))
+            fd = central_difference(lambda V: align.refresh(_tilde(V)[0])[0], U)
+            assert np.max(np.abs(grad - fd)) / max(1.0, np.max(np.abs(fd))) < 1e-6
+
+    def test_values(self, fixture_arts):
+        problem = fixture_arts.problem
+        u_tilde = _tilde(problem.target_projection)[0]
+        margin = _make_alignment(problem.with_knobs(alignment="mean_margin")).refresh(u_tilde)
+        surrogate = problem.surrogate
+        assert margin == (-float(np.mean(u_tilde @ surrogate.beta + surrogate.bias)), None)
+        gap, plan = _make_alignment(problem.with_knobs(alignment="centroid")).refresh(u_tilde)
+        diff = u_tilde.mean(axis=0) - problem.reference_codes.mean(axis=0)
+        assert gap == pytest.approx(float(np.sum(diff**2)), rel=1e-12) and plan is None
+
+
 class TestWithKnobs:
     def test_shares_the_target_projection(self, fixture_arts):
         problem = fixture_arts.problem
         copy = problem.with_knobs(sparsity_weight=0.0, alignment="centroid")
         assert copy.target_projection is problem.target_projection
+        assert copy.lever_box is problem.lever_box
         assert (copy.sparsity_weight, copy.alignment) == (0.0, "centroid")
         assert (problem.sparsity_weight, problem.alignment) == (3e-5, "ot")
+
+    def test_replace_computes_the_lever_box_again(self, fixture_arts):
+        problem = fixture_arts.problem
+        groups = problem.groups
+        swapped = replace(problem, groups=replace(groups, reference=groups.target, target=groups.reference))
+        assert swapped.lever_box is not problem.lever_box
+        for p in (problem, swapped):
+            schema, levers = p.dataset.schema, p.dataset.schema.policy_levers
+            X_B = p.dataset.X[np.ix_(p.groups.i_target, levers)]
+            assert np.array_equal(p.lever_box, np.stack((schema.lowers[levers] - X_B, schema.uppers[levers] - X_B)))
+            assert not p.lever_box.flags.writeable
+        assert not np.array_equal(swapped.lever_box, problem.lever_box)
 
     @pytest.mark.parametrize("change", [{"groups": None}, {"dataset": None}, {"target_projection": None}, {"bogus": 1}])
     def test_rejects_what_the_projection_depends_on(self, fixture_arts, change):

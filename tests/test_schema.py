@@ -144,6 +144,40 @@ class TestLoadDataset:
         assert np.array_equal(ds.y, ds2.y)
         assert ds.schema == ds2.schema
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            pytest.param(lambda text: "\ufeff" + text, id="byte_order_mark"),
+            pytest.param(lambda text: text + "\n", id="trailing_blank_line"),
+            pytest.param(lambda text: "\n" + text, id="leading_blank_line"),
+            pytest.param(lambda text: text.replace("\n", "\n\n", 2), id="blank_lines_between_rows"),
+        ],
+    )
+    def test_bom_and_blank_lines_load_the_clean_dataset(self, tmp_path, edit):
+        # a spreadsheet's "CSV UTF-8" export starts with a byte order mark, and
+        # hand-edited files often end with a blank line
+        _schema_4().to_json(tmp_path / "s.json")
+        _write_csv(tmp_path / "d.csv", ["age", "sat", "use", "opt", "y"], [[30, 4, 2.5, 1, 0.7], [41, 2, 0.0, 0, 0.1]])
+        clean = la.load_dataset(tmp_path / "d.csv", tmp_path / "s.json")
+        (tmp_path / "e.csv").write_bytes(edit((tmp_path / "d.csv").read_text()).encode("utf-8"))
+        ds = la.load_dataset(tmp_path / "e.csv", tmp_path / "s.json")
+        assert np.array_equal(ds.X, clean.X) and np.array_equal(ds.y, clean.y)
+        assert ds.schema == clean.schema
+
+    @pytest.mark.parametrize("text", ["", "\n\n", "\ufeff\n"])
+    def test_a_file_without_a_header_is_empty(self, tmp_path, text):
+        _schema_4().to_json(tmp_path / "s.json")
+        (tmp_path / "d.csv").write_text(text, encoding="utf-8")
+        with pytest.raises(DataValidationError, match="empty file"):
+            la.load_dataset(tmp_path / "d.csv", tmp_path / "s.json")
+
+    def test_rows_after_a_blank_line_keep_data_row_numbers(self, tmp_path):
+        _schema_4().to_json(tmp_path / "s.json")
+        (tmp_path / "d.csv").write_text("age,sat,use,opt,y\n30,4,2.5,1,0.7\n\n41,9,0.0,0,0.1\n")
+        with pytest.raises(DataValidationError) as exc:
+            la.load_dataset(tmp_path / "d.csv", tmp_path / "s.json")
+        assert [(v.feature, v.row) for v in exc.value.violations] == [("sat", 1)]
+
     def test_missing_column(self, tmp_path):
         schema = _schema_4()
         schema.to_json(tmp_path / "s.json")
