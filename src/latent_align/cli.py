@@ -158,6 +158,14 @@ def _run_one_seed(config: ExperimentConfig, seed: int, out_root: str, dataset: S
     return row
 
 
+def _make_out_dir(out_dir: str) -> Path:
+    try:
+        Path(out_dir).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a path under a regular file, say: a usage error
+        raise ConfigError(f"cannot create output directory {out_dir}: {exc}") from exc
+    return Path(out_dir)
+
+
 def _open_run_dir(config: ExperimentConfig) -> Path:
     """Make config.out_dir and write its manifest.json; returns the directory.
 
@@ -165,7 +173,7 @@ def _open_run_dir(config: ExperimentConfig) -> Path:
     run (the worker cap, the sweep values, the dataset and the settings it
     cannot support) comes before this call, so a rejected run writes nothing.
     """
-    out = Path(config.out_dir)
+    out = _make_out_dir(config.out_dir)
     manifest = {
         "config": config.to_dict(),
         "config_hash": _config_hash(config),
@@ -285,9 +293,10 @@ def cmd_baselines(config: ExperimentConfig) -> int:
 
 
 def cmd_synth(n: int, k_true: int, seed: int, out_dir: str) -> int:
-    dataset = load_or_generate(ExperimentConfig(synthetic_n=n, synthetic_k_true=k_true, synthetic_seed=seed))
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    # the config rejects an empty path, which would write into the working directory
+    config = ExperimentConfig(synthetic_n=n, synthetic_k_true=k_true, synthetic_seed=seed, out_dir=out_dir)
+    dataset = load_or_generate(config)
+    out = _make_out_dir(config.out_dir)
     save_dataset(dataset, out / "dataset.csv", out / "schema.json")
     return 0
 

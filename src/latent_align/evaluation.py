@@ -147,11 +147,9 @@ def evaluate_intervention(problem: InterventionProblem, result: InterventionResu
     distance to itself is 0, and its discrepancy is 0 by convention, not the
     positive entropic cost of transporting the reference onto itself.
 
-    The pre discrepancy depends on the problem only, so it is solved once per
-    problem and kept in `problem.pre_discrepancy`. The post discrepancy is
-    solved once per pass, or not at all when the post codes equal the pre
-    codes, which reuse the pre value. A zero pre discrepancy marks the
-    reduction ratio degenerate and reports it as 0.
+    The pre discrepancy is the problem's own; a pass solves only the post
+    one, none when the post codes equal the pre codes, and writes nothing to
+    the problem. A zero pre discrepancy marks the reduction ratio degenerate.
     """
     model = problem.surrogate
     ref = problem.reference_codes
@@ -161,13 +159,9 @@ def evaluate_intervention(problem: InterventionProblem, result: InterventionResu
     conv = conversion_metrics(p_pre, p_post, model.tau_y)
     effort, n_lever = effort_and_levers(result.delta, problem.dataset.schema.s_ctrl, problem.tau_delta)
 
-    def ot_to_ref(codes):
-        return transport.sinkhorn(transport.TransportProblem.from_supports(codes, ref, problem.eta)).transport_cost
-
-    if problem.pre_discrepancy is None:
-        problem.pre_discrepancy = ot_to_ref(pre)
     w_before = problem.pre_discrepancy
-    w_after = w_before if np.array_equal(post, pre) else ot_to_ref(post)
+    post_side = None if np.array_equal(post, pre) else transport.TransportProblem.from_supports(post, ref, problem.eta)
+    w_after = w_before if post_side is None else transport.sinkhorn(post_side).transport_cost
     dw = w_before - w_after
     degenerate = not w_before > 0
 

@@ -48,26 +48,19 @@ ALIGNMENT_MEAN_MARGIN = "mean_margin"
 ALIGNMENT_CENTROID = "centroid"
 
 
-@dataclass
+@dataclass(frozen=True)
 class InterventionProblem:
-    """Inputs and knobs for one intervention solve.
+    """Inputs and knobs for one intervention solve: checked, complete and
+    read-only once built. beta_couple=None selects a data-scaled coupling
+    weight; the surrogate rides along for trajectory logging and for the
+    outcome-only alignment.
 
-    The surrogate rides along for trajectory logging (mean predicted gain per
-    accepted iteration) and for the outcome-only alignment variant.
-    beta_couple=None selects a data-scaled coupling weight.
-
-    target_projection is nnls_project_rows(X_B, H), the raw codes of the
-    target rows X_B on the frozen basis, and reference_codes the normalized
-    model codes of the reference rows, the distribution the solver aligns to.
-    Both are computed once here and read-only: the solver starts from the
-    one and aligns to the other, and every score reads them. lever_box,
-    also read-only, stacks the lever block's bounds lowers - X_B and
-    uppers - X_B: the D step and the uniform baselines clip to it.
-    pre_discrepancy is the transport cost from the normalized target codes to
-    the reference codes at the problem's eta, None until the first evaluation
-    (`evaluation.evaluate_intervention`) solves it. `with_knobs` copies a
-    problem with other knobs, never eta, and keeps all four;
-    dataclasses.replace computes them anew.
+    Construction derives target_projection = nnls_project_rows(X_B, H), the
+    target rows' raw codes on the frozen basis; reference_codes, the
+    normalized reference codes the solver aligns to; lever_box, lowers - X_B
+    over uppers - X_B on the lever block; and pre_discrepancy, the transport
+    cost from the normalized target codes to the reference codes at eta.
+    `with_knobs` copies share all four; dataclasses.replace derives them anew.
     """
 
     dataset: SurveyDataset
@@ -85,22 +78,22 @@ class InterventionProblem:
     target_projection: np.ndarray = field(init=False, repr=False, compare=False)
     reference_codes: np.ndarray = field(init=False, repr=False, compare=False)
     lever_box: np.ndarray = field(init=False, repr=False, compare=False)
-    pre_discrepancy: float | None = field(default=None, init=False, repr=False, compare=False)
+    pre_discrepancy: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self._check_knobs()
-        self.target_projection = nnls_project_rows(self.dataset.X[self.groups.i_target], self.latent.H)
-        self.target_projection.setflags(write=False)
-        self.reference_codes = normalize_rows(self.latent.W)[self.groups.i_reference]
-        self.reference_codes.setflags(write=False)
-        self.lever_box = _lever_box(self.dataset.X, self.dataset.schema, self.groups.i_target)
-        self.lever_box.setflags(write=False)
+        target = nnls_project_rows(self.dataset.X[self.groups.i_target], self.latent.H)
+        reference = normalize_rows(self.latent.W)[self.groups.i_reference]
+        box = _lever_box(self.dataset.X, self.dataset.schema, self.groups.i_target)
+        for name, a in (("target_projection", target), ("reference_codes", reference), ("lever_box", box)):
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
+        pre = transport.TransportProblem.from_supports(normalize_rows(target), reference, self.eta)
+        object.__setattr__(self, "pre_discrepancy", transport.sinkhorn(pre).transport_cost)
 
     def with_knobs(self, **changes) -> "InterventionProblem":
-        """A copy with solver knobs changed. The dataset, basis, groups and
-        eta stay, so the copy shares target_projection, reference_codes,
-        lever_box and pre_discrepancy instead of computing them again; use
-        dataclasses.replace to change those."""
+        """A copy with other solver knobs that shares the four derived fields;
+        the dataset, basis, groups and eta need dataclasses.replace."""
         knobs = {f.name for f in fields(self) if f.init} - {"dataset", "latent", "groups", "eta"}
         if not changes.keys() <= knobs:
             raise ValueError(f"with_knobs changes only {sorted(knobs)}, got {sorted(changes.keys() - knobs)}")

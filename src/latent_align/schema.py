@@ -73,8 +73,8 @@ class FeatureSpec:
 class FeatureSchema:
     """Ordered feature specs plus the declared outcome column name.
 
-    Raises SchemaError if kinds, bounds, or one-hot block structure are
-    inconsistent. Index sets are exposed as 0-based numpy arrays.
+    Raises SchemaError if types (checked, never cast), kinds, bounds, or
+    one-hot block structure are inconsistent. Index sets are 0-based arrays.
     """
 
     features: tuple[FeatureSpec, ...]
@@ -83,6 +83,11 @@ class FeatureSchema:
     def __post_init__(self):
         if not self.features:
             raise SchemaError("schema declares no features")
+        for f in self.features:
+            if not (isinstance(f.name, str) and isinstance(f.block, str | None) and type(f.controllable) is bool):
+                raise SchemaError(f"feature {f.name!r}: name must be str, block str or null, controllable bool")
+        if not isinstance(self.outcome, str):
+            raise SchemaError(f"outcome {self.outcome!r} must be a string")
         names = [f.name for f in self.features]
         if len(set(names)) != len(names):
             raise SchemaError("duplicate feature names in schema")
@@ -210,7 +215,7 @@ class FeatureSchema:
                         lower=float(entry["lower"]),
                         upper=float(entry["upper"]),
                         block=entry.get("block"),
-                        controllable=bool(entry["controllable"]),
+                        controllable=entry["controllable"],
                     )
                 )
             except (KeyError, ValueError, TypeError) as exc:
@@ -276,14 +281,14 @@ def validate_rows(X: np.ndarray, schema: FeatureSchema, mode: str = "optimize") 
     return [v for _, _, v in found]
 
 
-@dataclass
+@dataclass(frozen=True)
 class SurveyDataset:
     """Validated encoded survey matrix with outcome scores.
 
     Construction is the one validity gate for survey data, however it was
     read or built: every row must pass `validate_rows` in report mode.
-    Immutable after construction: the arrays are marked read-only so the
-    dataset can be shared across parallel workers.
+    Immutable after construction: the dataclass is frozen and the arrays are
+    read-only, so the dataset can be shared across parallel workers.
     """
 
     X: np.ndarray
@@ -312,13 +317,12 @@ class SurveyDataset:
         if violations:
             raise DataValidationError(violations)
         if not self.respondent_ids:
-            self.respondent_ids = tuple(str(i) for i in range(n))
+            object.__setattr__(self, "respondent_ids", tuple(str(i) for i in range(n)))
         elif len(self.respondent_ids) != n:
             raise DataValidationError([Violation("<ids>", f"{len(self.respondent_ids)} ids for {n} rows")])
-        X.setflags(write=False)
-        y.setflags(write=False)
-        self.X = X
-        self.y = y
+        for name, a in (("X", X), ("y", y)):
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
 
     @property
     def n(self) -> int:

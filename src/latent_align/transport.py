@@ -15,8 +15,8 @@ M <= 2, and the default eta = 0.05 runs one stage.
 Two front-ends build the stage kernels for the shared `_staged_loop`:
 
 - `sinkhorn(problem)` solves a TransportProblem with its cost matrix M and
-  returns the full plan gamma. Evaluation uses it to score the discrepancies
-  before and after an intervention.
+  returns the full plan gamma. A problem solves its pre-intervention
+  discrepancy with it when built, and evaluation the post one.
 - `SupportsSolver(target, eta).solve(source, v0)` is the solver's
   kernel-first solve between uniform weights on two supports, bound to one
   target support and eta. It builds each stage's exponent with one GEMM on

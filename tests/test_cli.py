@@ -601,6 +601,9 @@ REJECTED_CASES = {
     "sweep G 1": (["sweep", "--param", "G", "--values", "1"], {}),
     "synth n 3": (["synth", "--n", "3"], {}),
     "synth k_true 1": (["synth", "--k-true", "1"], {}),
+    "synth out empty": (["synth", "--out", ""], {}),
+    "synth out under a file": (["synth", "--out", "a_file/sub"], {}),
+    "run out under a file": (["run", "--max-outer", "5", "--out", "a_file/sub"], {}),
 }
 
 
@@ -627,10 +630,12 @@ def test_rejected_setting_exits_2_and_writes_nothing(tmp_path, capsys, monkeypat
     if any(a.startswith("data/") for a in argv):
         _write_rejected_data(tmp_path / "data")
         capsys.readouterr()
-    out = tmp_path / "o"
     config = [] if argv[0] == "synth" else ["--config", str(_write_config(tmp_path, **keys))]
-    assert main([*argv, *config, "--out", str(out)]) == 2
+    out = [] if "--out" in argv else ["--out", "o"]
+    (tmp_path / "a_file").write_text("")
+    before = sorted(tmp_path.rglob("*"))
+    assert main([*argv, *config, *out]) == 2
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1
     assert json.loads(err)["error"] == "ConfigError"
-    assert not out.exists()
+    assert sorted(tmp_path.rglob("*")) == before

@@ -92,7 +92,9 @@ def _projected_one_row_at_a_time(arts):
 def _evaluate(pre, ref, post, eta):
     """One evaluation pass on handmade codes: the target rows (pre) and the
     reference rows over an identity basis, so each row's projection is the
-    row itself, and an intervention that moves the target rows to post."""
+    row itself, and an intervention that moves the target rows to post. The
+    problem carries its pre discrepancy solved as construction solves it,
+    and the pass must leave every attribute of it as it was."""
     pre, ref, post = (np.asarray(a, dtype=float) for a in (pre, ref, post))
     W = np.vstack([pre, ref])
     k = W.shape[1]
@@ -103,6 +105,9 @@ def _evaluate(pre, ref, post, eta):
         target=0,
         cluster_means=np.array([0.0, 1.0]),
     )
+    target_projection = nnls_project_rows(pre, np.eye(k))
+    reference_codes = la.normalize_rows(W)[groups.i_reference]
+    pre_side = TransportProblem.from_supports(la.normalize_rows(target_projection), reference_codes, eta)
     problem = SimpleNamespace(
         dataset=SimpleNamespace(X=W, schema=SimpleNamespace(s_ctrl=np.arange(k))),
         latent=SimpleNamespace(W=W, H=np.eye(k)),
@@ -110,14 +115,31 @@ def _evaluate(pre, ref, post, eta):
         surrogate=SurrogateModel(beta=np.ones(k), bias=0.0),
         eta=eta,
         tau_delta=1e-6,
-        target_projection=nnls_project_rows(pre, np.eye(k)),
-        reference_codes=la.normalize_rows(W)[groups.i_reference],
-        pre_discrepancy=None,
+        target_projection=target_projection,
+        reference_codes=reference_codes,
+        pre_discrepancy=sinkhorn(pre_side).transport_cost,
     )
+    before = dict(vars(problem))
     delta = np.zeros_like(W)
     delta[groups.i_target] = post - pre
     result = SimpleNamespace(delta=delta, post_projection=None)
-    return evaluate_intervention(problem, result)
+    m = evaluate_intervention(problem, result)
+    assert vars(problem).keys() == before.keys()
+    assert all(getattr(problem, name) is value for name, value in before.items())
+    return m
+
+
+def _count_solves(monkeypatch) -> list:
+    """Record the cost shape of every transport.sinkhorn call from now on."""
+    shapes = []
+    solve = transport.sinkhorn
+
+    def counted(tp, *args, **kwargs):
+        shapes.append(tp.cost.shape)
+        return solve(tp, *args, **kwargs)
+
+    monkeypatch.setattr(transport, "sinkhorn", counted)
+    return shapes
 
 
 class TestAlignmentMetrics:
@@ -145,43 +167,34 @@ class TestAlignmentMetrics:
         assert m.degenerate_alignment and m.rho_reduction == 0.0
 
     def test_one_pass_solves_each_discrepancy_once(self, fixture_arts, monkeypatch):
-        # a copy made by replace has solved nothing yet
+        shapes = _count_solves(monkeypatch)
+        # building a problem solves its pre side, target rows against reference rows
         problem = replace(fixture_arts.problem)
-        shapes = []
-        solve = transport.sinkhorn
-
-        def counted(problem, *args, **kwargs):
-            shapes.append(problem.cost.shape)
-            return solve(problem, *args, **kwargs)
-
-        monkeypatch.setattr(transport, "sinkhorn", counted)
+        n_b, n_ref = fixture_arts.groups.i_target.size, fixture_arts.groups.i_reference.size
+        assert shapes == [(n_b, n_ref)]
+        # a pass solves the post side only
         m = evaluate_intervention(problem, fixture_arts.result)
-        assert len(shapes) == 2
+        assert shapes == [(n_b, n_ref)] * 2
         rows = {r.group: r for r in m.group_movement}
-        assert m.w_before == rows["target_pre"].ot_discrepancy
+        assert m.w_before == rows["target_pre"].ot_discrepancy == problem.pre_discrepancy
         assert m.w_after == rows["target_post"].ot_discrepancy
 
     def test_pre_side_is_solved_once_per_problem_and_eta(self, fixture_arts, monkeypatch):
-        problem, result = replace(fixture_arts.problem), fixture_arts.result
+        problem, result = fixture_arts.problem, fixture_arts.result
         first = evaluate_intervention(problem, result)
-        shapes = []
-        solve = transport.sinkhorn
-
-        def counted(tp, *args, **kwargs):
-            shapes.append(tp.cost.shape)
-            return solve(tp, *args, **kwargs)
-
-        monkeypatch.setattr(transport, "sinkhorn", counted)
+        assert first.w_before == problem.pre_discrepancy
+        shapes = _count_solves(monkeypatch)
         # a second pass against the same problem solves only the post side
         assert evaluate_intervention(problem, result) == first
         assert len(shapes) == 1
         # a with_knobs copy keeps the problem's eta, and with it the pre side
         with pytest.raises(ValueError, match="with_knobs"):
             problem.with_knobs(eta=0.1)
-        assert problem.with_knobs(sparsity_weight=0.0).pre_discrepancy == first.w_before
-        # a problem at another eta starts empty and solves its own pre side once
+        assert problem.with_knobs(sparsity_weight=0.0).pre_discrepancy is problem.pre_discrepancy
+        assert len(shapes) == 1
+        # a problem at another eta solves its own pre side when built, and only then
         other = replace(problem, eta=0.1)
-        assert other.pre_discrepancy is None
+        assert len(shapes) == 2
         m = evaluate_intervention(other, result)
         assert len(shapes) == 3
         assert other.pre_discrepancy == m.w_before != first.w_before
@@ -190,6 +203,26 @@ class TestAlignmentMetrics:
         # and the first problem's value stays
         assert problem.pre_discrepancy == first.w_before
         assert evaluate_intervention(problem, result) == first
+
+    def test_a_pass_makes_at_most_one_solve(self, fixture_arts, monkeypatch):
+        problem, result = replace(fixture_arts.problem), fixture_arts.result
+        zero = replace(result, delta=np.zeros_like(result.delta))
+        shapes = _count_solves(monkeypatch)
+        evaluate_intervention(problem, result)
+        assert len(shapes) == 1
+        # a zero intervention's post side is its pre side: nothing to solve
+        evaluate_intervention(problem, zero)
+        assert len(shapes) == 1
+
+    def test_a_pass_writes_nothing_to_the_problem(self, fixture_arts):
+        problem = replace(fixture_arts.problem)
+        before = dict(vars(problem))
+        result = fixture_arts.result
+        for r in (result, replace(result, delta=np.zeros_like(result.delta))):
+            evaluate_intervention(problem, r)
+        assert vars(problem).keys() == before.keys()
+        for name, value in before.items():
+            assert getattr(problem, name) is value, name
 
     def test_dw_matches_independent_recomputation(self, fixture_arts):
         m = fixture_arts.metrics
@@ -275,25 +308,27 @@ class TestOneLatentMap:
         assert report.n_conv == 0 and report.dw == 0.0 and report.effort == 0.0
 
     def test_zero_intervention_reuses_the_pre_side(self, fixture_arts, monkeypatch):
-        # copies made by replace have solved and projected nothing yet
-        problem, result = replace(fixture_arts.problem), fixture_arts.result
+        # a copy made by replace has projected nothing yet
+        problem, result = fixture_arts.problem, fixture_arts.result
         zero = replace(result, delta=np.zeros_like(result.delta))
         i_b = problem.groups.i_target
         # the old way: X_B + 0 projected in its own call and the post side solved
         old = replace(zero)
         old.post_projection = nnls_project_rows(problem.dataset.X[i_b] + 0.0, problem.latent.H)
-        expected = evaluate_intervention(replace(problem), old)
+        expected = evaluate_intervention(problem, old)
         ref = la.normalize_rows(problem.latent.W)[problem.groups.i_reference]
         post = la.normalize_rows(old.post_projection)
         assert expected.w_after == sinkhorn(TransportProblem.from_supports(post, ref, problem.eta)).transport_cost
 
-        projections, solves = [], []
-        project, solve = evaluation.nnls_project_rows, transport.sinkhorn
+        projections = []
+        project = evaluation.nnls_project_rows
         monkeypatch.setattr(evaluation, "nnls_project_rows", lambda *a: projections.append(1) or project(*a))
-        monkeypatch.setattr(transport, "sinkhorn", lambda *a, **kw: solves.append(1) or solve(*a, **kw))
+        solves = _count_solves(monkeypatch)
         report = evaluate_intervention(problem, zero)
-        assert projections == [] and len(solves) == 1
+        # no projection and no solve: the post side is the problem's pre side
+        assert projections == [] and solves == []
         assert zero.post_projection is problem.target_projection
+        assert report.w_after == report.w_before == problem.pre_discrepancy
         assert report == expected
         assert report.dw == 0.0 and report.n_conv == 0
 

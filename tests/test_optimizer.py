@@ -1,6 +1,6 @@
 import math
 import warnings
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -452,6 +452,20 @@ class TestWithKnobs:
             assert not p.lever_box.flags.writeable
         assert not np.array_equal(swapped.lever_box, problem.lever_box)
 
+    def test_copies_share_every_derived_field_and_replace_derives_them_again(self, fixture_arts):
+        problem = fixture_arts.problem
+        derived = ("target_projection", "reference_codes", "lever_box", "pre_discrepancy")
+        copy = problem.with_knobs(max_outer=3, alignment="mean_margin")
+        for name in derived:
+            assert getattr(copy, name) is getattr(problem, name), name
+        other = replace(problem, eta=0.1)
+        for name in derived:
+            assert getattr(other, name) is not getattr(problem, name), name
+        assert isinstance(other.pre_discrepancy, float)
+        pre = la.normalize_rows(other.target_projection)
+        solved = sinkhorn(TransportProblem.from_supports(pre, other.reference_codes, 0.1)).transport_cost
+        assert other.pre_discrepancy == solved != problem.pre_discrepancy
+
     @pytest.mark.parametrize("change", [{"groups": None}, {"dataset": None}, {"target_projection": None}, {"bogus": 1}])
     def test_rejects_what_the_projection_depends_on(self, fixture_arts, change):
         with pytest.raises(ValueError, match="with_knobs"):
@@ -465,6 +479,19 @@ class TestWithKnobs:
         # a negative tau_delta would count every lever of a zero intervention as active
         with pytest.raises(ValueError, match="tau_delta must be >= 0"):
             fixture_arts.problem.with_knobs(tau_delta=-1.0)
+
+
+class TestFrozenProblem:
+    """A problem is complete and read-only once built: a write would skip the
+    knob checks and leave the derived fields stale."""
+
+    @pytest.mark.parametrize("name", [f.name for f in fields(InterventionProblem)])
+    def test_assigning_a_field_raises(self, fixture_arts, name):
+        problem = fixture_arts.problem
+        value = getattr(problem, name)
+        with pytest.raises(FrozenInstanceError):
+            setattr(problem, name, value)
+        assert getattr(problem, name) is value
 
 
 class TestStepRule:

@@ -1,4 +1,5 @@
 import json
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -309,6 +310,17 @@ class TestDatasetConstruction:
         with pytest.raises(ValueError):
             ds.X[0, 0] = 5.0
 
+    def test_fields_cannot_be_reassigned(self):
+        # swapping in an unchecked matrix would bypass the one validity gate
+        ds = la.generate_synthetic(200, la.default_synthetic_schema(), k_true=3, seed=0)
+        X = ds.X.copy()
+        X[0, ds.schema.names.index("lever_1")] = 2.5
+        X[1, ds.schema.names.index("incentive_level")] = 99.0
+        with pytest.raises(FrozenInstanceError):
+            ds.X = X
+        assert not ds.X.flags.writeable
+        assert la.validate_rows(ds.X, ds.schema, mode="report") == []
+
 
 @settings(max_examples=30, deadline=None)
 @given(
@@ -390,3 +402,22 @@ def test_schema_json_round_trip(tmp_path):
     assert loaded == schema
     doc = json.loads((tmp_path / "s.json").read_text())
     assert set(doc) == {"outcome", "features"}
+
+
+@pytest.mark.parametrize(
+    "key, value", [("controllable", "false"), ("controllable", "no"), ("controllable", 0), ("name", 5), ("block", 1)]
+)
+def test_schema_entry_types_are_checked_not_cast(key, value):
+    # a cast would read "false" as a lever and 5 as a name
+    doc = _schema_4().to_dict()
+    doc["features"][1][key] = value
+    with pytest.raises(SchemaError, match="name must be str, block str or null, controllable bool"):
+        FeatureSchema.from_dict(doc)
+
+
+def test_schema_outcome_must_be_a_string():
+    doc = _schema_4().to_dict()
+    doc["outcome"] = 7
+    with pytest.raises(SchemaError, match="outcome 7 must be a string"):
+        FeatureSchema.from_dict(doc)
+
