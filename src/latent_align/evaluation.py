@@ -39,7 +39,7 @@ class GroupMovementRow:
     ot_discrepancy: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class MetricsReport:
     n_conv: int
     r_conv: float

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .records import JSONRecord
+from .records import JSONRecord, check_types
 
 MU_EPS = 1e-12  # multiplicative-update denominator guard
 ZERO_ROW_TOL = 1e-12
@@ -28,7 +28,7 @@ NNLS_MAX_PASSES = 100  # exchange passes before NNLSError
 NNLS_BACKUP_PASSES = 3  # full swaps allowed after the infeasible count stops falling
 
 
-@dataclass
+@dataclass(frozen=True)
 class LatentModel(JSONRecord):
     """Frozen nonnegative basis with training coefficients.
 
@@ -54,6 +54,7 @@ class LatentModel(JSONRecord):
     loss_history: tuple[float, ...] = field(default=(), repr=False, metadata={"record": False})
 
     def __post_init__(self):
+        check_types(self, ValueError)
         _check_latent_invariants(self.W, self.H, self.k)
         self.W.setflags(write=False)
         self.H.setflags(write=False)

@@ -12,13 +12,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .records import JSONRecord
+from .records import JSONRecord, check_types
 
 MAX_LLOYD_ITERS = 300
 
 
-@dataclass
+@dataclass(frozen=True)
 class GroupAssignment(JSONRecord):
+    """Cluster labels and centroids, with the reference and target clusters.
+    Every label, reference and target index a row of centroids, and
+    cluster_means holds one outcome mean per centroid."""
+
     labels: np.ndarray
     centroids: np.ndarray
     reference: int
@@ -26,13 +30,18 @@ class GroupAssignment(JSONRecord):
     cluster_means: np.ndarray
 
     def __post_init__(self):
-        self.labels.setflags(write=False)
-        self.centroids.setflags(write=False)
-        self.cluster_means.setflags(write=False)
+        check_types(self, ValueError)
+        n = len(self.centroids)
+        if not np.issubdtype(self.labels.dtype, np.integer) or np.any((self.labels < 0) | (self.labels >= n)):
+            raise ValueError(f"labels out of range: each must be an integer row index of the {n} centroids")
+        if not (0 <= self.reference < n and 0 <= self.target < n):
+            raise ValueError(f"reference {self.reference} or target {self.target} out of range for {n} centroids")
+        if self.cluster_means.shape != (n,):
+            raise ValueError(f"cluster_means has shape {self.cluster_means.shape}, expected ({n},)")
+        for a in (self.labels, self.centroids, self.cluster_means):
+            a.setflags(write=False)
         if self.reference == self.target:
-            raise ValueError(
-                "reference and target clusters coincide; outcome does not separate the clusters"
-            )
+            raise ValueError("reference and target clusters coincide; outcome does not separate the clusters")
 
     @property
     def i_reference(self) -> np.ndarray:
@@ -175,8 +184,6 @@ def anchor_groups(labels: np.ndarray, y: np.ndarray, centroids: np.ndarray) -> G
     if labels.shape != y.shape:
         raise ValueError(f"labels {labels.shape} and y {y.shape} must align")
     n_clusters = centroids.shape[0]
-    if labels.min() < 0 or labels.max() >= n_clusters:
-        raise ValueError("labels out of range")
     means = np.empty(n_clusters)
     for c in range(n_clusters):
         members = labels == c

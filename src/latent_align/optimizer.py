@@ -147,7 +147,9 @@ class InterventionResult:
     the first evaluation (`evaluation.target_codes`), which keeps the
     problem's target_projection when delta_B = 0. Every later post score
     reads it. It is not an init field, so a `dataclasses.replace` copy starts
-    without it and is projected again when it is scored.
+    without it and is projected again when it is scored. Unlike the records a
+    run carries, the result is not frozen: that cache is set after
+    construction.
     """
 
     delta: np.ndarray

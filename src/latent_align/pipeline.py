@@ -1,5 +1,6 @@
 """End-to-end experiment assembly: configuration, one-seed pipeline run, and
-the artifact bundle the CLI serializes.
+the artifact bundle the CLI serializes. The config checks its field types by
+the one rule of `records.check_types`.
 """
 
 from __future__ import annotations
@@ -7,7 +8,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, fields, replace
-from numbers import Integral, Real
 
 import numpy as np
 
@@ -15,6 +15,7 @@ from .evaluation import MetricsReport, evaluate_intervention
 from .factorization import LatentModel, fit_nmf, normalize_rows
 from .grouping import GroupAssignment, anchor_groups, kmeans
 from .optimizer import InterventionProblem, InterventionResult, optimize
+from .records import check_types
 from .schema import (
     DataValidationError,
     SurveyDataset,
@@ -34,19 +35,6 @@ _RENAMES = {"n_clusters": "G", "sparsity_weight": "lambda"}
 _FIELD_NAMES = {v: k for k, v in _RENAMES.items()}
 # sweep name (the field's external name) -> type its value strings parse to
 SWEEPABLE = {"k": int, "G": int, "lambda": float, "eta": float, "q": int}
-# field annotation -> accepted value types; an integer is a valid float
-_VALUE_TYPES = {"int": Integral, "float": Real, "str": str}
-
-
-def _has_type(value, annotation: str) -> bool:
-    """Whether a config value fits its field annotation, e.g. "int",
-    "float | None" or "tuple[int, ...]". A bool is not a number here."""
-    kind, _, optional = annotation.partition(" | ")
-    if value is None:
-        return optional == "None"
-    if kind == "tuple[int, ...]":
-        return isinstance(value, tuple) and all(_has_type(v, "int") for v in value)
-    return isinstance(value, _VALUE_TYPES[kind]) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -88,13 +76,7 @@ class ExperimentConfig:
         return self.q if self.q is not None else math.ceil(self.k / 2)
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            name = _RENAMES.get(f.name, f.name)
-            if not _has_type(value, f.type):
-                raise ConfigError(f"{name} must be {f.type}, got {value!r}")
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ConfigError(f"{name} must be finite, got {value!r}")
+        check_types(self, ConfigError, names=_RENAMES)
         if self.k < 1:
             raise ConfigError(f"k must be >= 1, got {self.k}")
         if self.n_clusters < 2:
@@ -131,8 +113,8 @@ class ExperimentConfig:
             raise ConfigError("dataset_csv and schema_json must be given together")
         if self.binarize_rule not in ("median", "fixed"):
             raise ConfigError(f"unknown binarize rule {self.binarize_rule!r}")
-        if self.binarize_rule == "fixed" and self.binarize_threshold is None:
-            raise ConfigError("fixed binarization needs binarize_threshold")
+        if (self.binarize_rule == "fixed") != (self.binarize_threshold is not None):
+            raise ConfigError("binarize_threshold must be given under the fixed rule and only there")
 
     def to_dict(self) -> dict:
         out = {}
@@ -174,7 +156,7 @@ class ExperimentConfig:
         return replace(self, **{_FIELD_NAMES.get(param, param): value})
 
 
-@dataclass
+@dataclass(frozen=True)
 class PipelineArtifacts:
     seed: int
     dataset: SurveyDataset

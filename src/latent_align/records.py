@@ -1,22 +1,46 @@
-"""The JSON record format of the typed per-seed artifacts.
-
-A record is a dataclass that inherits `JSONRecord`. `to_dict` writes every
-field not marked `field(metadata={"record": False})`: arrays as nested lists,
-scalars annotated int, float or bool cast to that type (so a config's
-integer 1 for a float field is written as 1.0), anything else as it is.
+"""The one field-type rule, `check_types`, which the config, the feature
+schema and the records call, and the JSON format of the typed per-seed
+records. A record is a frozen dataclass that inherits `JSONRecord`. `to_dict`
+writes every field not marked `field(metadata={"record": False})`: arrays as
+nested lists, int, float and bool fields as that Python type, the rest as is.
 `from_dict` requires every key `to_dict` writes, rebuilds arrays with
-`np.array` and builds the record through its constructor, so the record's
-own checks run again on load. The record modules use postponed annotations,
-so field types are read as strings.
+`np.array`, casts nothing, and builds the record through its constructor, so
+its checks run again on load. Field types are read as strings.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import fields
+from numbers import Integral, Real
 
 import numpy as np
 
+# field annotation -> accepted value types
+_VALUE_TYPES = {"int": Integral, "float": Real, "bool": bool, "str": str}
 _CASTS = {"int": int, "float": float, "bool": bool}
+
+
+def _has_type(value, kind: str) -> bool:
+    if kind == "tuple[int, ...]":
+        return isinstance(value, tuple) and all(_has_type(v, "int") for v in value)
+    if isinstance(value, bool) != (kind == "bool"):
+        return False
+    return isinstance(value, _VALUE_TYPES[kind]) and (isinstance(value, Integral | str) or math.isfinite(value))
+
+
+def check_types(obj, error: type[Exception], prefix: str = "", names: dict | None = None) -> None:
+    """Raise error at the first field of dataclass obj whose value breaks the
+    rule: an integer is a valid float, a float is finite, only a bool is a
+    bool, `| None` allows None and `tuple[int, ...]` checks each item. Other
+    annotations are left to the class. names renames fields in the message."""
+    for f in fields(obj):
+        kind, _, optional = f.type.partition(" | ")
+        if kind not in _VALUE_TYPES and kind != "tuple[int, ...]":
+            continue
+        value = getattr(obj, f.name)
+        if not (value is None and optional == "None" or _has_type(value, kind)):
+            raise error(f"{prefix}{(names or {}).get(f.name, f.name)} must be {f.type}, got {value!r}")
 
 
 class JSONRecord:
@@ -40,9 +64,5 @@ class JSONRecord:
         kwargs = {}
         for f in cls._record_fields():
             value = d[f.name]
-            if f.type == "np.ndarray":
-                value = np.array(value)
-            elif f.type in _CASTS:
-                value = _CASTS[f.type](value)
-            kwargs[f.name] = value
+            kwargs[f.name] = np.array(value) if f.type == "np.ndarray" else value
         return cls(**kwargs)

@@ -4,19 +4,22 @@ deterministic synthetic data generation.
 
 Encoding happens upstream of this package. A dataset is a nonnegative matrix of
 already one-hot-expanded responses plus an outcome column; the schema declares
-measurement kinds, bounds, one-hot block structure and controllability.
+measurement kinds, bounds, one-hot block structure and controllability. The
+schema checks its field types by the one rule of `records.check_types`.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
 
 import numpy as np
+
+from .records import check_types
 
 BLOCK_SUM_TOL = 1e-9
 BOUND_TOL = 1e-9
@@ -84,10 +87,8 @@ class FeatureSchema:
         if not self.features:
             raise SchemaError("schema declares no features")
         for f in self.features:
-            if not (isinstance(f.name, str) and isinstance(f.block, str | None) and type(f.controllable) is bool):
-                raise SchemaError(f"feature {f.name!r}: name must be str, block str or null, controllable bool")
-        if not isinstance(self.outcome, str):
-            raise SchemaError(f"outcome {self.outcome!r} must be a string")
+            check_types(f, SchemaError, prefix=f"feature {f.name!r}: ")
+        check_types(self, SchemaError)
         names = [f.name for f in self.features]
         if len(set(names)) != len(names):
             raise SchemaError("duplicate feature names in schema")
@@ -95,8 +96,6 @@ class FeatureSchema:
             raise SchemaError(f"outcome column '{self.outcome}' collides with a feature name")
         blocks: dict[str, list[FeatureSpec]] = {}
         for f in self.features:
-            if not np.isfinite(f.lower) or not np.isfinite(f.upper):
-                raise SchemaError(f"feature '{f.name}': bounds must be finite")
             if f.lower < 0:
                 raise SchemaError(f"feature '{f.name}': lower bound must be >= 0 (encoded responses are nonnegative)")
             if f.kind is FeatureKind.LIKERT:
@@ -183,20 +182,7 @@ class FeatureSchema:
         return final
 
     def to_dict(self) -> dict:
-        return {
-            "outcome": self.outcome,
-            "features": [
-                {
-                    "name": f.name,
-                    "kind": f.kind.value,
-                    "lower": f.lower,
-                    "upper": f.upper,
-                    "block": f.block,
-                    "controllable": f.controllable,
-                }
-                for f in self.features
-            ],
-        }
+        return {"outcome": self.outcome, "features": [{**asdict(f), "kind": f.kind.value} for f in self.features]}
 
     @classmethod
     def from_dict(cls, d: dict) -> "FeatureSchema":
@@ -212,8 +198,8 @@ class FeatureSchema:
                     FeatureSpec(
                         name=entry["name"],
                         kind=FeatureKind(entry["kind"]),
-                        lower=float(entry["lower"]),
-                        upper=float(entry["upper"]),
+                        lower=entry["lower"],
+                        upper=entry["upper"],
                         block=entry.get("block"),
                         controllable=entry["controllable"],
                     )

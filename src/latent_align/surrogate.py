@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .records import JSONRecord
+from .records import JSONRecord, check_types
 
 DEFAULT_EPS_OMEGA = 1e-6
 GRAD_TOL = 1e-7
@@ -27,7 +27,7 @@ def _sigmoid(m: np.ndarray) -> np.ndarray:
     return np.where(m >= 0, 1.0, e) / (1.0 + e)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SurrogateModel(JSONRecord):
     """Logistic probe: predict(w) = sigmoid(beta . w + bias)."""
 
@@ -40,7 +40,8 @@ class SurrogateModel(JSONRecord):
     grad_norm: float = 0.0
 
     def __post_init__(self):
-        self.beta = np.asarray(self.beta, dtype=float)
+        check_types(self, ValueError)
+        object.__setattr__(self, "beta", np.asarray(self.beta, dtype=float))
         self.beta.setflags(write=False)
         if not 0.0 < self.tau_y < 1.0:
             raise ValueError(f"tau_y must lie in (0, 1), got {self.tau_y}")
@@ -49,7 +50,7 @@ class SurrogateModel(JSONRecord):
         return _sigmoid(np.asarray(W, dtype=float) @ self.beta + self.bias)
 
 
-@dataclass
+@dataclass(frozen=True)
 class PriorityWeights(JSONRecord):
     """Latent-factor relevance and the derived controllable-feature priorities.
 
@@ -66,6 +67,7 @@ class PriorityWeights(JSONRecord):
     provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        check_types(self, ValueError)
         for arr in (self.varphi, self.top_factors, self.omega, self.rho, self.s_ctrl):
             arr.setflags(write=False)
 
@@ -156,17 +158,16 @@ def fit_logistic(
         theta = theta + t * step
         loss, grad, hess = trial
 
-    model = SurrogateModel(
+    preds = (_sigmoid(W @ theta[:-1] + float(theta[-1])) >= 0.5).astype(float)  # as predict_proba scores
+    return SurrogateModel(
         beta=theta[:-1],
         bias=float(theta[-1]),
         tau_y=tau_y,
+        train_accuracy=float(np.mean(preds == labels)),
         l2=l2,
         n_iters=it,
         grad_norm=float(np.max(np.abs(grad))),
     )
-    preds = (model.predict_proba(W) >= 0.5).astype(float)
-    model.train_accuracy = float(np.mean(preds == labels))
-    return model
 
 
 def shapley_latent(model: SurrogateModel, W_tilde: np.ndarray, background: np.ndarray) -> np.ndarray:

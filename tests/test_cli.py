@@ -470,6 +470,19 @@ class TestDatasetFiles:
         assert json.loads(err)["error"] == "ConfigError"
         assert not out.exists()
 
+    @pytest.mark.parametrize("bound, value", [("upper", "10"), ("lower", True)])
+    def test_a_schema_bound_that_is_not_a_number_exits_2(self, tmp_path, capsys, bound, value):
+        # a cast would read "10" as 10.0 and true as 1.0
+        csv_path, schema_path = self._data(tmp_path)
+        schema = json.loads(schema_path.read_text())
+        schema["features"][0][bound] = value
+        schema_path.write_text(json.dumps(schema))
+        out = tmp_path / "o"
+        assert main(["run", "--dataset", str(csv_path), "--schema", str(schema_path), "--out", str(out)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "SchemaError" and f"{bound} must be float" in err["message"]
+        assert not out.exists()
+
     def test_seeds_share_one_read(self, tmp_path, monkeypatch):
         csv_path, schema_path = self._data(tmp_path)
         load, calls = pipeline.load_dataset, []
@@ -592,6 +605,7 @@ REJECTED_CASES = {
     "run G above n": (["run", "--g", "201"], {}),
     "baselines G above n": (["baselines", "--g", "201"], {}),
     "run threshold above every score": (["run"], FIXED_ABOVE_EVERY_SCORE),
+    "run threshold under the median rule": (["run"], {"binarize_rule": "median", "binarize_threshold": 0.3}),
     "baselines threshold above every score": (["baselines"], FIXED_ABOVE_EVERY_SCORE),
     "run constant outcome": (["run", *CONSTANT_OUTCOME], {}),
     "baselines constant outcome": (["baselines", *CONSTANT_OUTCOME], {}),

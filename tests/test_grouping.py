@@ -191,3 +191,20 @@ def test_group_assignment_round_trip(fixture_arts):
     assert np.array_equal(loaded.labels, g.labels)
     assert loaded.reference == g.reference and loaded.target == g.target
     np.testing.assert_allclose(loaded.cluster_means, g.cluster_means)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda doc: doc.update(target=7), "target 7 out of range"),
+        (lambda doc: doc.update(labels=[9] * len(doc["labels"])), "labels out of range"),
+        (lambda doc: doc.update(cluster_means=doc["cluster_means"][:-1]), "cluster_means has shape"),
+    ],
+    ids=["target_beyond_the_centroids", "every_label_beyond_the_centroids", "one_mean_short"],
+)
+def test_group_assignment_load_checks_every_index(fixture_arts, edit, message):
+    # before, each loaded with an empty target group, or both groups empty
+    doc = json.loads(json.dumps(fixture_arts.groups.to_dict()))
+    edit(doc)
+    with pytest.raises(ValueError, match=message):
+        GroupAssignment.from_dict(doc)

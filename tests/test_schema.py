@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -404,20 +405,36 @@ def test_schema_json_round_trip(tmp_path):
     assert set(doc) == {"outcome", "features"}
 
 
+SPEC_ANNOTATIONS = {"name": "str", "block": "str | None", "controllable": "bool", "lower": "float", "upper": "float"}
+
+
 @pytest.mark.parametrize(
-    "key, value", [("controllable", "false"), ("controllable", "no"), ("controllable", 0), ("name", 5), ("block", 1)]
+    "key, value",
+    [
+        ("controllable", "false"),
+        ("controllable", "no"),
+        ("controllable", 0),
+        ("name", 5),
+        ("block", 1),
+        ("upper", "10"),
+        ("lower", True),
+        ("upper", float("inf")),
+        ("lower", float("nan")),
+    ],
 )
 def test_schema_entry_types_are_checked_not_cast(key, value):
-    # a cast would read "false" as a lever and 5 as a name
+    # a cast would read "false" as a lever, 5 as a name, "10" as 10.0 and true as 1.0
     doc = _schema_4().to_dict()
     doc["features"][1][key] = value
-    with pytest.raises(SchemaError, match="name must be str, block str or null, controllable bool"):
+    name = doc["features"][1]["name"]
+    message = f"feature {name!r}: {key} must be {SPEC_ANNOTATIONS[key]}, got {value!r}"
+    with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
         FeatureSchema.from_dict(doc)
 
 
 def test_schema_outcome_must_be_a_string():
     doc = _schema_4().to_dict()
     doc["outcome"] = 7
-    with pytest.raises(SchemaError, match="outcome 7 must be a string"):
+    with pytest.raises(SchemaError, match="^outcome must be str, got 7$"):
         FeatureSchema.from_dict(doc)
 
