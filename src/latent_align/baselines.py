@@ -24,6 +24,7 @@ from .optimizer import (
     _assemble_result,
     optimize,
 )
+from .records import check_types
 from .surrogate import PriorityWeights
 
 KIND_TOP_SINGLE = "top_shapley_single"
@@ -47,6 +48,7 @@ class BaselineSpec:
     step_magnitude: float = 0.2
 
     def __post_init__(self):
+        check_types(self, ValueError)
         if self.kind not in BASELINE_KINDS:
             raise ValueError(f"unknown baseline kind {self.kind!r}")
         if self.k_levers < 1:

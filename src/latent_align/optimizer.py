@@ -10,6 +10,8 @@ proximal alternating linearized minimization (Bolte, Sabach & Teboulle 2014).
 Each block keeps its own step size and backtracks on its own part of the
 penalized objective, so only U trials pay for a transport solve; an iterate
 is accepted only if the whole penalized objective strictly decreases.
+`check_knobs` states each solve knob's range once, for the config, problem
+construction and `with_knobs`; the last two apply `records.check_types` first.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import numpy as np
 
 from .factorization import LatentModel, nnls_project_rows, normalize_rows
 from .grouping import GroupAssignment
+from .records import check_types
 from .schema import FeatureSchema, SurveyDataset, validate_rows
 from .surrogate import PriorityWeights, SurrogateModel
 from . import transport
@@ -46,6 +49,21 @@ STATUS_PLATEAU = "plateau"
 ALIGNMENT_OT = "ot"
 ALIGNMENT_MEAN_MARGIN = "mean_margin"
 ALIGNMENT_CENTROID = "centroid"
+
+
+def check_knobs(obj, error: type[Exception] = ValueError, names: dict | None = None) -> None:
+    """Raise error at the first solve knob of obj out of its range, as "<name>
+    must be <rule>, got <value>"; names renames fields as in `check_types`."""
+    for name, ok, rule in (
+        ("eta", obj.eta > 0, "positive"),
+        ("sparsity_weight", obj.sparsity_weight >= 0, ">= 0"),
+        ("beta_couple", obj.beta_couple is None or obj.beta_couple > 0, "positive or None"),
+        ("max_outer", obj.max_outer >= 1, ">= 1"),
+        ("tol_obj", obj.tol_obj >= 0, ">= 0"),
+        ("tau_delta", obj.tau_delta >= 0, ">= 0"),
+    ):
+        if not ok:
+            raise error(f"{(names or {}).get(name, name)} must be {rule}, got {getattr(obj, name)!r}")
 
 
 @dataclass(frozen=True)
@@ -81,7 +99,7 @@ class InterventionProblem:
     pre_discrepancy: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self._check_knobs()
+        self._check()
         target = nnls_project_rows(self.dataset.X[self.groups.i_target], self.latent.H)
         reference = normalize_rows(self.latent.W)[self.groups.i_reference]
         box = _lever_box(self.dataset.X, self.dataset.schema, self.groups.i_target)
@@ -99,20 +117,12 @@ class InterventionProblem:
             raise ValueError(f"with_knobs changes only {sorted(knobs)}, got {sorted(changes.keys() - knobs)}")
         new = copy.copy(self)
         new.__dict__.update(changes)
-        new._check_knobs()
+        new._check()
         return new
 
-    def _check_knobs(self) -> None:
-        if self.sparsity_weight < 0:
-            raise ValueError("sparsity_weight must be >= 0")
-        if self.beta_couple is not None and not self.beta_couple > 0:
-            raise ValueError("beta_couple must be positive (or None for auto)")
-        if not self.eta > 0:
-            raise ValueError("eta must be positive")
-        if self.max_outer < 1:
-            raise ValueError("max_outer must be >= 1")
-        if self.tau_delta < 0:
-            raise ValueError("tau_delta must be >= 0")
+    def _check(self) -> None:
+        check_types(self, ValueError)
+        check_knobs(self)
         if self.alignment not in (ALIGNMENT_OT, ALIGNMENT_MEAN_MARGIN, ALIGNMENT_CENTROID):
             raise ValueError(f"unknown alignment kind {self.alignment!r}")
 

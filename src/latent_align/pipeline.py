@@ -1,6 +1,6 @@
 """End-to-end experiment assembly: configuration, one-seed pipeline run, and
 the artifact bundle the CLI serializes. The config checks its field types by
-the one rule of `records.check_types`.
+`records.check_types` and its solve knobs' ranges by `optimizer.check_knobs`.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import numpy as np
 from .evaluation import MetricsReport, evaluate_intervention
 from .factorization import LatentModel, fit_nmf, normalize_rows
 from .grouping import GroupAssignment, anchor_groups, kmeans
-from .optimizer import InterventionProblem, InterventionResult, optimize
+from .optimizer import InterventionProblem, InterventionResult, check_knobs, optimize
 from .records import check_types
 from .schema import (
     DataValidationError,
@@ -77,27 +77,20 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         check_types(self, ConfigError, names=_RENAMES)
+        check_knobs(self, ConfigError, names=_RENAMES)
         if self.k < 1:
             raise ConfigError(f"k must be >= 1, got {self.k}")
         if self.n_clusters < 2:
             raise ConfigError(f"G must be >= 2, got {self.n_clusters}")
         if not 1 <= self.resolved_q() <= self.k:
             raise ConfigError(f"q must lie in [1, k], got {self.q} with k={self.k}")
-        if not self.eta > 0:
-            raise ConfigError("eta must be positive")
-        if self.sparsity_weight < 0:
-            raise ConfigError("lambda must be >= 0")
-        if self.beta_couple is not None and not self.beta_couple > 0:
-            raise ConfigError(f"beta_couple must be positive or null, got {self.beta_couple}")
         if not 0 < self.tau_y < 1:
             raise ConfigError("tau_y must lie in (0, 1)")
-        if self.tau_delta < 0:
-            raise ConfigError("tau_delta must be >= 0")
         if not self.eps_omega > 0:
             raise ConfigError("eps_omega must be positive")
         if self.logistic_l2 < 0:
             raise ConfigError("logistic_l2 must be >= 0")
-        for name in ("max_outer", "nmf_max_iters", "kmeans_restarts", "baseline_k_levers"):
+        for name in ("nmf_max_iters", "kmeans_restarts", "baseline_k_levers"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not self.baseline_step > 0:
@@ -214,12 +207,6 @@ def run_pipeline(config: ExperimentConfig, seed: int, dataset: SurveyDataset | N
         dataset.schema.s_ctrl,
         q=config.resolved_q(),
         eps_omega=config.eps_omega,
-        provenance={
-            "seed": seed,
-            "q": config.resolved_q(),
-            "eps_omega": config.eps_omega,
-            "binarize_rule": config.binarize_rule,
-        },
     )
     problem = InterventionProblem(
         dataset=dataset,

@@ -1,11 +1,13 @@
 """The one field-type rule, `check_types`, which the config, the feature
-schema and the records call, and the JSON format of the typed per-seed
-records. A record is a frozen dataclass that inherits `JSONRecord`. `to_dict`
-writes every field not marked `field(metadata={"record": False})`: arrays as
-nested lists, int, float and bool fields as that Python type, the rest as is.
-`from_dict` requires every key `to_dict` writes, rebuilds arrays with
-`np.array`, casts nothing, and builds the record through its constructor, so
-its checks run again on load. Field types are read as strings.
+schema, the records, the baseline spec and every problem call (the config and
+the problem then call `optimizer.check_knobs` for the solve knobs' ranges),
+and the JSON format of the typed per-seed records. A record is a frozen
+dataclass that inherits `JSONRecord`. `to_dict` writes every field not marked
+`field(metadata={"record": False})`: arrays as nested lists, int, float and
+bool fields as that Python type, the rest as is. `from_dict` requires every
+key `to_dict` writes, rebuilds arrays with `np.array`, casts nothing, and
+builds the record through its constructor, so its checks run again on load.
+Field types are read as strings.
 """
 
 from __future__ import annotations
@@ -33,10 +35,11 @@ def check_types(obj, error: type[Exception], prefix: str = "", names: dict | Non
     """Raise error at the first field of dataclass obj whose value breaks the
     rule: an integer is a valid float, a float is finite, only a bool is a
     bool, `| None` allows None and `tuple[int, ...]` checks each item. Other
-    annotations are left to the class. names renames fields in the message."""
+    annotations are left to the class, and so are fields that are not init
+    fields. names renames fields in the message."""
     for f in fields(obj):
         kind, _, optional = f.type.partition(" | ")
-        if kind not in _VALUE_TYPES and kind != "tuple[int, ...]":
+        if not f.init or kind not in _VALUE_TYPES and kind != "tuple[int, ...]":
             continue
         value = getattr(obj, f.name)
         if not (value is None and optional == "None" or _has_type(value, kind)):

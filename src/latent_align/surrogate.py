@@ -9,7 +9,7 @@ to produce per-feature priority scores and sparsity penalty weights.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,7 +64,6 @@ class PriorityWeights(JSONRecord):
     rho: np.ndarray
     s_ctrl: np.ndarray
     eps_omega: float
-    provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
         check_types(self, ValueError)
@@ -234,7 +233,6 @@ def build_priorities(
     s_ctrl: np.ndarray,
     q: int,
     eps_omega: float = DEFAULT_EPS_OMEGA,
-    provenance: dict | None = None,
 ) -> PriorityWeights:
     """Full attribution chain: Shapley, aggregate, top-q, feature transfer.
 
@@ -254,5 +252,4 @@ def build_priorities(
         rho=rho,
         s_ctrl=np.asarray(s_ctrl, dtype=int).copy(),
         eps_omega=eps_omega,
-        provenance=dict(provenance or {}),
     )

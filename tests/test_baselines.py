@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -38,6 +39,18 @@ class TestBaselineSpec:
     def test_uniform_needs_positive_step(self):
         with pytest.raises(ValueError, match="step_magnitude"):
             BaselineSpec(kind="top_shapley_topk", step_magnitude=0.0)
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"k_levers": 2.5}, "k_levers must be int, got 2.5"),
+            ({"k_levers": True}, "k_levers must be int, got True"),
+            ({"step_magnitude": float("inf")}, "step_magnitude must be float, got inf"),
+        ],
+    )
+    def test_field_types_are_checked(self, change, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            BaselineSpec(kind="top_shapley_topk", **change)
 
     def test_too_many_levers(self, fixture_arts):
         spec = BaselineSpec(kind="top_shapley_topk", k_levers=99)

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import fields
@@ -90,7 +91,7 @@ class TestConfig:
         ids=["constructor", "from_dict", "replace", "with_param"],
     )
     def test_every_way_to_build_checks(self, build):
-        with pytest.raises(ConfigError, match="^eta must be positive$"):
+        with pytest.raises(ConfigError, match=r"^eta must be positive, got 0\.0$"):
             build()
 
     def test_config_is_immutable(self):
@@ -124,6 +125,29 @@ class TestConfig:
     def test_wrong_value_type_rejected(self, overrides):
         (name,) = overrides
         with pytest.raises(ConfigError, match=f"^{name} must be "):
+            ExperimentConfig(**overrides)
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"k": 0}, "k must be >= 1, got 0"),
+            ({"q": 0}, "q must lie in [1, k], got 0 with k=10"),
+            ({"q": 11}, "q must lie in [1, k], got 11 with k=10"),
+            ({"tau_y": 0.0}, "tau_y must lie in (0, 1)"),
+            ({"tau_y": 1}, "tau_y must lie in (0, 1)"),
+            ({"eps_omega": 0.0}, "eps_omega must be positive"),
+            ({"seeds": ()}, "at least one seed required"),
+            ({"dataset_csv": "d.csv"}, "dataset_csv and schema_json must be given together"),
+            ({"binarize_rule": "mean"}, "unknown binarize rule 'mean'"),
+            ({"sparsity_weight": -1.0}, "lambda must be >= 0, got -1.0"),
+            ({"beta_couple": 0.0}, "beta_couple must be positive or None, got 0.0"),
+            ({"max_outer": 0}, "max_outer must be >= 1, got 0"),
+            ({"tol_obj": -1.0}, "tol_obj must be >= 0, got -1.0"),
+            ({"tau_delta": -1.0}, "tau_delta must be >= 0, got -1.0"),
+        ],
+    )
+    def test_out_of_range_value_rejected(self, overrides, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             ExperimentConfig(**overrides)
 
     def test_integer_accepted_for_float(self):
@@ -431,6 +455,13 @@ class TestArtifactFormat:
                 text = (outputs / out / "seed_7" / name).read_text()
                 assert text == json.dumps(obj.to_dict(), sort_keys=True) + "\n", (out, name)
 
+    def test_priorities_json_has_no_provenance_and_an_older_file_loads(self, outputs):
+        # eps_omega is a field, q is len(top_factors), and the seed and the binarize rule are in other files
+        doc = json.loads((outputs / "run" / "seed_7" / "priorities.json").read_text())
+        assert "provenance" not in doc
+        older = {**doc, "provenance": {"seed": 7, "q": 2, "eps_omega": 1e-6, "binarize_rule": "median"}}
+        assert la.PriorityWeights.from_dict(older).to_dict() == doc
+
     def test_latent_codes_target_rows_are_scored_codes(self, outputs):
         arts = run_pipeline(small_config(seeds=(7,), max_outer=30), 7)
         with open(outputs / "run" / "seed_7" / "latent_codes.csv", newline="") as fh:
@@ -606,6 +637,7 @@ REJECTED_CASES = {
     "baselines G above n": (["baselines", "--g", "201"], {}),
     "run threshold above every score": (["run"], FIXED_ABOVE_EVERY_SCORE),
     "run threshold under the median rule": (["run"], {"binarize_rule": "median", "binarize_threshold": 0.3}),
+    "run tol_obj -1": (["run"], {"tol_obj": -1.0}),
     "baselines threshold above every score": (["baselines"], FIXED_ABOVE_EVERY_SCORE),
     "run constant outcome": (["run", *CONSTANT_OUTCOME], {}),
     "baselines constant outcome": (["baselines", *CONSTANT_OUTCOME], {}),

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 from dataclasses import FrozenInstanceError, fields, replace
 
@@ -479,6 +480,29 @@ class TestWithKnobs:
         # a negative tau_delta would count every lever of a zero intervention as active
         with pytest.raises(ValueError, match="tau_delta must be >= 0"):
             fixture_arts.problem.with_knobs(tau_delta=-1.0)
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            # a NaN threshold counts no lever active; an infinite weight divides inf by inf in the prox
+            ({"tau_delta": float("nan")}, "tau_delta must be float, got nan"),
+            ({"sparsity_weight": float("inf")}, "sparsity_weight must be float, got inf"),
+            ({"max_outer": True}, "max_outer must be int, got True"),
+            ({"max_outer": 2.5}, "max_outer must be int, got 2.5"),
+            # a NaN or negative tolerance can never end a solve as converged
+            ({"tol_obj": float("nan")}, "tol_obj must be float, got nan"),
+            ({"tol_obj": -1.0}, "tol_obj must be >= 0, got -1.0"),
+        ],
+    )
+    def test_checks_knob_types_and_ranges_by_the_config_rule(self, fixture_arts, change, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            fixture_arts.problem.with_knobs(**change)
+
+    def test_construction_checks_knob_types(self, fixture_arts):
+        p = fixture_arts.problem
+        parts = dict(dataset=p.dataset, latent=p.latent, groups=p.groups, priorities=p.priorities, surrogate=p.surrogate)
+        with pytest.raises(ValueError, match="^tau_delta must be float, got nan$"):
+            InterventionProblem(**parts, tau_delta=float("nan"))
 
 
 class TestFrozenProblem:

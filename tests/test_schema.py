@@ -438,3 +438,144 @@ def test_schema_outcome_must_be_a_string():
     with pytest.raises(SchemaError, match="^outcome must be str, got 7$"):
         FeatureSchema.from_dict(doc)
 
+
+
+def _schema_of(*specs, outcome="y"):
+    return FeatureSchema(features=tuple(specs), outcome=outcome)
+
+
+def _load(tmp_path, header, rows):
+    _schema_4().to_json(tmp_path / "s.json")
+    (tmp_path / "d.csv").write_text("\n".join([header, *rows]) + "\n")
+    return la.load_dataset(tmp_path / "d.csv", tmp_path / "s.json")
+
+
+def _dataset(X=((30, 4, 2.5, 1), (41, 2, 0.0, 0)), y=(0.7, 0.1), ids=()):
+    return la.SurveyDataset(X=np.array(X, dtype=float), y=np.array(y, dtype=float), schema=_schema_4(), respondent_ids=ids)
+
+
+NUM, LIK, BIN, CAT = FeatureKind.NUMERIC, FeatureKind.LIKERT, FeatureKind.BINARY, FeatureKind.CATEGORICAL
+HEADER = "age,sat,use,opt,y"
+_ORDINAL = {"name": "q", "kind": "ordinal", "lower": 1, "upper": 5, "block": None, "controllable": False}
+REJECTIONS = {
+    "no features": (lambda t: _schema_of(), SchemaError, "schema declares no features"),
+    "duplicate names": (
+        lambda t: _schema_of(FeatureSpec("x", NUM, 0.0, 1.0), FeatureSpec("x", NUM, 0.0, 2.0)),
+        SchemaError,
+        "duplicate feature names in schema",
+    ),
+    "outcome is a feature": (
+        lambda t: _schema_of(FeatureSpec("x", NUM, 0.0, 1.0), outcome="x"),
+        SchemaError,
+        "outcome column 'x' collides with a feature name",
+    ),
+    "lower below 0": (
+        lambda t: _schema_of(FeatureSpec("x", NUM, -1.0, 1.0)),
+        SchemaError,
+        "feature 'x': lower bound must be >= 0 (encoded responses are nonnegative)",
+    ),
+    "Likert lower not below upper": (
+        lambda t: _schema_of(FeatureSpec("q", LIK, 3, 3)),
+        SchemaError,
+        "feature 'q': Likert bounds need lower < upper",
+    ),
+    "numeric lower not below upper": (
+        lambda t: _schema_of(FeatureSpec("x", NUM, 2.0, 1.0)),
+        SchemaError,
+        "feature 'x': numeric bounds need lower < upper",
+    ),
+    "binary bounds": (lambda t: _schema_of(FeatureSpec("b", BIN, 0.0, 2.0)), SchemaError, "feature 'b': binary bounds must be [0, 1]"),
+    "categorical without a block": (
+        lambda t: _schema_of(FeatureSpec("c", CAT, 0.0, 1.0)),
+        SchemaError,
+        "feature 'c': categorical features need a block id",
+    ),
+    "categorical bounds": (
+        lambda t: _schema_of(FeatureSpec("c", CAT, 0.0, 2.0, block="b")),
+        SchemaError,
+        "feature 'c': one-hot features must have bounds [0, 1]",
+    ),
+    "block on a numeric feature": (
+        lambda t: _schema_of(FeatureSpec("x", NUM, 0.0, 1.0, block="b")),
+        SchemaError,
+        "feature 'x': only categorical features may carry a block id",
+    ),
+    "document without outcome": (
+        lambda t: FeatureSchema.from_dict({"features": []}),
+        SchemaError,
+        "schema document missing required key: 'outcome'",
+    ),
+    "document without features": (
+        lambda t: FeatureSchema.from_dict({"outcome": "y"}),
+        SchemaError,
+        "schema document missing required key: 'features'",
+    ),
+    "entry of unknown kind": (
+        lambda t: FeatureSchema.from_dict({"outcome": "y", "features": [_ORDINAL]}),
+        SchemaError,
+        f"bad feature entry {_ORDINAL!r}: 'ordinal' is not a valid FeatureKind",
+    ),
+    "undeclared column": (
+        lambda t: _load(t, HEADER + ",extra", ["30,4,2.5,1,0.7,0"]),
+        DataValidationError,
+        "1 validation failure(s): feature 'extra': column not declared in schema",
+    ),
+    "duplicate header name": (
+        lambda t: _load(t, HEADER + ",age", ["30,4,2.5,1,0.7,30"]),
+        DataValidationError,
+        "1 validation failure(s): feature '<csv>': duplicate column names in header",
+    ),
+    "row of the wrong length": (
+        lambda t: _load(t, HEADER, ["30,4,2.5,1"]),
+        DataValidationError,
+        "1 validation failure(s): row 0, feature '<csv>': expected 5 fields, got 4",
+    ),
+    "feature cell not a number": (
+        lambda t: _load(t, HEADER, ["30,abc,2.5,1,0.7"]),
+        DataValidationError,
+        "1 validation failure(s): row 0, feature 'sat': cannot parse 'abc' as a number",
+    ),
+    "outcome cell not a number": (
+        lambda t: _load(t, HEADER, ["30,4,2.5,1,n/a"]),
+        DataValidationError,
+        "1 validation failure(s): row 0, feature 'y': cannot parse 'n/a' as a number",
+    ),
+    "X not 2-D": (
+        lambda t: _dataset(X=(30, 4, 2.5, 1)),
+        DataValidationError,
+        "1 validation failure(s): feature '<matrix>': X must be 2-D, got ndim=1",
+    ),
+    "column count": (
+        lambda t: _dataset(X=((30, 4, 2.5), (41, 2, 0.0))),
+        DataValidationError,
+        "1 validation failure(s): feature '<matrix>': X has 3 columns, schema declares 4",
+    ),
+    "y shape": (
+        lambda t: _dataset(y=(0.7, 0.1, 0.5)),
+        DataValidationError,
+        "1 validation failure(s): feature 'y': y has shape (3,), expected (2,)",
+    ),
+    "non-finite outcome": (
+        lambda t: _dataset(y=(0.7, float("nan"))),
+        DataValidationError,
+        "1 validation failure(s): row 1, feature 'y': missing or non-finite outcome",
+    ),
+    "id count": (
+        lambda t: _dataset(ids=("a",)),
+        DataValidationError,
+        "1 validation failure(s): feature '<ids>': 1 ids for 2 rows",
+    ),
+}
+
+
+@pytest.mark.parametrize("build, error, message", REJECTIONS.values(), ids=REJECTIONS.keys())
+def test_rejection_type_and_message(tmp_path, build, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        build(tmp_path)
+
+
+def test_validation_message_lists_the_first_20_violations():
+    violations = [Violation("x", f"failure {i}", row=i) for i in range(25)]
+    shown = "; ".join(f"row {i}, feature 'x': failure {i}" for i in range(20))
+    with pytest.raises(DataValidationError, match=f"^{re.escape(f'25 validation failure(s): {shown}; ... (5 more)')}$"):
+        raise DataValidationError(violations)
