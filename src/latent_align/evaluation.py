@@ -18,6 +18,7 @@ import numpy as np
 
 from .factorization import nnls_project_rows, normalize_rows
 from .optimizer import InterventionProblem, InterventionResult
+from .records import _has_type
 from . import transport
 
 EFFORT_FLOOR = 1e-12
@@ -104,8 +105,10 @@ def effort_and_levers(
 ) -> tuple[float, int]:
     """Total l2,1 magnitude over controllable columns and the count of active
     levers at the tau_delta threshold."""
+    if not _has_type(tau_delta, "float"):
+        raise ValueError(f"tau_delta must be float, got {tau_delta!r}")
     if tau_delta < 0:
-        raise ValueError("tau_delta must be >= 0")
+        raise ValueError(f"tau_delta must be >= 0, got {tau_delta!r}")
     s_ctrl = np.asarray(s_ctrl, dtype=int)
     norms = np.linalg.norm(np.asarray(delta, dtype=float)[:, s_ctrl], axis=0)
     effort = float(np.sum(norms))

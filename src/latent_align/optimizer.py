@@ -23,7 +23,7 @@ import numpy as np
 
 from .factorization import LatentModel, nnls_project_rows, normalize_rows
 from .grouping import GroupAssignment
-from .records import check_types
+from .records import _has_type, check_types
 from .schema import FeatureSchema, SurveyDataset, validate_rows
 from .surrogate import PriorityWeights, SurrogateModel
 from . import transport
@@ -250,8 +250,10 @@ def prox_weighted_l21(block: np.ndarray, rho: np.ndarray, t_lambda: float) -> np
     any other (so no ratio overflows on a tiny norm), and 1 on a zero column
     with rho_j = 0.
     """
+    if not _has_type(t_lambda, "float"):
+        raise ValueError(f"t_lambda must be float, got {t_lambda!r}")
     if t_lambda < 0:
-        raise ValueError("t_lambda must be >= 0")
+        raise ValueError(f"t_lambda must be >= 0, got {t_lambda!r}")
     block = np.asarray(block, dtype=float)
     rho = np.asarray(rho, dtype=float)
     if rho.shape != (block.shape[1],):

@@ -1,6 +1,8 @@
 """The one field-type rule, `check_types`, which the config, the feature
 schema, the records, the baseline spec and every problem call (the config and
 the problem then call `optimizer.check_knobs` for the solve knobs' ranges),
+its rule for one value, `_has_type`, which the scalar thresholds of
+`evaluation.effort_and_levers` and `optimizer.prox_weighted_l21` apply too,
 and the JSON format of the typed per-seed records. A record is a frozen
 dataclass that inherits `JSONRecord`. `to_dict` writes every field not marked
 `field(metadata={"record": False})`: arrays as nested lists, int, float and

@@ -19,23 +19,34 @@ Two front-ends build the stage kernels for the shared `_staged_loop`:
   discrepancy with it when built, and evaluation the post one.
 - `SupportsSolver(target, eta).solve(source, v0)` is the solver's
   kernel-first solve between uniform weights on two supports, bound to one
-  target support and eta. It builds each stage's exponent with one GEMM on
-  augmented supports, exponentiates it in place into the kernel, and forms
+  target support and eta. It builds each kernel's exponent with one GEMM of
+  two row-major factors, exponentiates it in place into the kernel, and forms
   neither M nor gamma. It returns gamma @ target = u * (K (v * target)) and
   the transport cost from the supports identity
   <gamma, M> = sum_p a_p |s_p|^2 + sum_q c_q |t_q|^2 - 2 sum_p s_p . (gamma @ target)_p,
-  where c holds the plan's column sums. Since M <= (max |s| + max |t|)^2, a
-  solve whose bound over eta lies below SCALING_MAX_RANGE runs one stage at
-  eta without reading the kernel's minimum; only a larger bound reads it.
+  where c holds the plan's column sums.
+
+  Since M <= B = (max |s| + max |t|)^2, a solve with B / eta below
+  SCALING_MAX_RANGE runs one stage at eta without reading the kernel's
+  minimum. Its kernel leaves out the row factor exp(-|s_p|^2 / eta), which
+  the row scaling u absorbs, so v keeps its meaning up to a constant:
+  K = exp(L R - max) with L = [2s / eta | -1] and R = [t^T; |t|^2 / eta].
+  Its exponent (2 s.t - |t|^2) / eta lies in [-B, max |s|^2] / eta, a range
+  under the same bound. Every other solve reads the range of -M / eta from
+  the augmented factors [2s | -1 | f - |s|^2] / eta_s and
+  [t^T; (|t|^2 - g) / eta_s; 1], whose leading columns and rows are L and R,
+  and runs one stage or several on the full kernel.
 
 A one-stage kernel-first solve can be warm-started: given v0, the
 final column scaling v of a solve between nearby supports (which every
 SupportsPlan returns), its loop starts from v0 instead of the cold column
-update b / (K^T 1). A solve in several stages starts cold. Sinkhorn converges
-from any positive start (Franklin & Lorenz 1989), but the iterations it needs
-grow with the start's distance from the solution, so a start from an unrelated
-v0 can cost more iterations than a cold one, or exhaust the budget on a plan
-close to a permutation.
+update b / (K^T 1). On a kernel without its row factor the cold start reads
+that factor in place of 1, as b / (K^T r) with
+r = exp((min |s|^2 - |s|^2) / eta). A solve in several stages starts cold.
+Sinkhorn converges from any positive start (Franklin & Lorenz 1989), but the
+iterations it needs grow with the start's distance from the solution, so a
+start from an unrelated v0 can cost more iterations than a cold one, or
+exhaust the budget on a plan close to a permutation.
 
 The reported discrepancy used by the rest of the package is the transport-cost
 part <Gamma, M>; `sinkhorn` carries the full entropic objective alongside.
@@ -218,7 +229,7 @@ class SupportsSolver:
 
     Construction holds what every solve against the target reuses: the
     target's squared norms and the largest of their roots, the augmented
-    right factor of the first stage's exponent GEMM, the uniform target
+    right factor of the exponent GEMM at zero potentials, the uniform target
     weights, and, per number of source atoms, the left factor, the kernel
     block and the source weights, reallocated only when that number changes.
     Every SupportsPlan a solve returns owns its arrays, so a later solve
@@ -237,9 +248,12 @@ class SupportsSolver:
         na, k = target.shape
         self._t2 = np.einsum("qk,qk->q", target, target)
         self._t_max = math.sqrt(float(self._t2.max(initial=0.0)))
-        # [t, 1, |t|^2 / eta]: the exponent's right factor at zero potentials,
-        # built transposed so the GEMM reads both factors row-major
-        self._rhs = np.vstack([target.T, np.ones((1, na)), self._t2[None, :] / self.eta])
+        # [t^T; |t|^2 / eta; 1], row-major: the exponent's right factor at zero
+        # potentials, whose first k + 1 rows are the one-stage kernel's
+        self._rhs = np.empty((k + 2, na))
+        self._rhs[:k] = target.T
+        np.divide(self._t2, self.eta, out=self._rhs[k])
+        self._rhs[k + 1] = 1.0
         self._b = np.full(na, 1.0 / na)
         self._nb = -1
 
@@ -279,21 +293,28 @@ class SupportsSolver:
         s2 = np.einsum("pk,pk->p", source, source)
 
         def exponent(eta_s, f, rhs, out):
-            # [2s, f - |s|^2, -1] . [t, 1, |t|^2 - g] / eta_s = (f_p + g_q - M_pq) / eta_s
+            # [2s, -1, f - |s|^2] . [t, |t|^2 - g, 1] / eta_s = (f_p + g_q - M_pq) / eta_s
             np.multiply(source, 2.0 / eta_s, out=lhs[:, :k])
-            np.subtract(f, s2, out=lhs[:, k])
-            lhs[:, k] /= eta_s
+            np.subtract(f, s2, out=lhs[:, k + 1])
+            lhs[:, k + 1] /= eta_s
             return np.matmul(lhs, rhs, out=out)
 
-        K = exponent(eta, 0.0, self._rhs, self._K)  # -M / eta
-        hi = float(K.max())
+        u0 = None
         # M <= (max |s| + max |t|)^2, so when that bound over eta is below the
         # range limit the first stage is eta itself and K.min() is not needed;
         # the margin covers the GEMM's rounding
         bound = (math.sqrt(float(s2.max(initial=0.0))) + self._t_max) ** 2 / eta
         if bound * (1.0 + _BOUND_MARGIN) < SCALING_MAX_RANGE:
-            eta0 = eta
+            # without the row factor: (|s_p|^2 - M_pq) / eta, whose range the
+            # bound also caps (see the module docstring)
+            np.multiply(source, 2.0 / eta, out=lhs[:, :k])
+            K = np.matmul(lhs[:, : k + 1], self._rhs[: k + 1], out=self._K)
+            hi, eta0 = float(K.max()), eta
+            if v0 is None:
+                u0 = np.exp((s2.min() - s2) / eta)  # the row factor, for the cold start
         else:
+            K = exponent(eta, 0.0, self._rhs, self._K)  # -M / eta
+            hi = float(K.max())
             eta0 = eta * max(1.0, (hi - float(K.min())) / SCALING_MAX_RANGE)
         if eta0 > eta:
             K *= eta / eta0
@@ -306,36 +327,37 @@ class SupportsSolver:
             v0 = np.ldexp(v0, -math.frexp(v0_max)[1])
         K -= hi
         np.exp(K, out=K)
-        shift = -hi * eta0  # the first kernel is exp((shift - M) / eta0)
+        shift = -hi * eta0  # in stages, the first kernel is exp((shift - M) / eta0)
 
         def kernel(eta_s, f, g, out):
             rhs = self._rhs.copy()
-            np.subtract(t2, g, out=rhs[k + 1])
-            rhs[k + 1] /= eta_s
+            np.subtract(t2, g, out=rhs[k])
+            rhs[k] /= eta_s
             K = exponent(eta_s, shift + f, rhs, out)
             return np.exp(K, out=K)
 
-        K, u, v, col, _, _, iters, err = _staged_loop(K, eta0, kernel, a, self._b, eta, self.max_iters, v0)
+        K, u, v, col, _, _, iters, err = _staged_loop(K, eta0, kernel, a, self._b, eta, self.max_iters, v0, u0)
         gamma_target = K @ (v[:, None] * target)
         gamma_target *= u[:, None]
         transport_cost = float(a @ s2 + col @ t2) - 2.0 * float(np.einsum("pk,pk->", source, gamma_target))
         return SupportsPlan(gamma_target, transport_cost, iters, err, v)
 
 
-def _staged_loop(K, eta_s, kernel, a, b, eta, max_iters, v0=None):
+def _staged_loop(K, eta_s, kernel, a, b, eta, max_iters, v0=None, u0=None):
     """Sinkhorn at eta through stages eta_s, eta_s / 2, ... down to eta,
     from the first stage's kernel K; kernel(eta_s, f, g, K) overwrites K with
-    a later stage's. v0, if given, starts every stage, so callers pass it
-    only to a one-stage solve. Returns (K, u, v, col, f, g, iters, err) of
-    the last stage, with iters summed over all stages, as ConvergenceError
-    reports it; f and g are None after a one-stage solve.
+    a later stage's. v0 and u0, if given, start every stage as
+    `_scaling_loop` reads them, so callers pass them only to a one-stage
+    solve. Returns (K, u, v, col, f, g, iters, err) of the last stage, with
+    iters summed over all stages, as ConvergenceError reports it; f and g are
+    None after a one-stage solve.
     """
     f = g = None  # the potentials, allocated when a second stage runs
     done = 0
     while True:
         stage_tol = DEFAULT_TOL if eta_s == eta else STAGE_TOL
         try:
-            u, v, col, iters, err = _scaling_loop(K, a, b, max_iters - done, stage_tol, v0)
+            u, v, col, iters, err = _scaling_loop(K, a, b, max_iters - done, stage_tol, v0, u0)
         except ConvergenceError as exc:
             raise ConvergenceError(done + exc.iters, exc.marginal_err, stage_tol) from None
         done += iters
@@ -351,9 +373,10 @@ def _staged_loop(K, eta_s, kernel, a, b, eta, max_iters, v0=None):
         K = kernel(eta_s, f, g, K)
 
 
-def _scaling_loop(K, a, b, max_iters, tol, v0=None):
+def _scaling_loop(K, a, b, max_iters, tol, v0=None, u0=None):
     """The scaling iterations on one stage's kernel K, from the column
-    scaling v0, or cold from b / (K^T 1), the column update at u = 1.
+    scaling v0, or cold from b / (K^T u0), the column update at the row
+    scaling u0, or at u = 1 if u0 is None.
 
     Returns (u, v, col, iters, err), where col = v * (K^T u) holds the plan's
     column sums at the last iteration. Raises ConvergenceError when the
@@ -363,7 +386,7 @@ def _scaling_loop(K, a, b, max_iters, tol, v0=None):
     u, Kv = np.empty_like(a), np.empty_like(a)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         if v0 is None:
-            np.divide(b, K.sum(axis=0), out=v)
+            np.divide(b, K.sum(axis=0) if u0 is None else u0 @ K, out=v)
         else:
             v[:] = v0
         for iters in range(1, max_iters + 1):

@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -77,6 +78,21 @@ class TestEffort:
         e1, _ = effort_and_levers(delta, np.arange(4), 1e-6)
         e2, _ = effort_and_levers(delta[perm], np.arange(4), 1e-6)
         assert e1 == pytest.approx(e2)
+
+    @pytest.mark.parametrize(
+        "tau_delta, message",
+        [
+            (float("nan"), "tau_delta must be float, got nan"),
+            (float("inf"), "tau_delta must be float, got inf"),
+            (float("-inf"), "tau_delta must be float, got -inf"),
+            (True, "tau_delta must be float, got True"),
+            (-1.0, "tau_delta must be >= 0, got -1.0"),
+        ],
+    )
+    def test_threshold_type_and_range_checked(self, tau_delta, message):
+        # a NaN threshold counted no lever and True counted as 1
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            effort_and_levers(np.ones((3, 2)), np.arange(2), tau_delta)
 
 
 def _projected_one_row_at_a_time(arts):

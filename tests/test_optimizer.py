@@ -104,6 +104,21 @@ class TestProx:
         out = prox_weighted_l21(block, np.ones(3), 0.0)
         assert np.array_equal(out, block)
 
+    @pytest.mark.parametrize(
+        "t_lambda, message",
+        [
+            (float("nan"), "t_lambda must be float, got nan"),
+            (math.inf, "t_lambda must be float, got inf"),
+            (-math.inf, "t_lambda must be float, got -inf"),
+            (True, "t_lambda must be float, got True"),
+            (-1.0, "t_lambda must be >= 0, got -1.0"),
+        ],
+    )
+    def test_threshold_type_and_range_checked(self, t_lambda, message):
+        # a NaN threshold returned an all-NaN block and True acted as 1.0
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            prox_weighted_l21(np.ones((3, 2)), np.ones(2), t_lambda)
+
     def test_matches_scalar_minimization_oracle(self):
         rng = np.random.default_rng(3)
         for _ in range(25):

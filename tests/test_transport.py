@@ -35,6 +35,15 @@ def _far_atom_supports():
     return source, target
 
 
+def _barycenter_supports():
+    # codes near the barycenter: at eta = 0.005 the norm bound
+    # (max |s| + max |t|)^2 / eta exceeds the range limit, the cost range does not
+    rng = np.random.default_rng(9)
+    source = np.full((12, 2), 0.5) + 0.05 * rng.uniform(-1, 1, size=(12, 1)) * [1, -1]
+    target = np.full((9, 2), 0.5) + 0.05 * rng.uniform(-1, 1, size=(9, 1)) * [1, -1]
+    return source, target
+
+
 def _uniform_problem(M, eta):
     nb, na = M.shape
     return TransportProblem(
@@ -402,12 +411,21 @@ class TestKernelFirst:
         self._assert_same_solve(SupportsSolver(target, 1e-3).solve(source), plan, target)
 
     def test_nonfinite_scaling_raises(self, monkeypatch):
-        # with the first stage's bound lifted, a kernel row underflows and its
-        # scaling with it
+        # with the first stage's bound lifted, the column of a target atom far
+        # from every source atom underflows, and its scaling with it
         monkeypatch.setattr(transport, "SCALING_MAX_RANGE", math.inf)
-        source, target = _far_atom_supports()
+        target, source = _far_atom_supports()
         with pytest.raises(ConvergenceError, match="marginal error nan"):
             SupportsSolver(target, 0.002).solve(source)
+
+    def test_far_source_atom_converges_without_the_row_factor(self, monkeypatch):
+        # the one-stage kernel leaves out the row factor exp(-|s|^2 / eta),
+        # so the far source atom's row peaks at e^-495 here, where the full
+        # kernel's row peaks at e^-746 and underflows to 0
+        monkeypatch.setattr(transport, "SCALING_MAX_RANGE", math.inf)
+        source, target = _far_atom_supports()
+        plan = SupportsSolver(target, 0.002).solve(source)
+        assert plan.marginal_err < DEFAULT_TOL and np.isfinite(plan.gamma_target).all()
 
     def test_budget_exhaustion_raises(self):
         rng = np.random.default_rng(5)
@@ -687,12 +705,8 @@ class TestSupportsSolver:
         assert len(plans) >= len(sources) - 1
 
     def test_bound_over_the_limit_with_range_under_it(self):
-        # codes near the barycenter: the norm bound (max |s| + max |t|)^2 / eta
-        # exceeds the range limit, the cost range does not, so the solve reads
-        # the kernel's minimum and still runs one stage
-        rng = np.random.default_rng(9)
-        source = np.full((12, 2), 0.5) + 0.05 * rng.uniform(-1, 1, size=(12, 1)) * [1, -1]
-        target = np.full((9, 2), 0.5) + 0.05 * rng.uniform(-1, 1, size=(9, 1)) * [1, -1]
+        # the solve reads the kernel's minimum and still runs one stage
+        source, target = _barycenter_supports()
         eta = 0.005
         bound = (np.linalg.norm(source, axis=1).max() + np.linalg.norm(target, axis=1).max()) ** 2 / eta
         assert bound > transport.SCALING_MAX_RANGE > np.ptp(cost_matrix(source, target)) / eta
@@ -700,6 +714,45 @@ class TestSupportsSolver:
         cold, warm = self._run_sequence(solver, [source, source], [False, True])
         # v0 is read by a one-stage solve only: its own scaling ends it at once
         assert cold.iters > 1 and warm.iters == 1
+
+    @staticmethod
+    def _recorded_gemms(solver, source, monkeypatch):
+        gemms, matmul = [], np.matmul
+
+        def recording_matmul(x, y, **kwargs):
+            gemms.append((x, y))
+            return matmul(x, y, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", recording_matmul)
+        solver.solve(source)
+        monkeypatch.undo()
+        return gemms
+
+    @pytest.mark.parametrize(
+        "supports, eta",
+        [(_far_atom_supports(), 0.05), (_barycenter_supports(), 0.005), ((_separated_corners(),) * 2, 1e-3)],
+        ids=["one_stage", "one_stage_range_read", "stages"],
+    )
+    def test_gemm_factors_are_row_major(self, supports, eta, monkeypatch):
+        # a column-major factor gives the same bits at about twice the GEMM
+        # time on small supports
+        source, target = supports
+        solver = transport.SupportsSolver(target, eta)
+        gemms = self._recorded_gemms(solver, source, monkeypatch)
+        assert gemms and solver._lhs.flags.c_contiguous and solver._rhs.flags.c_contiguous
+        for x, y in gemms:
+            assert x.strides[1] == y.strides[1] == x.itemsize
+
+    def test_one_stage_gemm_reads_leading_slices(self, monkeypatch):
+        # the row-free kernel's factors [2s / eta, -1] and [t^T; |t|^2 / eta]
+        # are the staged factors' leading columns and rows, not a second buffer
+        source, target = _far_atom_supports()
+        solver = transport.SupportsSolver(target, 0.05)
+        ((x, y),) = self._recorded_gemms(solver, source, monkeypatch)
+        k = target.shape[1]
+        assert x.shape == (source.shape[0], k + 1) and y.shape == (k + 1, target.shape[0])
+        assert np.shares_memory(x, solver._lhs) and np.shares_memory(y, solver._rhs)
+        assert (x[:, k] == -1.0).all() and np.array_equal(y[:k], target.T)
 
     def test_invalid_input_rejected(self):
         with pytest.raises(ValueError, match="matrix"):
