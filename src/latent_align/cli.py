@@ -18,7 +18,7 @@ import os
 import platform
 import sys
 import traceback
-from dataclasses import asdict, fields
+from dataclasses import fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -35,7 +35,7 @@ from .pipeline import (
     load_or_generate,
     run_pipeline,
 )
-from .records import JSONRecord
+from .records import JSONRecord, field_rows
 from .schema import DataValidationError, SchemaError, SurveyDataset, save_dataset
 from .surrogate import binarize_outcome
 
@@ -97,7 +97,7 @@ def _write_rows_csv(rows: list[dict], header: list[str], path: Path) -> None:
 
 def _record_rows(records) -> list[dict]:
     # float() turns NumPy scalars into Python floats, which csv writes as repr
-    return [{k: float(v) if isinstance(v, float) else v for k, v in asdict(r).items()} for r in records]
+    return [{k: float(v) if isinstance(v, float) else v for k, v in row.items()} for row in field_rows(records)]
 
 
 def _codes_rows(arts: PipelineArtifacts) -> list[dict]:

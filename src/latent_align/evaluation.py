@@ -12,13 +12,13 @@ change.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from .factorization import nnls_project_rows, normalize_rows
 from .optimizer import InterventionProblem, InterventionResult
-from .records import _has_type
+from .records import _has_type, field_rows
 from . import transport
 
 EFFORT_FLOOR = 1e-12
@@ -57,7 +57,7 @@ class MetricsReport:
     n_target: int
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {**field_rows((self,))[0], "group_movement": tuple(field_rows(self.group_movement))}
 
     CSV_FIELDS = (
         "n_conv",

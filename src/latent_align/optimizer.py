@@ -17,13 +17,13 @@ construction and `with_knobs`; the last two apply `records.check_types` first.
 from __future__ import annotations
 
 import copy
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from .factorization import LatentModel, nnls_project_rows, normalize_rows
 from .grouping import GroupAssignment
-from .records import _has_type, check_types
+from .records import _has_type, check_types, field_rows
 from .schema import FeatureSchema, SurveyDataset, validate_rows
 from .surrogate import PriorityWeights, SurrogateModel
 from . import transport
@@ -194,8 +194,8 @@ class InterventionResult:
         return {
             "delta": self.delta_triplets(),
             "rounded_delta": self.delta_triplets(rounded=True),
-            "active_levers": [asdict(a) for a in self.active_levers],
-            "trajectory": [asdict(r) for r in self.trajectory],
+            "active_levers": field_rows(self.active_levers),
+            "trajectory": field_rows(self.trajectory),
             "status": self.status,
             "n_sinkhorn_calls": self.n_sinkhorn_calls,
             "beta_used": self.beta_used,
@@ -259,16 +259,16 @@ def prox_weighted_l21(block: np.ndarray, rho: np.ndarray, t_lambda: float) -> np
     if rho.shape != (block.shape[1],):
         raise ValueError("one rho per column required")
     if t_lambda == 0:
-        return block.copy()
+        return block.copy(order="K")
     norms = _column_norms(block)
-    if not norms.all():
+    if np.count_nonzero(norms) < norms.size:
         tiny = (norms == 0) & (block != 0).any(axis=0)
         if tiny.any():
             scale = np.max(np.abs(block[:, tiny]), axis=0)
             norms[tiny] = scale * np.linalg.norm(block[:, tiny] / scale, axis=0)
     thresh = t_lambda * rho
-    denom = np.maximum(norms, np.maximum(thresh, _SMALLEST_SUBNORMAL))
-    return block * (1.0 - thresh / denom)
+    factor = np.divide(thresh, np.maximum(norms, np.maximum(thresh, _SMALLEST_SUBNORMAL)))
+    return block * np.subtract(1.0, factor, out=factor)
 
 
 def coupling_residual(gap: np.ndarray, D: np.ndarray, levers: np.ndarray | slice) -> np.ndarray:
@@ -287,17 +287,32 @@ def coupling_value(R: np.ndarray) -> float:
 
 def coupling_grad_codes(R: np.ndarray, H: np.ndarray) -> np.ndarray:
     """Gradient of the coupling penalty w.r.t. the codes U."""
-    return -2.0 * R @ H.T
+    g = _product(R, H.T)
+    g *= -2.0
+    return g
 
 
 def coupling_grad_levers(R: np.ndarray, levers: np.ndarray | slice) -> np.ndarray:
-    """Gradient of the coupling penalty w.r.t. the lever block D."""
-    return 2.0 * R[:, levers]
+    """Gradient of the coupling penalty w.r.t. the lever block D, laid out as
+    R (an index array gathers the columns column-major whatever R's layout)."""
+    block = R[:, levers]
+    return np.multiply(block, 2.0, out=np.empty_like(R, shape=block.shape))
 
 
 def lever_penalty(D: np.ndarray, rho: np.ndarray) -> float:
     """Weighted l2,1 norm of the lever block: sum_j rho_j ||D_:j||."""
     return float(np.add.reduce(rho * _column_norms(D)))
+
+
+def _product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """A @ B laid out as A: a column-major A gives the column-major
+    (B^T A^T)^T, which the GEMM writes without a layout change."""
+    return (B.T @ A.T).T if np.isfortran(A) else A @ B
+
+
+def _mean_rows(A: np.ndarray):
+    """np.mean(A, axis=0): its sum and division, without its dispatch."""
+    return np.add.reduce(A, 0) / A.shape[0]
 
 
 def _column_norms(A: np.ndarray) -> np.ndarray:
@@ -308,7 +323,8 @@ def _column_norms(A: np.ndarray) -> np.ndarray:
 
 def _tilde(U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Floor-guarded row l1 normalization and the scales used."""
-    s = U.sum(axis=1) + NORMALIZATION_FLOOR
+    s = np.add.reduce(U, 1)
+    s += NORMALIZATION_FLOOR
     return U / s[:, None], s
 
 
@@ -319,7 +335,11 @@ def _chain_through_normalization(g_tilde: np.ndarray, u_t: np.ndarray, s: np.nda
     the Jacobian contracts to (g - (g . u~) 1) / s per row.
     """
     radial = np.add.reduce(g_tilde * u_t, 1, keepdims=True)
-    return (g_tilde - radial) / s[:, None]
+    # written into an array laid out as u_t, which a g_tilde of one row
+    # broadcast against the radial column would not give
+    out = np.subtract(g_tilde, radial, out=np.empty_like(u_t))
+    out /= s[:, None]
+    return out
 
 
 def ot_grad_wrt_U(U: np.ndarray, gamma_w: np.ndarray, row_mass, tilde=None) -> np.ndarray:
@@ -338,7 +358,9 @@ def ot_grad_wrt_U(U: np.ndarray, gamma_w: np.ndarray, row_mass, tilde=None) -> n
     if gamma_w.shape != U.shape:
         raise ValueError("plan image shape does not match the codes")
     u_t, s = _tilde(U) if tilde is None else tilde
-    g_tilde = 2.0 * (row_mass * u_t - gamma_w)
+    g_tilde = row_mass * u_t
+    g_tilde -= gamma_w
+    g_tilde *= 2.0
     return _chain_through_normalization(g_tilde, u_t, s)
 
 
@@ -358,10 +380,10 @@ def _extrapolated_start(v: np.ndarray, u_tilde: np.ndarray, path) -> np.ndarray:
         return v
     before, after, plan_before = path
     move = after - before
-    move_sq = float(np.vdot(move, move))
+    move_sq = float(np.einsum("ij,ij->", move, move))
     if not move_sq > 0:
         return v
-    c = min(max(float(np.vdot(u_tilde - after, move)) / move_sq, 0.0), 2.0)
+    c = min(max(float(np.einsum("ij,ij->", u_tilde - after, move)) / move_sq, 0.0), 2.0)
     with np.errstate(all="ignore"):
         v0 = v * (v / plan_before.v) ** c
     return v0 if v0.min() > 0 and v0.max() < np.inf else v
@@ -420,7 +442,7 @@ class _MeanCodeAlignment:
 
     def grad_u(self, U: np.ndarray, plan: None, tilde) -> np.ndarray:
         u_t, s = tilde
-        return _chain_through_normalization(self.grad(u_t.mean(axis=0)) / U.shape[0], u_t, s)
+        return _chain_through_normalization(self.grad(_mean_rows(u_t)) / U.shape[0], u_t, s)
 
 
 def _make_alignment(problem: InterventionProblem):
@@ -431,11 +453,11 @@ def _make_alignment(problem: InterventionProblem):
         return _OTAlignment(w_ref, problem.eta)
     if problem.alignment == ALIGNMENT_MEAN_MARGIN:
         beta, bias = problem.surrogate.beta, problem.surrogate.bias
-        return _MeanCodeAlignment(lambda u_tilde: -float(np.mean(u_tilde @ beta + bias)), lambda m: -beta)
+        return _MeanCodeAlignment(lambda u_tilde: -float(_mean_rows(u_tilde @ beta + bias)), lambda m: -beta)
     c_ref = w_ref.mean(axis=0)
 
     def centroid_gap(u_tilde):
-        diff = u_tilde.mean(axis=0) - c_ref
+        diff = _mean_rows(u_tilde) - c_ref
         return float(diff @ diff)
 
     return _MeanCodeAlignment(centroid_gap, lambda m: 2.0 * (m - c_ref))
@@ -492,25 +514,29 @@ def optimize(problem: InterventionProblem) -> InterventionResult:
     The result counts the transport solves (n_sinkhorn_calls: one at the
     start, then one per U trial) and their Sinkhorn iterations summed
     (n_sinkhorn_iters); both are 0 for the transport-free alignments.
+
+    Every n_b-row array of the loop is column-major and every helper keeps its
+    input's layout, so numpy runs each op of a trial along the contiguous
+    target rows; one op that mixes layouts gives most of that back (README).
     """
     levers = problem.dataset.schema.policy_levers
     if levers.size == 0:
         raise ValueError("no controllable non-categorical features to intervene on")
-    X_B = problem.dataset.X[problem.groups.i_target]
+    X_B = np.asfortranarray(problem.dataset.X[problem.groups.i_target])
     H = problem.latent.H
     n_b = X_B.shape[0]
     # a contiguous lever range indexes the residual's columns by view, without
     # an index array's gather and scatter in every block trial
     cols = slice(int(levers[0]), int(levers[-1]) + 1) if levers[-1] - levers[0] == levers.size - 1 else levers
 
-    U = problem.target_projection
-    D = np.zeros((n_b, levers.size))
+    U = np.asfortranarray(problem.target_projection)
+    D = np.zeros((n_b, levers.size), order="F")
     rho_lev = problem.priorities.rho_for(levers)
     # median target row mass, floored at 1; the auto coupling weight and the U curvature read its square
     mass_sq = max(float(np.median(U.sum(axis=1))), 1.0) ** 2
     beta = problem.beta_couple if problem.beta_couple is not None else BETA_AUTO_SCALE / (n_b * mass_sq)
     align = _make_alignment(problem)
-    lo, hi = problem.lever_box
+    lo, hi = (np.asfortranarray(b) for b in problem.lever_box)
 
     lam = problem.sparsity_weight
     lam_h = float(np.max(np.linalg.eigvalsh(H @ H.T)))
@@ -522,12 +548,10 @@ def optimize(problem: InterventionProblem) -> InterventionResult:
     mean_prob_pre = float(np.mean(problem.surrogate.predict_proba(tilde[0])))
 
     def mean_gain(u_tilde):
-        # np.mean's sum and division, without its dispatch
-        p = problem.surrogate.predict_proba(u_tilde)
-        return float(np.add.reduce(p)) / p.size - mean_prob_pre
+        return float(_mean_rows(problem.surrogate.predict_proba(u_tilde))) - mean_prob_pre
 
     align_val, plan = align.refresh(tilde[0])
-    R = coupling_residual(X_B - U @ H, D, cols)
+    R = coupling_residual(X_B - _product(U, H), D, cols)
     coup = coupling_value(R)
     spars = lever_penalty(D, rho_lev)
     J = align_val + beta * coup + lam * spars
@@ -538,7 +562,9 @@ def optimize(problem: InterventionProblem) -> InterventionResult:
     path = None  # the last accepted U move: codes before and after it, the plan before it
     for it in range(1, problem.max_outer + 1):
         n_outer = it
-        g_u = align.grad_u(U, plan, tilde) + beta * coupling_grad_codes(R, H)
+        g_u = coupling_grad_codes(R, H)
+        g_u *= beta
+        g_u += align.grad_u(U, plan, tilde)
         part_u = align_val + beta * coup
         U_c, tilde_c, align_c, plan_c, R_c, coup_c = U, tilde, align_val, plan, R, coup
         u_first = False
@@ -548,7 +574,7 @@ def optimize(problem: InterventionProblem) -> InterventionResult:
             U_try = np.maximum(U - t_u * g_u, 0.0)
             tilde_try = _tilde(U_try)
             align_try, plan_try = align.refresh(tilde_try[0], plan, plan_try, path)
-            R_try = coupling_residual(X_B - U_try @ H, D, cols)
+            R_try = coupling_residual(X_B - _product(U_try, H), D, cols)
             coup_try = coupling_value(R_try)
             if align_try + beta * coup_try < part_u:
                 U_c, tilde_c, align_c, plan_c, R_c, coup_c = U_try, tilde_try, align_try, plan_try, R_try, coup_try
@@ -563,12 +589,13 @@ def optimize(problem: InterventionProblem) -> InterventionResult:
         gap_c = None  # X_B - U_c H, formed at the first trial that moves D
         for trial in range(MAX_HALVINGS + 1):
             n_delta_trials += 1
-            D_try = np.minimum(np.maximum(prox_weighted_l21(D - t_d * g_d, rho_lev, t_d * lam), lo), hi)
+            D_try = prox_weighted_l21(D - t_d * g_d, rho_lev, t_d * lam)
+            np.minimum(np.maximum(D_try, lo, out=D_try), hi, out=D_try)
             if (D_try == D).all():
                 break  # a shorter step leaves D in place too
             if gap_c is None:
-                gap_c = X_B - U_c @ H
-            R_try = coupling_residual(gap_c.copy(), D_try, cols)
+                gap_c = X_B - _product(U_c, H)
+            R_try = coupling_residual(gap_c.copy(order="K"), D_try, cols)
             coup_try = coupling_value(R_try)
             spars_try = lever_penalty(D_try, rho_lev)
             if beta * coup_try + lam * spars_try < part_d:

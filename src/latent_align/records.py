@@ -9,7 +9,8 @@ dataclass that inherits `JSONRecord`. `to_dict` writes every field not marked
 bool fields as that Python type, the rest as is. `from_dict` requires every
 key `to_dict` writes, rebuilds arrays with `np.array`, casts nothing, and
 builds the record through its constructor, so its checks run again on load.
-Field types are read as strings.
+Field types are read as strings. `field_rows` reads flat records (the
+trajectory, lever and movement rows) as dicts for the artifacts.
 """
 
 from __future__ import annotations
@@ -46,6 +47,14 @@ def check_types(obj, error: type[Exception], prefix: str = "", names: dict | Non
         value = getattr(obj, f.name)
         if not (value is None and optional == "None" or _has_type(value, kind)):
             raise error(f"{prefix}{(names or {}).get(f.name, f.name)} must be {f.type}, got {value!r}")
+
+
+def field_rows(records) -> list[dict]:
+    """Each record of a sequence of dataclass records of one class as a dict
+    of its fields in order: what dataclasses.asdict gives for records whose
+    fields hold scalars, without its recursive deep copy."""
+    names = [f.name for f in fields(records[0])] if records else []
+    return [{name: getattr(r, name) for name in names} for r in records]
 
 
 class JSONRecord:

@@ -21,8 +21,9 @@ Two front-ends build the stage kernels for the shared `_staged_loop`:
   kernel-first solve between uniform weights on two supports, bound to one
   target support and eta. It builds each kernel's exponent with one GEMM of
   two row-major factors, exponentiates it in place into the kernel, and forms
-  neither M nor gamma. It returns gamma @ target = u * (K (v * target)) and
-  the transport cost from the supports identity
+  neither M nor gamma. It returns gamma @ target = u * (K (v * target)), laid
+  out as the source (row-major or column-major), and the transport cost from
+  the supports identity
   <gamma, M> = sum_p a_p |s_p|^2 + sum_q c_q |t_q|^2 - 2 sum_p s_p . (gamma @ target)_p,
   where c holds the plan's column sums.
 
@@ -337,7 +338,9 @@ class SupportsSolver:
             return np.exp(K, out=K)
 
         K, u, v, col, _, _, iters, err = _staged_loop(K, eta0, kernel, a, self._b, eta, self.max_iters, v0, u0)
-        gamma_target = K @ (v[:, None] * target)
+        # laid out as source: a column-major source gets the column-major (vt^T K^T)^T
+        vt = v[:, None] * target
+        gamma_target = (vt.T @ K.T).T if np.isfortran(source) else K @ vt
         gamma_target *= u[:, None]
         transport_cost = float(a @ s2 + col @ t2) - 2.0 * float(np.einsum("pk,pk->", source, gamma_target))
         return SupportsPlan(gamma_target, transport_cost, iters, err, v)

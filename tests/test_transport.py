@@ -743,6 +743,23 @@ class TestSupportsSolver:
         for x, y in gemms:
             assert x.strides[1] == y.strides[1] == x.itemsize
 
+    @pytest.mark.parametrize(
+        "supports, eta",
+        [(_far_atom_supports(), 0.05), ((_separated_corners(),) * 2, 1e-3)],
+        ids=["one_stage", "stages"],
+    )
+    def test_plan_image_is_laid_out_as_the_source(self, supports, eta):
+        # the optimizer holds its codes column-major and reads the plan image
+        # back in that layout, with the row-major solve's values
+        source, target = supports
+        row = transport.SupportsSolver(target, eta).solve(np.ascontiguousarray(source))
+        col = transport.SupportsSolver(target, eta).solve(np.asfortranarray(source))
+        assert row.gamma_target.flags.c_contiguous and col.gamma_target.flags.f_contiguous
+        scale = np.max(np.abs(row.gamma_target))
+        assert np.max(np.abs(col.gamma_target - row.gamma_target)) <= 1e-14 * scale
+        assert col.transport_cost == pytest.approx(row.transport_cost, rel=1e-14, abs=0.0)
+        assert col.iters == row.iters
+
     def test_one_stage_gemm_reads_leading_slices(self, monkeypatch):
         # the row-free kernel's factors [2s / eta, -1] and [t^T; |t|^2 / eta]
         # are the staged factors' leading columns and rows, not a second buffer
