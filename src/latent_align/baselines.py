@@ -23,9 +23,10 @@ from .optimizer import (
     InterventionResult,
     _assemble_result,
     optimize,
+    post_rows,
 )
 from .records import check_types
-from .surrogate import PriorityWeights
+from .surrogate import PriorityWeights, select_topq
 
 KIND_TOP_SINGLE = "top_shapley_single"
 KIND_TOP_K = "top_shapley_topk"
@@ -52,30 +53,22 @@ class BaselineSpec:
         if self.kind not in BASELINE_KINDS:
             raise ValueError(f"unknown baseline kind {self.kind!r}")
         if self.k_levers < 1:
-            raise ValueError("k_levers must be >= 1")
+            raise ValueError(f"k_levers must be >= 1, got {self.k_levers}")
         if self.kind != KIND_OUTCOME_ONLY and not self.step_magnitude > 0:
-            raise ValueError("uniform baselines need step_magnitude > 0")
-
-
-def _rank_by(scores: np.ndarray) -> np.ndarray:
-    """Descending order, ties broken toward the lower position."""
-    return np.lexsort((np.arange(scores.size), -scores))
+            raise ValueError(f"step_magnitude must be positive, got {self.step_magnitude}")
 
 
 def _uniform_result(problem: InterventionProblem, chosen: np.ndarray, step: float) -> InterventionResult:
     """The constructed result of a uniform step on the chosen lever columns:
     the step there and 0 elsewhere, clipped to the problem's lever box as
-    `project_feasible` clips, and its post projection; nothing is solved."""
+    `project_feasible` clips, and the projection of its post rows in its own
+    call, as evaluation would make it; nothing is solved."""
     lo, hi = problem.lever_box
-    raw = np.zeros_like(lo)
-    raw[:, chosen] = step
-    result = _assemble_result(problem, np.clip(raw, lo, hi), [], STATUS_CONSTRUCTED, 0, 0.0)
-    # post projected in its own call, as evaluation scores it; the result keeps it
-    i_b = problem.groups.i_target
-    U = nnls_project_rows(problem.dataset.X[i_b] + result.delta[i_b], problem.latent.H)
-    U.setflags(write=False)
-    result.post_projection = U
-    return result
+    D = np.zeros_like(lo)
+    D[:, chosen] = step
+    np.clip(D, lo, hi, out=D)
+    post = nnls_project_rows(post_rows(problem, D), problem.latent.H)
+    return _assemble_result(problem, D, post, [], STATUS_CONSTRUCTED, 0, 0.0)
 
 
 def run_baseline(spec: BaselineSpec, problem: InterventionProblem) -> InterventionResult:
@@ -99,7 +92,7 @@ def run_baseline(spec: BaselineSpec, problem: InterventionProblem) -> Interventi
     else:
         scores = problem.priorities.omega_for(levers)
     k = 1 if spec.kind == KIND_TOP_SINGLE else spec.k_levers
-    return _uniform_result(problem, _rank_by(scores)[:k], spec.step_magnitude)
+    return _uniform_result(problem, select_topq(scores, k), spec.step_magnitude)
 
 
 def uniform_priorities(priorities: PriorityWeights) -> PriorityWeights:

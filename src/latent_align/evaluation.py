@@ -119,22 +119,21 @@ def effort_and_levers(
 def target_codes(problem: InterventionProblem, result: InterventionResult) -> tuple[np.ndarray, np.ndarray]:
     """Normalized codes of the target rows before and after the intervention.
 
-    X_B is the problem's own projection (`target_projection`); X_B + delta_B
-    is projected onto the frozen basis in a separate call, once per result,
-    and kept as `result.post_projection`. When delta_B = 0 the post rows are
-    X_B, and `target_projection` is kept instead: a separate call would give
-    the same bits, since equal rows give bit-identical codes.
+    X_B is the problem's own projection (`target_projection`). X_B + delta_B
+    is the result's `post_projection` if the result was built on this problem
+    or a `with_knobs` copy (`built_on`); else it is projected here, in its own
+    call, or is X_B's projection when delta_B = 0, which that call would give
+    bit for bit. Nothing is written, so no score depends on an earlier one.
     """
-    if result.post_projection is None:
-        i_b = problem.groups.i_target
-        delta_b = result.delta[i_b]
-        if delta_b.any():
-            post = nnls_project_rows(problem.dataset.X[i_b] + delta_b, problem.latent.H)
-            post.setflags(write=False)
-        else:
-            post = problem.target_projection
-        result.post_projection = post
-    return normalize_rows(problem.target_projection), normalize_rows(result.post_projection)
+    i_b = problem.groups.i_target
+    delta_b = result.delta[i_b]
+    if result.built_on is problem.target_projection:
+        post = result.post_projection
+    elif delta_b.any():
+        post = nnls_project_rows(problem.dataset.X[i_b] + delta_b, problem.latent.H)
+    else:
+        post = problem.target_projection
+    return normalize_rows(problem.target_projection), normalize_rows(post)
 
 
 def evaluate_intervention(problem: InterventionProblem, result: InterventionResult) -> MetricsReport:

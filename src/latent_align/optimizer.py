@@ -17,7 +17,7 @@ construction and `with_knobs`; the last two apply `records.check_types` first.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import InitVar, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -145,21 +145,16 @@ class LeverActivation:
     omega: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class InterventionResult:
     """The intervention a solve or a baseline produced, with its counters.
 
     objective is the last trajectory record's, and None for a constructed
     result, which solves nothing: its trajectory is empty and its counters
-    are 0. post_projection holds nnls_project_rows(X_B + delta_B, H), the raw
-    codes of the post rows on the frozen basis, once something has projected
-    them: a uniform baseline when it constructs its intervention, otherwise
-    the first evaluation (`evaluation.target_codes`), which keeps the
-    problem's target_projection when delta_B = 0. Every later post score
-    reads it. It is not an init field, so a `dataclasses.replace` copy starts
-    without it and is projected again when it is scored. Unlike the records a
-    run carries, the result is not frozen: that cache is set after
-    construction.
+    are 0. The builder hands in `post`: post_projection, the raw codes
+    nnls_project_rows(X_B + delta_B, H) of the post rows on the frozen basis,
+    and built_on, the target_projection of the problem they were projected
+    for. Neither is an init field, so a `dataclasses.replace` copy has none.
     """
 
     delta: np.ndarray
@@ -176,11 +171,17 @@ class InterventionResult:
     n_delta_trials: int
     # Sinkhorn iterations summed over the n_sinkhorn_calls solves
     n_sinkhorn_iters: int
+    post: InitVar[tuple[np.ndarray, np.ndarray] | None] = None
     post_projection: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    built_on: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
-    def __post_init__(self):
+    def __post_init__(self, post):
         self.delta.setflags(write=False)
         self.rounded_delta.setflags(write=False)
+        if post is not None:
+            post[0].setflags(write=False)
+            object.__setattr__(self, "post_projection", post[0])
+            object.__setattr__(self, "built_on", post[1])
 
     def delta_triplets(self, rounded: bool = False) -> list[dict]:
         D = self.rounded_delta if rounded else self.delta
@@ -191,19 +192,13 @@ class InterventionResult:
         ]
 
     def to_dict(self) -> dict:
+        """Every init field, the two deltas as triplets and the records as rows."""
         return {
+            **{f.name: getattr(self, f.name) for f in fields(self) if f.init},
             "delta": self.delta_triplets(),
             "rounded_delta": self.delta_triplets(rounded=True),
             "active_levers": field_rows(self.active_levers),
             "trajectory": field_rows(self.trajectory),
-            "status": self.status,
-            "n_sinkhorn_calls": self.n_sinkhorn_calls,
-            "beta_used": self.beta_used,
-            "objective": self.objective,
-            "n_outer": self.n_outer,
-            "n_u_trials": self.n_u_trials,
-            "n_delta_trials": self.n_delta_trials,
-            "n_sinkhorn_iters": self.n_sinkhorn_iters,
         }
 
 
@@ -629,14 +624,23 @@ def optimize(problem: InterventionProblem) -> InterventionResult:
         else:
             small_streak = 0
 
+    post = nnls_project_rows(post_rows(problem, D), H) if D.any() else problem.target_projection
     return _assemble_result(
-        problem, D, trajectory, status, align.n_calls, beta, n_outer, n_u_trials, n_delta_trials, align.n_iters
+        problem, D, post, trajectory, status, align.n_calls, beta, n_outer, n_u_trials, n_delta_trials, align.n_iters
     )
+
+
+def post_rows(problem: InterventionProblem, D: np.ndarray) -> np.ndarray:
+    """X_B + delta_B: the target rows with the lever block D added."""
+    rows = problem.dataset.X[problem.groups.i_target]
+    rows[:, problem.dataset.schema.policy_levers] += D
+    return rows
 
 
 def _assemble_result(
     problem: InterventionProblem,
     D: np.ndarray,
+    post: np.ndarray,
     trajectory: list[TrajectoryRecord],
     status: str,
     n_sinkhorn_calls: int,
@@ -648,9 +652,10 @@ def _assemble_result(
 ) -> InterventionResult:
     """Scatter the lever block into a full intervention, round it for
     reporting, re-validate every target row, rank the active levers and
-    build the result. The objective is the last trajectory record's, None
-    for an empty trajectory; the step counters default to those of a result
-    built without iterating."""
+    build the result with post, the builder's projection of its post rows.
+    The objective is the last trajectory record's, None for an empty
+    trajectory; the step counters default to those of a result built without
+    iterating."""
     dataset, i_b = problem.dataset, problem.groups.i_target
     X, schema = dataset.X, dataset.schema
     levers = schema.policy_levers
@@ -686,6 +691,7 @@ def _assemble_result(
         n_u_trials=n_u_trials,
         n_delta_trials=n_delta_trials,
         n_sinkhorn_iters=n_sinkhorn_iters,
+        post=(post, problem.target_projection),
     )
 
 

@@ -78,23 +78,23 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         check_types(self, ConfigError, names=_RENAMES)
         check_knobs(self, ConfigError, names=_RENAMES)
-        if self.k < 1:
-            raise ConfigError(f"k must be >= 1, got {self.k}")
+        if self.k < 2:
+            raise ConfigError(f"k must be >= 2, got {self.k}")
         if self.n_clusters < 2:
             raise ConfigError(f"G must be >= 2, got {self.n_clusters}")
         if not 1 <= self.resolved_q() <= self.k:
             raise ConfigError(f"q must lie in [1, k], got {self.q} with k={self.k}")
         if not 0 < self.tau_y < 1:
-            raise ConfigError("tau_y must lie in (0, 1)")
+            raise ConfigError(f"tau_y must lie in (0, 1), got {self.tau_y}")
         if not self.eps_omega > 0:
-            raise ConfigError("eps_omega must be positive")
+            raise ConfigError(f"eps_omega must be positive, got {self.eps_omega}")
         if self.logistic_l2 < 0:
-            raise ConfigError("logistic_l2 must be >= 0")
+            raise ConfigError(f"logistic_l2 must be >= 0, got {self.logistic_l2}")
         for name in ("nmf_max_iters", "kmeans_restarts", "baseline_k_levers"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not self.baseline_step > 0:
-            raise ConfigError("baseline_step must be positive")
+            raise ConfigError(f"baseline_step must be positive, got {self.baseline_step}")
         if not self.seeds:
             raise ConfigError("at least one seed required")
         if min(self.seeds) < 0 or len(set(self.seeds)) < len(self.seeds):

@@ -52,6 +52,18 @@ class TestBaselineSpec:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             BaselineSpec(kind="top_shapley_topk", **change)
 
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"k_levers": 0}, "k_levers must be >= 1, got 0"),
+            ({"step_magnitude": 0.0}, "step_magnitude must be positive, got 0.0"),
+            ({"step_magnitude": -1}, "step_magnitude must be positive, got -1"),
+        ],
+    )
+    def test_out_of_range_value_rejected(self, change, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            BaselineSpec(kind="top_shapley_topk", **change)
+
     def test_too_many_levers(self, fixture_arts):
         spec = BaselineSpec(kind="top_shapley_topk", k_levers=99)
         with pytest.raises(ValueError, match="eligible"):
@@ -91,6 +103,7 @@ class TestUniformBaselines:
             assert np.array_equal(result.delta, kept.delta)
             post = nnls_project_rows(problem.dataset.X[i_b] + result.delta[i_b], problem.latent.H)
             assert np.array_equal(result.post_projection, post)
+            assert result.built_on is problem.target_projection
             assert result.status == "constructed"
             assert (result.n_sinkhorn_calls, result.n_sinkhorn_iters) == (0, 0)
             assert (result.n_outer, result.n_u_trials, result.n_delta_trials) == (0, 0, 0)

@@ -130,12 +130,12 @@ class TestConfig:
     @pytest.mark.parametrize(
         "overrides, message",
         [
-            ({"k": 0}, "k must be >= 1, got 0"),
+            ({"k": 0}, "k must be >= 2, got 0"),
             ({"q": 0}, "q must lie in [1, k], got 0 with k=10"),
             ({"q": 11}, "q must lie in [1, k], got 11 with k=10"),
-            ({"tau_y": 0.0}, "tau_y must lie in (0, 1)"),
-            ({"tau_y": 1}, "tau_y must lie in (0, 1)"),
-            ({"eps_omega": 0.0}, "eps_omega must be positive"),
+            ({"tau_y": 0.0}, "tau_y must lie in (0, 1), got 0.0"),
+            ({"tau_y": 1}, "tau_y must lie in (0, 1), got 1"),
+            ({"eps_omega": 0.0}, "eps_omega must be positive, got 0.0"),
             ({"seeds": ()}, "at least one seed required"),
             ({"dataset_csv": "d.csv"}, "dataset_csv and schema_json must be given together"),
             ({"binarize_rule": "mean"}, "unknown binarize rule 'mean'"),
@@ -144,6 +144,9 @@ class TestConfig:
             ({"max_outer": 0}, "max_outer must be >= 1, got 0"),
             ({"tol_obj": -1.0}, "tol_obj must be >= 0, got -1.0"),
             ({"tau_delta": -1.0}, "tau_delta must be >= 0, got -1.0"),
+            ({"k": 1}, "k must be >= 2, got 1"),
+            ({"logistic_l2": -1.0}, "logistic_l2 must be >= 0, got -1.0"),
+            ({"baseline_step": 0.0}, "baseline_step must be positive, got 0.0"),
         ],
     )
     def test_out_of_range_value_rejected(self, overrides, message):
@@ -631,6 +634,7 @@ REJECTED_CASES = {
     "run G named twice": (["run"], {"n_clusters": 4}),
     "baselines lambda named twice under a flag": (["baselines", "--lambda", "0.1"], {"sparsity_weight": 0.01}),
     "baselines beta_couple -1": (["baselines", "--beta-couple", "-1"], {}),
+    "run k 1": (["run", "--k", "1"], {}),
     "run k above d": (["run", "--k", "20"], {}),
     "baselines k above d": (["baselines", "--k", "20"], {}),
     "run G above n": (["run", "--g", "201"], {}),
@@ -645,6 +649,7 @@ REJECTED_CASES = {
     "baselines no lever": (["baselines", *NO_LEVERS], {}),
     "sweep eta -1": (["sweep", "--param", "eta", "--values", "0.05,-1"], {}),
     "sweep G 1": (["sweep", "--param", "G", "--values", "1"], {}),
+    "sweep k 1": (["sweep", "--param", "k", "--values", "3,1"], {}),
     "synth n 3": (["synth", "--n", "3"], {}),
     "synth k_true 1": (["synth", "--k-true", "1"], {}),
     "synth out empty": (["synth", "--out", ""], {}),

@@ -11,9 +11,12 @@ from latent_align import evaluation, transport
 from latent_align.evaluation import conversion_metrics, effort_and_levers, evaluate_intervention
 from latent_align.factorization import nnls_project_rows
 from latent_align.grouping import GroupAssignment
+from latent_align.optimizer import _assemble_result, optimize
 from latent_align.pipeline import ExperimentConfig, run_pipeline
 from latent_align.surrogate import SurrogateModel
 from latent_align.transport import TransportProblem, sinkhorn
+
+from conftest import small_config
 
 
 class TestConversion:
@@ -138,7 +141,7 @@ def _evaluate(pre, ref, post, eta):
     before = dict(vars(problem))
     delta = np.zeros_like(W)
     delta[groups.i_target] = post - pre
-    result = SimpleNamespace(delta=delta, post_projection=None)
+    result = SimpleNamespace(delta=delta, post_projection=None, built_on=None)
     m = evaluate_intervention(problem, result)
     assert vars(problem).keys() == before.keys()
     assert all(getattr(problem, name) is value for name, value in before.items())
@@ -324,17 +327,19 @@ class TestOneLatentMap:
         assert report.n_conv == 0 and report.dw == 0.0 and report.effort == 0.0
 
     def test_zero_intervention_reuses_the_pre_side(self, fixture_arts, monkeypatch):
-        # a copy made by replace has projected nothing yet
+        # a copy made by replace carries no projection
         problem, result = fixture_arts.problem, fixture_arts.result
         zero = replace(result, delta=np.zeros_like(result.delta))
+        assert zero.post_projection is None and zero.built_on is None
         i_b = problem.groups.i_target
         # the old way: X_B + 0 projected in its own call and the post side solved
-        old = replace(zero)
-        old.post_projection = nnls_project_rows(problem.dataset.X[i_b] + 0.0, problem.latent.H)
+        post = nnls_project_rows(problem.dataset.X[i_b] + 0.0, problem.latent.H)
+        levers = problem.dataset.schema.policy_levers
+        old = _assemble_result(problem, np.zeros((i_b.size, levers.size)), post, [], "constructed", 0, 0.0)
         expected = evaluate_intervention(problem, old)
         ref = la.normalize_rows(problem.latent.W)[problem.groups.i_reference]
-        post = la.normalize_rows(old.post_projection)
-        assert expected.w_after == sinkhorn(TransportProblem.from_supports(post, ref, problem.eta)).transport_cost
+        post_side = TransportProblem.from_supports(la.normalize_rows(post), ref, problem.eta)
+        assert expected.w_after == sinkhorn(post_side).transport_cost
 
         projections = []
         project = evaluation.nnls_project_rows
@@ -343,10 +348,33 @@ class TestOneLatentMap:
         report = evaluate_intervention(problem, zero)
         # no projection and no solve: the post side is the problem's pre side
         assert projections == [] and solves == []
-        assert zero.post_projection is problem.target_projection
+        assert np.array_equal(evaluation.target_codes(problem, zero)[1], la.normalize_rows(problem.target_projection))
+        assert zero.post_projection is None
         assert report.w_after == report.w_before == problem.pre_discrepancy
         assert report == expected
         assert report.dw == 0.0 and report.n_conv == 0
+
+    def test_a_score_does_not_depend_on_earlier_scores(self):
+        # a result scored on another basis than the one it was built on is
+        # projected there, however often it or a copy was scored before
+        arts = run_pipeline(small_config(), seed=42)
+        latent = la.fit_nmf(arts.dataset.X, k=4, seed=7, max_iters=200)
+        p2 = replace(arts.problem, latent=latent)
+        fresh = replace(arts.result)
+        first = evaluate_intervention(p2, fresh)
+        assert evaluate_intervention(arts.problem, fresh) == arts.metrics
+        assert evaluate_intervention(p2, fresh) == first
+        assert evaluate_intervention(p2, arts.result) == first
+        assert first != arts.metrics
+
+    def test_scoring_writes_nothing_to_the_result(self, fixture_arts):
+        result = optimize(fixture_arts.problem)
+        assert np.any(result.delta)
+        before = dict(vars(result))
+        evaluate_intervention(fixture_arts.problem, result)
+        assert vars(result).keys() == before.keys()
+        assert all(getattr(result, name) is value for name, value in before.items())
+        assert result.built_on is fixture_arts.problem.target_projection
 
     def test_conversions_match_per_row_projection(self, fixture_arts):
         model = fixture_arts.surrogate

@@ -472,7 +472,7 @@ class TestOptimize:
         D = np.zeros((3, 2))
         D[1, 0] = -100.0
         with pytest.raises(RuntimeError, match=r"infeasible row 4: feature 'a': value .* below lower bound"):
-            _assemble_result(problem, D, [], "converged", 0, 1.0)
+            _assemble_result(problem, D, problem.target_projection, [], "converged", 0, 1.0)
 
     def test_support_constraint_exact(self, fixture_arts):
         result = fixture_arts.result

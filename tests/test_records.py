@@ -12,6 +12,7 @@ import pytest
 from latent_align.evaluation import MetricsReport
 from latent_align.factorization import LatentModel
 from latent_align.grouping import GroupAssignment
+from latent_align.optimizer import InterventionResult
 from latent_align.pipeline import PipelineArtifacts
 from latent_align.surrogate import PriorityWeights, SurrogateModel
 
@@ -75,6 +76,7 @@ FROZEN = [
     (SurrogateModel, "surrogate"),
     (PriorityWeights, "priorities"),
     (MetricsReport, "metrics"),
+    (InterventionResult, "result"),
     (PipelineArtifacts, None),
 ]
 
