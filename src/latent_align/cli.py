@@ -95,11 +95,6 @@ def _write_rows_csv(rows: list[dict], header: list[str], path: Path) -> None:
         writer.writerows(rows)
 
 
-def _record_rows(records) -> list[dict]:
-    # float() turns NumPy scalars into Python floats, which csv writes as repr
-    return [{k: float(v) if isinstance(v, float) else v for k, v in row.items()} for row in field_rows(records)]
-
-
 def _codes_rows(arts: PipelineArtifacts) -> list[dict]:
     """Pre codes for everyone plus post codes for the target group, for
     external latent-space plotting. The target rows carry the codes the
@@ -135,9 +130,9 @@ def _write_seed_artifacts(arts: PipelineArtifacts, seed_dir: Path) -> None:
     for name, obj in objects.items():
         _write_json(obj.to_dict(), seed_dir / name, indent=None)
     trajectory_header = [f.name for f in fields(TrajectoryRecord)]
-    _write_rows_csv(_record_rows(arts.result.trajectory), trajectory_header, seed_dir / "trajectory.csv")
+    _write_rows_csv(field_rows(arts.result.trajectory), trajectory_header, seed_dir / "trajectory.csv")
     movement_header = [f.name for f in fields(GroupMovementRow)]
-    _write_rows_csv(_record_rows(arts.metrics.group_movement), movement_header, seed_dir / "movement.csv")
+    _write_rows_csv(field_rows(arts.metrics.group_movement), movement_header, seed_dir / "movement.csv")
     codes_header = ["respondent_id", "cluster", "role", "phase"] + [f"c{r}" for r in range(arts.latent.k)]
     _write_rows_csv(_codes_rows(arts), codes_header, seed_dir / "latent_codes.csv")
 

@@ -7,7 +7,8 @@ intervention, X_B and X_B + delta_B, are each projected onto the frozen basis
 H and row-normalized (`target_codes`). The reference group keeps its model
 codes (`problem.reference_codes`), the distribution the solver aligns to. A
 zero intervention therefore scores zero conversions and zero discrepancy
-change.
+change. Every discrepancy is the problem's `discrepancy`, so this module
+solves no transport problem of its own.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import numpy as np
 from .factorization import nnls_project_rows, normalize_rows
 from .optimizer import InterventionProblem, InterventionResult
 from .records import _has_type, field_rows
-from . import transport
 
 EFFORT_FLOOR = 1e-12
 
@@ -149,9 +149,9 @@ def evaluate_intervention(problem: InterventionProblem, result: InterventionResu
     distance to itself is 0, and its discrepancy is 0 by convention, not the
     positive entropic cost of transporting the reference onto itself.
 
-    The pre discrepancy is the problem's own; a pass solves only the post
-    one, none when the post codes equal the pre codes, and writes nothing to
-    the problem. A zero pre discrepancy marks the reduction ratio degenerate.
+    The pre discrepancy is the problem's own; a pass solves the post one by
+    `problem.discrepancy` unless the post codes equal the pre codes, and
+    writes nothing. A zero pre discrepancy marks the reduction degenerate.
     """
     model = problem.surrogate
     ref = problem.reference_codes
@@ -162,8 +162,7 @@ def evaluate_intervention(problem: InterventionProblem, result: InterventionResu
     effort, n_lever = effort_and_levers(result.delta, problem.dataset.schema.s_ctrl, problem.tau_delta)
 
     w_before = problem.pre_discrepancy
-    post_side = None if np.array_equal(post, pre) else transport.TransportProblem.from_supports(post, ref, problem.eta)
-    w_after = w_before if post_side is None else transport.sinkhorn(post_side).transport_cost
+    w_after = w_before if np.array_equal(post, pre) else problem.discrepancy(post)
     dw = w_before - w_after
     degenerate = not w_before > 0
 

@@ -28,7 +28,7 @@ NNLS_MAX_PASSES = 100  # exchange passes before NNLSError
 NNLS_BACKUP_PASSES = 3  # full swaps allowed after the infeasible count stops falling
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LatentModel(JSONRecord):
     """Frozen nonnegative basis with training coefficients.
 

@@ -17,7 +17,7 @@ from .records import JSONRecord, check_types
 MAX_LLOYD_ITERS = 300
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroupAssignment(JSONRecord):
     """Cluster labels and centroids, with the reference and target clusters.
     Every label, reference and target index a row of centroids, and

@@ -66,7 +66,7 @@ def check_knobs(obj, error: type[Exception] = ValueError, names: dict | None = N
             raise error(f"{(names or {}).get(name, name)} must be {rule}, got {getattr(obj, name)!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InterventionProblem:
     """Inputs and knobs for one intervention solve: checked, complete and
     read-only once built. beta_couple=None selects a data-scaled coupling
@@ -76,9 +76,10 @@ class InterventionProblem:
     Construction derives target_projection = nnls_project_rows(X_B, H), the
     target rows' raw codes on the frozen basis; reference_codes, the
     normalized reference codes the solver aligns to; lever_box, lowers - X_B
-    over uppers - X_B on the lever block; and pre_discrepancy, the transport
-    cost from the normalized target codes to the reference codes at eta.
-    `with_knobs` copies share all four; dataclasses.replace derives them anew.
+    over uppers - X_B on the lever block; and pre_discrepancy, the
+    `discrepancy` of the normalized target codes. `with_knobs` copies share
+    all four; dataclasses.replace derives them anew. `discrepancy` is the one
+    reported transport solve: evaluation's post side goes through it too.
     """
 
     dataset: SurveyDataset
@@ -93,10 +94,10 @@ class InterventionProblem:
     tol_obj: float = 1e-5
     alignment: str = ALIGNMENT_OT
     tau_delta: float = DEFAULT_TAU_DELTA
-    target_projection: np.ndarray = field(init=False, repr=False, compare=False)
-    reference_codes: np.ndarray = field(init=False, repr=False, compare=False)
-    lever_box: np.ndarray = field(init=False, repr=False, compare=False)
-    pre_discrepancy: float = field(init=False, repr=False, compare=False)
+    target_projection: np.ndarray = field(init=False, repr=False)
+    reference_codes: np.ndarray = field(init=False, repr=False)
+    lever_box: np.ndarray = field(init=False, repr=False)
+    pre_discrepancy: float = field(init=False, repr=False)
 
     def __post_init__(self):
         self._check()
@@ -106,8 +107,13 @@ class InterventionProblem:
         for name, a in (("target_projection", target), ("reference_codes", reference), ("lever_box", box)):
             a.setflags(write=False)
             object.__setattr__(self, name, a)
-        pre = transport.TransportProblem.from_supports(normalize_rows(target), reference, self.eta)
-        object.__setattr__(self, "pre_discrepancy", transport.sinkhorn(pre).transport_cost)
+        object.__setattr__(self, "pre_discrepancy", self.discrepancy(normalize_rows(target)))
+
+    def discrepancy(self, codes: np.ndarray) -> float:
+        """Transport cost from uniform weights on the rows of codes to the
+        reference codes at eta."""
+        tp = transport.TransportProblem.from_supports(codes, self.reference_codes, self.eta)
+        return transport.sinkhorn(tp).transport_cost
 
     def with_knobs(self, **changes) -> "InterventionProblem":
         """A copy with other solver knobs that shares the four derived fields;
@@ -145,7 +151,7 @@ class LeverActivation:
     omega: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InterventionResult:
     """The intervention a solve or a baseline produced, with its counters.
 
@@ -172,8 +178,8 @@ class InterventionResult:
     # Sinkhorn iterations summed over the n_sinkhorn_calls solves
     n_sinkhorn_iters: int
     post: InitVar[tuple[np.ndarray, np.ndarray] | None] = None
-    post_projection: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
-    built_on: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    post_projection: np.ndarray | None = field(default=None, init=False, repr=False)
+    built_on: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self, post):
         self.delta.setflags(write=False)

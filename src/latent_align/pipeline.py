@@ -17,7 +17,6 @@ from .grouping import GroupAssignment, anchor_groups, kmeans
 from .optimizer import InterventionProblem, InterventionResult, check_knobs, optimize
 from .records import check_types
 from .schema import (
-    DataValidationError,
     SurveyDataset,
     default_synthetic_schema,
     generate_synthetic,
@@ -149,7 +148,7 @@ class ExperimentConfig:
         return replace(self, **{_FIELD_NAMES.get(param, param): value})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PipelineArtifacts:
     seed: int
     dataset: SurveyDataset
@@ -176,8 +175,6 @@ def load_or_generate(config: ExperimentConfig) -> SurveyDataset:
             k_true=config.synthetic_k_true,
             seed=config.synthetic_seed,
         )
-    except DataValidationError:
-        raise
     except ValueError as exc:  # synthetic settings the generator rejects are a usage error
         raise ConfigError(f"cannot generate synthetic data: {exc}") from exc
 

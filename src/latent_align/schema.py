@@ -88,6 +88,8 @@ class FeatureSchema:
             raise SchemaError("schema declares no features")
         for f in self.features:
             check_types(f, SchemaError, prefix=f"feature {f.name!r}: ")
+            if not isinstance(f.kind, FeatureKind):
+                raise SchemaError(f"feature {f.name!r}: kind must be FeatureKind, got {f.kind!r}")
         check_types(self, SchemaError)
         names = [f.name for f in self.features]
         if len(set(names)) != len(names):
@@ -267,7 +269,7 @@ def validate_rows(X: np.ndarray, schema: FeatureSchema, mode: str = "optimize") 
     return [v for _, _, v in found]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SurveyDataset:
     """Validated encoded survey matrix with outcome scores.
 

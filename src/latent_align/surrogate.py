@@ -27,7 +27,7 @@ def _sigmoid(m: np.ndarray) -> np.ndarray:
     return np.where(m >= 0, 1.0, e) / (1.0 + e)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SurrogateModel(JSONRecord):
     """Logistic probe: predict(w) = sigmoid(beta . w + bias)."""
 
@@ -50,7 +50,7 @@ class SurrogateModel(JSONRecord):
         return _sigmoid(np.asarray(W, dtype=float) @ self.beta + self.bias)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PriorityWeights(JSONRecord):
     """Latent-factor relevance and the derived controllable-feature priorities.
 

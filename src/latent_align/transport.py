@@ -89,7 +89,7 @@ class ConvergenceError(RuntimeError):
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TransportProblem:
     """Discrete entropic OT instance: cost matrix, marginals, regularization."""
 
@@ -130,7 +130,7 @@ class TransportProblem:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TransportPlan:
     gamma: np.ndarray
     transport_cost: float
@@ -209,7 +209,7 @@ def sinkhorn(problem: TransportProblem, max_iters: int = DEFAULT_MAX_ITERS) -> T
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SupportsPlan:
     """What a kernel-first solve keeps of the plan gamma between two
     supports: gamma applied to the target support, and <gamma, M>."""

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import latent_align as la
-from latent_align import pipeline
+from latent_align import cli, pipeline
 from latent_align.cli import main
 from latent_align.evaluation import GroupMovementRow, target_codes
 from latent_align.optimizer import TrajectoryRecord
@@ -283,6 +283,20 @@ class TestRun:
         doc = json.loads(capsys.readouterr().err)
         assert doc["error"] == "ConfigError" and "seeds" in doc["message"]
         assert not out.exists()
+
+    def test_an_unexpected_error_exits_1_with_its_trace(self, tmp_path, capsys, monkeypatch):
+        def boom(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "run_pipeline", boom)
+        monkeypatch.delenv("LATENT_ALIGN_THREADS", raising=False)
+        assert main(["run", "--max-outer", "5", "--out", str(tmp_path / "o")]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert set(err) == {"error", "message", "trace"}
+        assert err["error"] == "RuntimeError" and err["message"] == "boom"
+        assert "RuntimeError: boom" in err["trace"]
 
     def test_parallel_matches_single(self, tmp_path, monkeypatch):
         cfg = _write_config(tmp_path, seeds=(7, 8))

@@ -1,7 +1,7 @@
 import json
 import re
 from dataclasses import replace
-from types import SimpleNamespace
+from types import MethodType, SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,7 +11,7 @@ from latent_align import evaluation, transport
 from latent_align.evaluation import conversion_metrics, effort_and_levers, evaluate_intervention
 from latent_align.factorization import nnls_project_rows
 from latent_align.grouping import GroupAssignment
-from latent_align.optimizer import _assemble_result, optimize
+from latent_align.optimizer import InterventionProblem, _assemble_result, optimize
 from latent_align.pipeline import ExperimentConfig, run_pipeline
 from latent_align.surrogate import SurrogateModel
 from latent_align.transport import TransportProblem, sinkhorn
@@ -112,8 +112,9 @@ def _evaluate(pre, ref, post, eta):
     """One evaluation pass on handmade codes: the target rows (pre) and the
     reference rows over an identity basis, so each row's projection is the
     row itself, and an intervention that moves the target rows to post. The
-    problem carries its pre discrepancy solved as construction solves it,
-    and the pass must leave every attribute of it as it was."""
+    problem carries `InterventionProblem.discrepancy` and its pre discrepancy
+    solved through it, as construction solves it, and the pass must leave
+    every attribute of it as it was."""
     pre, ref, post = (np.asarray(a, dtype=float) for a in (pre, ref, post))
     W = np.vstack([pre, ref])
     k = W.shape[1]
@@ -126,7 +127,6 @@ def _evaluate(pre, ref, post, eta):
     )
     target_projection = nnls_project_rows(pre, np.eye(k))
     reference_codes = la.normalize_rows(W)[groups.i_reference]
-    pre_side = TransportProblem.from_supports(la.normalize_rows(target_projection), reference_codes, eta)
     problem = SimpleNamespace(
         dataset=SimpleNamespace(X=W, schema=SimpleNamespace(s_ctrl=np.arange(k))),
         latent=SimpleNamespace(W=W, H=np.eye(k)),
@@ -136,8 +136,9 @@ def _evaluate(pre, ref, post, eta):
         tau_delta=1e-6,
         target_projection=target_projection,
         reference_codes=reference_codes,
-        pre_discrepancy=sinkhorn(pre_side).transport_cost,
     )
+    problem.discrepancy = MethodType(InterventionProblem.discrepancy, problem)
+    problem.pre_discrepancy = problem.discrepancy(la.normalize_rows(target_projection))
     before = dict(vars(problem))
     delta = np.zeros_like(W)
     delta[groups.i_target] = post - pre
@@ -184,6 +185,29 @@ class TestAlignmentMetrics:
         same = np.tile([0.5, 0.5], (3, 1))
         m = _evaluate(same, same, same, eta=0.1)
         assert m.degenerate_alignment and m.rho_reduction == 0.0
+
+    def test_pre_discrepancy_is_the_problems_discrepancy(self, fixture_arts):
+        problem = fixture_arts.problem
+        assert problem.discrepancy(la.normalize_rows(problem.target_projection)) == problem.pre_discrepancy
+
+    def test_every_reported_discrepancy_is_the_problems(self, monkeypatch):
+        values = []
+        discrepancy = InterventionProblem.discrepancy
+
+        def counted(self, codes):
+            values.append(discrepancy(self, codes))
+            return values[-1]
+
+        monkeypatch.setattr(InterventionProblem, "discrepancy", counted)
+        arts = run_pipeline(small_config(), seed=42)
+        # once when the problem is built, once in evaluation
+        assert values == [arts.problem.pre_discrepancy, arts.metrics.w_after]
+        assert arts.metrics.w_after != arts.metrics.w_before
+        rows = {r.group: r.ot_discrepancy for r in arts.metrics.group_movement}
+        assert [rows["target_pre"], rows["target_post"]] == values
+        # a zero intervention scores its pre side: nothing to solve
+        evaluate_intervention(arts.problem, replace(arts.result, delta=np.zeros_like(arts.result.delta)))
+        assert len(values) == 2
 
     def test_one_pass_solves_each_discrepancy_once(self, fixture_arts, monkeypatch):
         shapes = _count_solves(monkeypatch)

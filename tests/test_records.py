@@ -2,6 +2,7 @@
 (`latent_model.json`, `groups.json`, `surrogate.json`, `priorities.json`),
 and the typed, read-only records and bundles a run hands on."""
 
+import copy
 import json
 import re
 from dataclasses import FrozenInstanceError, fields, replace
@@ -15,6 +16,7 @@ from latent_align.grouping import GroupAssignment
 from latent_align.optimizer import InterventionResult
 from latent_align.pipeline import PipelineArtifacts
 from latent_align.surrogate import PriorityWeights, SurrogateModel
+from latent_align.transport import SupportsSolver, TransportProblem, sinkhorn
 
 # record on the fixture run, one scalar field of it, and a value of another
 # type for that field, which the record must write as the annotated type
@@ -101,3 +103,30 @@ def test_a_problem_keeps_the_groups_it_was_solved_for(fixture_arts):
     with pytest.raises(FrozenInstanceError):
         groups.target = 0
     assert groups.target == target
+
+
+# each frozen record that holds an array, or a record of one, built from the fixture run
+ARRAY_RECORDS = {
+    "SurveyDataset": lambda arts: arts.dataset,
+    "LatentModel": lambda arts: arts.latent,
+    "GroupAssignment": lambda arts: arts.groups,
+    "SurrogateModel": lambda arts: arts.surrogate,
+    "PriorityWeights": lambda arts: arts.priorities,
+    "InterventionProblem": lambda arts: arts.problem,
+    "InterventionResult": lambda arts: arts.result,
+    "PipelineArtifacts": lambda arts: arts,
+    "TransportProblem": lambda arts: TransportProblem.from_supports(np.eye(2), np.eye(2), 0.1),
+    "TransportPlan": lambda arts: sinkhorn(TransportProblem.from_supports(np.eye(2), np.eye(2), 0.1)),
+    "SupportsPlan": lambda arts: SupportsSolver(np.eye(2), 0.1).solve(np.eye(2)),
+}
+
+
+@pytest.mark.parametrize("name", ARRAY_RECORDS)
+def test_array_records_compare_and_hash_by_identity(fixture_arts, name):
+    # a generated __eq__ would compare arrays elementwise and raise, and a
+    # generated __hash__ would hash an array and raise
+    x = ARRAY_RECORDS[name](fixture_arts)
+    assert type(x).__name__ == name
+    assert x == x
+    assert x != copy.deepcopy(x)
+    assert hash(x) == hash(x)

@@ -432,6 +432,16 @@ def test_schema_entry_types_are_checked_not_cast(key, value):
         FeatureSchema.from_dict(doc)
 
 
+def test_a_kind_given_as_a_string_is_rejected_not_read_as_numeric():
+    # "likert" is no FeatureKind: the Likert checks and s_likert would skip the
+    # feature, and to_dict would fail on kind.value when the schema is saved
+    message = "feature 'a': kind must be FeatureKind, got 'likert'"
+    with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
+        FeatureSchema(
+            (FeatureSpec("a", "likert", 1, 5, controllable=True), FeatureSpec("b", FeatureKind.NUMERIC, 0, 1)), "y"
+        )
+
+
 def test_schema_outcome_must_be_a_string():
     doc = _schema_4().to_dict()
     doc["outcome"] = 7
