@@ -336,7 +336,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--q", dest="q", type=int, help="top factors kept for priorities")
     p.add_argument("--eta", dest="eta", type=float, help="entropic regularization")
     p.add_argument("--lambda", dest="sparsity_weight", type=float, help="sparsity weight")
-    p.add_argument("--beta-couple", dest="beta_couple", type=float, help="coupling weight (default: data-scaled)")
     p.add_argument("--max-outer", dest="max_outer", type=int, help="outer iteration budget")
 
 

@@ -35,7 +35,7 @@ MAX_HALVINGS = 20
 STEP_GROWTH = 2.0
 # Initial step on each block, as a fraction of the inverse of its curvature.
 STEP_FRACTION = 0.1
-# Auto coupling weight: scale / (n_target * median row mass squared). The
+# Coupling weight: scale / (n_target * median row mass squared). The
 # alignment force on a target row is O(1/n_target) and acts on codes whose
 # mass is the row's l1 norm, so a fixed O(1) coupling weight pins the codes
 # to their projections and no descent direction can move them.
@@ -57,7 +57,6 @@ def check_knobs(obj, error: type[Exception] = ValueError, names: dict | None = N
     for name, ok, rule in (
         ("eta", obj.eta > 0, "positive"),
         ("sparsity_weight", obj.sparsity_weight >= 0, ">= 0"),
-        ("beta_couple", obj.beta_couple is None or obj.beta_couple > 0, "positive or None"),
         ("max_outer", obj.max_outer >= 1, ">= 1"),
         ("tol_obj", obj.tol_obj >= 0, ">= 0"),
         ("tau_delta", obj.tau_delta >= 0, ">= 0"),
@@ -69,9 +68,8 @@ def check_knobs(obj, error: type[Exception] = ValueError, names: dict | None = N
 @dataclass(frozen=True, eq=False)
 class InterventionProblem:
     """Inputs and knobs for one intervention solve: checked, complete and
-    read-only once built. beta_couple=None selects a data-scaled coupling
-    weight; the surrogate rides along for trajectory logging and for the
-    outcome-only alignment.
+    read-only once built. The surrogate rides along for trajectory logging
+    and for the outcome-only alignment.
 
     Construction derives target_projection = nnls_project_rows(X_B, H), the
     target rows' raw codes on the frozen basis; reference_codes, the
@@ -89,7 +87,6 @@ class InterventionProblem:
     surrogate: SurrogateModel
     eta: float = transport.DEFAULT_ETA
     sparsity_weight: float = 0.05
-    beta_couple: float | None = None
     max_outer: int = 200
     tol_obj: float = 1e-5
     alignment: str = ALIGNMENT_OT
@@ -533,9 +530,9 @@ def optimize(problem: InterventionProblem) -> InterventionResult:
     U = np.asfortranarray(problem.target_projection)
     D = np.zeros((n_b, levers.size), order="F")
     rho_lev = problem.priorities.rho_for(levers)
-    # median target row mass, floored at 1; the auto coupling weight and the U curvature read its square
+    # median target row mass, floored at 1; the coupling weight and the U curvature read its square
     mass_sq = max(float(np.median(U.sum(axis=1))), 1.0) ** 2
-    beta = problem.beta_couple if problem.beta_couple is not None else BETA_AUTO_SCALE / (n_b * mass_sq)
+    beta = BETA_AUTO_SCALE / (n_b * mass_sq)
     align = _make_alignment(problem)
     lo, hi = (np.asfortranarray(b) for b in problem.lever_box)
 

@@ -52,16 +52,13 @@ class ExperimentConfig:
     q: int | None = None
     eta: float = 0.05
     sparsity_weight: float = 0.05
-    beta_couple: float | None = None
     tau_y: float = 0.5
     tau_delta: float = 1e-6
     eps_omega: float = 1e-6
     binarize_rule: str = "median"
     binarize_threshold: float | None = None
-    logistic_l2: float = 1e-2
 
     nmf_max_iters: int = 500
-    nmf_tol: float = 1e-9
     kmeans_restarts: int = 10
     max_outer: int = 200
     tol_obj: float = 1e-5
@@ -87,8 +84,6 @@ class ExperimentConfig:
             raise ConfigError(f"tau_y must lie in (0, 1), got {self.tau_y}")
         if not self.eps_omega > 0:
             raise ConfigError(f"eps_omega must be positive, got {self.eps_omega}")
-        if self.logistic_l2 < 0:
-            raise ConfigError(f"logistic_l2 must be >= 0, got {self.logistic_l2}")
         for name in ("nmf_max_iters", "kmeans_restarts", "baseline_k_levers"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -189,13 +184,13 @@ def run_pipeline(config: ExperimentConfig, seed: int, dataset: SurveyDataset | N
     if dataset is None:
         dataset = load_or_generate(config)
 
-    latent = fit_nmf(dataset.X, k=config.k, seed=seed, max_iters=config.nmf_max_iters, tol=config.nmf_tol)
+    latent = fit_nmf(dataset.X, k=config.k, seed=seed, max_iters=config.nmf_max_iters)
     codes = normalize_rows(latent.W)
     labels, centroids = kmeans(codes, config.n_clusters, seed=seed, restarts=config.kmeans_restarts)
     groups = anchor_groups(labels, dataset.y, centroids)
 
     labels_bin = binarize_outcome(dataset.y, rule=config.binarize_rule, threshold=config.binarize_threshold)
-    surrogate = fit_logistic(codes, labels_bin, l2=config.logistic_l2, tau_y=config.tau_y)
+    surrogate = fit_logistic(codes, labels_bin, tau_y=config.tau_y)
     priorities = build_priorities(
         surrogate,
         codes,
@@ -213,7 +208,6 @@ def run_pipeline(config: ExperimentConfig, seed: int, dataset: SurveyDataset | N
         surrogate=surrogate,
         eta=config.eta,
         sparsity_weight=config.sparsity_weight,
-        beta_couple=config.beta_couple,
         max_outer=config.max_outer,
         tol_obj=config.tol_obj,
         tau_delta=config.tau_delta,

@@ -67,6 +67,14 @@ class PriorityWeights(JSONRecord):
 
     def __post_init__(self):
         check_types(self, ValueError)
+        shapes = [a.shape for a in (self.omega, self.rho, self.s_ctrl)]
+        if len(shapes[0]) != 1 or len(set(shapes)) > 1:
+            raise ValueError(f"omega, rho and s_ctrl must be 1-D arrays of one length, got shapes {shapes}")
+        top, k = self.top_factors, len(self.varphi) if self.varphi.ndim == 1 else 0
+        if not np.issubdtype(top.dtype, np.integer) or np.any((top < 0) | (top >= k)):
+            raise ValueError(f"top_factors must index a 1-D varphi, got {top.tolist()} for shape {self.varphi.shape}")
+        if not self.eps_omega > 0:
+            raise ValueError(f"eps_omega must be positive, got {self.eps_omega}")
         for arr in (self.varphi, self.top_factors, self.omega, self.rho, self.s_ctrl):
             arr.setflags(write=False)
 

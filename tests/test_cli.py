@@ -50,9 +50,12 @@ class TestConfig:
         assert "G" in d and "lambda" in d
         assert "n_clusters" not in d and "sparsity_weight" not in d
 
-    def test_unknown_key_rejected(self):
-        with pytest.raises(Exception, match="unknown config key"):
-            ExperimentConfig.from_dict({"nope": 1})
+    # the coupling weight, the NMF stop tolerance and the probe's ridge are
+    # constants: a file that sets one must fail rather than be ignored
+    @pytest.mark.parametrize("key", ["nope", "beta_couple", "nmf_tol", "logistic_l2"])
+    def test_unknown_key_rejected(self, key):
+        with pytest.raises(ConfigError, match=f"^unknown config key '{key}'$"):
+            ExperimentConfig.from_dict({key: 1.0})
 
     @pytest.mark.parametrize(
         "doc",
@@ -110,16 +113,16 @@ class TestConfig:
             {"seeds": (1.5,)},
             {"dataset_csv": 3},
             {"tau_delta": float("nan")},
-            {"beta_couple": float("inf")},
-            {"beta_couple": 0.0},
-            {"beta_couple": -1.0},
             {"seeds": (3, 3)},
             {"seeds": (-1,)},
             {"dataset_csv": ""},
             {"out_dir": ""},
-            {"logistic_l2": -1.0},
             {"baseline_k_levers": 0},
             {"baseline_step": -1.0},
+            {"eps_omega": float("inf")},
+            {"synthetic_n": 2.5},
+            {"binarize_rule": 1},
+            {"binarize_threshold": "0.5"},
         ],
     )
     def test_wrong_value_type_rejected(self, overrides):
@@ -140,12 +143,12 @@ class TestConfig:
             ({"dataset_csv": "d.csv"}, "dataset_csv and schema_json must be given together"),
             ({"binarize_rule": "mean"}, "unknown binarize rule 'mean'"),
             ({"sparsity_weight": -1.0}, "lambda must be >= 0, got -1.0"),
-            ({"beta_couple": 0.0}, "beta_couple must be positive or None, got 0.0"),
+            ({"n_clusters": 1}, "G must be >= 2, got 1"),
             ({"max_outer": 0}, "max_outer must be >= 1, got 0"),
             ({"tol_obj": -1.0}, "tol_obj must be >= 0, got -1.0"),
             ({"tau_delta": -1.0}, "tau_delta must be >= 0, got -1.0"),
             ({"k": 1}, "k must be >= 2, got 1"),
-            ({"logistic_l2": -1.0}, "logistic_l2 must be >= 0, got -1.0"),
+            ({"binarize_rule": "fixed"}, "binarize_threshold must be given under the fixed rule and only there"),
             ({"baseline_step": 0.0}, "baseline_step must be positive, got 0.0"),
         ],
     )
@@ -599,7 +602,6 @@ FLAG_CASES = {
     "q": (["--q", "1"], {"q": 1}),
     "eta": (["--eta", "0.07"], {"eta": 0.07}),
     "lambda": (["--lambda", "0.002"], {"lambda": 0.002}),
-    "beta-couple": (["--beta-couple", "0.5"], {"beta_couple": 0.5}),
     "max-outer": (["--max-outer", "4"], {"max_outer": 4}),
 }
 
@@ -637,17 +639,18 @@ def test_import_defers_the_pool_and_hashing():
     assert done.stdout.strip() == "[]"
 
 
-# settings rejected before any work: by the config, by the config of a sweep
-# cell, against the loaded data (the small config's 200 rows and 15 features,
-# or a file under data/), or by the generator; each case is (argv, config keys)
+# settings rejected before any work: by the config (an unknown key included),
+# by the config of a sweep cell, against the loaded data (the small config's
+# 200 rows and 15 features, or a file under data/), or by the generator; each
+# case is (argv, config keys)
 FIXED_ABOVE_EVERY_SCORE = {"binarize_rule": "fixed", "binarize_threshold": 1e9}
 CONSTANT_OUTCOME = ["--dataset", "data/constant.csv", "--schema", "data/schema.json"]
 NO_LEVERS = ["--dataset", "data/dataset.csv", "--schema", "data/no_levers.json"]
 REJECTED_CASES = {
-    "run beta_couple 0": (["run", "--beta-couple", "0"], {}),
+    "run beta_couple 0": (["run"], {"beta_couple": 0.0}),
     "run G named twice": (["run"], {"n_clusters": 4}),
     "baselines lambda named twice under a flag": (["baselines", "--lambda", "0.1"], {"sparsity_weight": 0.01}),
-    "baselines beta_couple -1": (["baselines", "--beta-couple", "-1"], {}),
+    "baselines beta_couple -1": (["baselines"], {"beta_couple": -1.0}),
     "run k 1": (["run", "--k", "1"], {}),
     "run k above d": (["run", "--k", "20"], {}),
     "baselines k above d": (["baselines", "--k", "20"], {}),

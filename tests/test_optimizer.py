@@ -27,10 +27,11 @@ from latent_align.optimizer import (
     prox_weighted_l21,
     round_report,
 )
+from latent_align.pipeline import run_pipeline
 from latent_align.surrogate import PriorityWeights, SurrogateModel
 from latent_align.transport import TransportProblem, sinkhorn
 
-from conftest import fixture_config
+from conftest import fixture_config, small_config
 from oracles import central_difference, prox_column_oracle, prox_factor_masked
 
 
@@ -444,6 +445,16 @@ class TestOptimize:
         beta = fixture_arts.result.beta_used
         assert t0.sparsity == 0.0
         assert t0.objective == pytest.approx(t0.alignment + beta * t0.coupling)
+
+    def test_coupling_weight_is_derived_from_the_data(self):
+        # beta = BETA_AUTO_SCALE / (n_b m^2), m the median target row mass
+        # floored at 1; no config key, flag or knob sets it
+        arts = run_pipeline(small_config(), seed=7)
+        rows = arts.problem.target_projection
+        mass = max(float(np.median(rows.sum(axis=1))), 1.0)
+        assert arts.result.beta_used == opt_mod.BETA_AUTO_SCALE / (rows.shape[0] * mass**2)
+        with pytest.raises(ValueError, match="^with_knobs changes only"):
+            arts.problem.with_knobs(beta_couple=1.0)
 
     def test_initial_gain_is_zero(self, fixture_arts):
         # the gain is measured from the same projected codes record 0 holds

@@ -71,6 +71,29 @@ def test_from_dict_checks_instead_of_casting(fixture_arts, attr, name, value):
         type(record).from_dict(doc)
 
 
+# record on the fixture run (6 factors, 9 controllable features), one key of
+# its JSON document, the tampered value from the written one, and the start of
+# the message: values of the right type that the record's own checks reject
+TAMPERED = {
+    "rho one short": ("priorities", "rho", lambda v: v[:-1], "omega, rho and s_ctrl must be 1-D arrays of one length"),
+    "top factor 99": ("priorities", "top_factors", lambda v: [99], "top_factors must index a 1-D varphi, got [99]"),
+    "varphi not 1-D": ("priorities", "varphi", lambda v: [v], "top_factors must index a 1-D varphi"),
+    "negative eps_omega": ("priorities", "eps_omega", lambda v: -1.0, "eps_omega must be positive, got -1.0"),
+    "rank mismatch": ("latent", "k", lambda v: v + 1, "rank mismatch: k=7, W has 6 factors, H has 6"),
+    "H row off the simplex": ("latent", "H", lambda v: [[h + 0.5 for h in v[0]], *v[1:]], "H rows must sum to 1"),
+    "tau_y at 1": ("surrogate", "tau_y", lambda v: 1.0, "tau_y must lie in (0, 1), got 1.0"),
+}
+
+
+@pytest.mark.parametrize("attr, name, tamper, message", TAMPERED.values(), ids=TAMPERED.keys())
+def test_from_dict_checks_shapes_and_ranges(fixture_arts, attr, name, tamper, message):
+    record = getattr(fixture_arts, attr)
+    doc = json.loads(json.dumps(record.to_dict()))
+    doc[name] = tamper(doc[name])
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        type(record).from_dict(doc)
+
+
 # each frozen class, the attribute of the fixture run that holds one (None for the run itself)
 FROZEN = [
     (LatentModel, "latent"),

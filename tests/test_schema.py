@@ -575,6 +575,16 @@ REJECTIONS = {
         DataValidationError,
         "1 validation failure(s): feature '<ids>': 1 ids for 2 rows",
     ),
+    "validate_rows unknown mode": (
+        lambda t: la.validate_rows(np.zeros((1, 4)), _schema_4(), mode="strict"),
+        ValueError,
+        "mode must be 'optimize' or 'report', got 'strict'",
+    ),
+    "validate_rows wrong width": (
+        lambda t: la.validate_rows(np.zeros((1, 3)), _schema_4()),
+        ValueError,
+        "matrix has shape (1, 3), schema expects (n, 4)",
+    ),
 }
 
 

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -38,6 +39,13 @@ class TestBinarize:
         out = binarize_outcome(np.array([0.2, 0.8]), rule="fixed", threshold=0.5)
         assert out.tolist() == [0, 1]
         assert binarize_outcome(np.array([0.5, 0.4]), rule="fixed", threshold=0.5).tolist() == [1, 0]
+
+    @pytest.mark.parametrize(
+        "rule, message", [("fixed", "fixed rule needs a threshold"), ("mean", "unknown binarization rule 'mean'")]
+    )
+    def test_rule_without_its_threshold_or_unknown_rejected(self, rule, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            binarize_outcome(np.array([0.2, 0.8]), rule=rule)
 
 
 class TestFitLogistic:

@@ -281,6 +281,17 @@ class TestSinkhorn:
                 eta=1.0,
             )
 
+    @pytest.mark.parametrize(
+        "cost, n_source, message",
+        [
+            (np.ones(3), 3, "cost must be a matrix"),
+            (np.ones((2, 3)), 3, "marginal lengths must match the cost matrix"),
+        ],
+    )
+    def test_shape_mismatch_rejected(self, cost, n_source, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            TransportProblem(cost, np.full(n_source, 1 / n_source), np.full(3, 1 / 3), eta=1.0)
+
     def test_entropic_value_includes_entropy_term(self):
         rng = np.random.default_rng(12)
         M = rng.uniform(0.0, 1.0, size=(4, 4))
